@@ -5,7 +5,7 @@ and applies them to the system under test while concurrent readers run
 the interactive mix.  Prints the resulting read/write throughput and the
 write-rate time series (watch Neo4j's checkpoint dips).
 
-Run:  python examples/realtime_feed.py [sut-key]
+Run:  python examples/realtime_feed.py [sut-key [duration-ms]]
 """
 
 import sys
@@ -20,6 +20,7 @@ def main() -> None:
     key = sys.argv[1] if len(sys.argv) > 1 else "neo4j-cypher"
     if key not in SUT_KEYS:
         raise SystemExit(f"unknown SUT {key!r}; choose from {SUT_KEYS}")
+    duration_ms = float(sys.argv[2]) if len(sys.argv) > 2 else 1_000.0
 
     dataset = generate(GeneratorConfig(scale_factor=3, scale_divisor=4000))
     connector = make_connector(key)
@@ -31,7 +32,7 @@ def main() -> None:
 
     config = InteractiveConfig(
         readers=16,
-        duration_ms=1_000.0,
+        duration_ms=duration_ms,
         window_ms=50.0,
         checkpoint_interval_ms=250.0,
         checkpoint_stall_us_per_record=2_500.0,

@@ -256,18 +256,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     sharded = getattr(args, "sharded", False)
     if len(systems) < 2 and not sharded:
         raise SystemExit("validation needs at least two systems")
+    # pin the mode on every system so one run cross-checks one
+    # executor: plain validate exercises the interpreters,
+    # --compiled exercises the compiled/vectorized closures
+    mode = "compiled" if getattr(args, "compiled", False) else "interpreted"
     connectors = {}
     for key in systems:
         connector = make_connector(key)
         connector.load(dataset)
         if args.cached:
             connector.enable_caching()
-        # pin the mode on every system so one run cross-checks one
-        # executor: plain validate exercises the interpreters,
-        # --compiled exercises the compiled/vectorized closures
-        connector.set_execution_mode(
-            "compiled" if getattr(args, "compiled", False) else "interpreted"
-        )
+        connector.set_execution_mode(mode)
         connectors[key] = connector
         if sharded and key != "cluster":
             # pair every single-node engine with a sharded deployment of
@@ -283,11 +282,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             twin.load(dataset)
             if args.cached:
                 twin.enable_caching()
-            twin.set_execution_mode(
-                "compiled"
-                if getattr(args, "compiled", False)
-                else "interpreted"
-            )
+            twin.set_execution_mode(mode)
             connectors[f"sharded:{key}"] = twin
     params = WorkloadParams.curate(dataset, count=args.checks, seed=args.seed)
     reference_key = systems[0]

@@ -45,6 +45,7 @@ from repro.cluster.pods import CDC_TOPIC, ReadReplica, ShardPrimary
 from repro.cluster.scatter import ScatterGather, gather_sorted, gather_union
 from repro.core.connectors.base import Connector
 from repro.kafka import Broker, Producer
+from repro.options import EngineOptions
 from repro.simclock.costmodel import CostModel
 from repro.simclock.ledger import charge
 from repro.snb.datagen import SnbDataset
@@ -87,7 +88,9 @@ class ClusterConnector(Connector):
         staleness_budget: int = 0,
         read_preference: str = "primary",
         model: CostModel | None = None,
+        options: EngineOptions | None = None,
     ) -> None:
+        super().__init__(options)
         if shards < 1:
             raise ValueError("need at least one shard")
         if replicas < 0:
@@ -145,12 +148,16 @@ class ClusterConnector(Connector):
         self.primaries = []
         self.replicas = []
         for s in range(self.shard_count):
-            engine = make_connector(self.backend)
+            # every pod shares the coordinator's options object, so a
+            # mode set before or after load() reaches all of them
+            engine = make_connector(self.backend, options=self.options)
             engine.load(self.part.shards[s])
             self.primaries.append(ShardPrimary(s, engine, self._producer))
             pods: list[ReadReplica] = []
             for r in range(self.replica_count):
-                replica_engine = make_connector(self.backend)
+                replica_engine = make_connector(
+                    self.backend, options=self.options
+                )
                 replica_engine.load(self.part.shards[s])
                 # pods of one shard share the bytecode/closure cache:
                 # a replica warms up without recompiling what its
@@ -163,6 +170,10 @@ class ClusterConnector(Connector):
                     ReadReplica(s, r, replica_engine, self._broker)
                 )
             self.replicas.append(pods)
+        if self._cache is not None:
+            # enable_caching() came before load(): same per-pod caches
+            # as when it comes after
+            self._enable_pod_caching()
 
     def size_bytes(self) -> int:
         return sum(p.engine.size_bytes() for p in self.primaries)
@@ -682,20 +693,12 @@ class ClusterConnector(Connector):
 
     # -- harness hooks ---------------------------------------------------------
 
-    def set_execution_mode(self, mode: str) -> None:
-        for primary in self.primaries:
-            primary.engine.set_execution_mode(mode)
-        for pods in self.replicas:
-            for replica in pods:
-                replica.engine.set_execution_mode(mode)
-
     def set_isolation_level(self, level: str) -> None:
-        """Pin the isolation level on every shard engine, replicas too.
-
-        Replica reads then compose bounded staleness (which CDC offset
-        the pod has applied) with snapshot isolation (which versions of
-        that applied state a read observes).
-        """
+        # trajectory finding 5: a sqlg pod's backing Database keeps
+        # private options, so its connector override must be called;
+        # delete together with SqlgConnector.set_isolation_level once
+        # SqlgProvider takes options=self.options
+        super().set_isolation_level(level)
         for primary in self.primaries:
             primary.engine.set_isolation_level(level)
         for pods in self.replicas:
@@ -704,6 +707,9 @@ class ClusterConnector(Connector):
 
     def enable_caching(self) -> None:
         self._cache = LRUCache(4096, name="cluster-coordinator")
+        self._enable_pod_caching()
+
+    def _enable_pod_caching(self) -> None:
         for primary in self.primaries:
             primary.engine.enable_caching()
         for pods in self.replicas:

@@ -30,6 +30,7 @@ from repro.core.connectors.sql import (
     SqlConnector,
     VirtuosoSqlConnector,
 )
+from repro.options import EngineOptions
 
 _REGISTRY: dict[str, type[Connector]] = {
     cls.key: cls
@@ -71,8 +72,14 @@ def _register_cluster() -> None:
         _REGISTRY[ClusterConnector.key] = ClusterConnector
 
 
-def make_connector(key: str) -> Connector:
-    """Instantiate a fresh (empty) connector by registry key."""
+def make_connector(
+    key: str, options: EngineOptions | None = None
+) -> Connector:
+    """Instantiate a fresh (empty) connector by registry key.
+
+    ``options`` is the :class:`EngineOptions` the connector and all its
+    engines will share; by default it gets its own.
+    """
     if key == "cluster":
         _register_cluster()
     try:
@@ -81,7 +88,7 @@ def make_connector(key: str) -> Connector:
         raise KeyError(
             f"unknown SUT {key!r}; known: {sorted({*_REGISTRY, 'cluster'})}"
         ) from None
-    return cls()
+    return cls(options=options)
 
 
 def __getattr__(name: str):  # PEP 562: lazy re-export, avoids the cycle

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+from repro.options import EngineOptions
 from repro.snb.datagen import SnbDataset
 from repro.snb.schema import (
     Comment,
@@ -56,6 +57,11 @@ class Connector(ABC):
     dialect: str | None = None
     #: the module-level query catalog validated at construction
     query_catalog: object = None
+
+    def __init__(self, options: EngineOptions | None = None) -> None:
+        #: the one options object this connector hands, by identity, to
+        #: every engine it builds (cluster pods included)
+        self.options = options or EngineOptions()
 
     # -- prepare-time validation ---------------------------------------------
 
@@ -213,31 +219,15 @@ class Connector(ABC):
         for event in events:
             self.apply_update(event)
 
-    # -- execution-mode hook (overridden by every engine-backed connector) -------------------
+    # -- engine modes (see repro.options.EngineOptions) -----------------------------------
 
     def set_execution_mode(self, mode: str) -> None:
-        """Switch the underlying engine between ``interpreted`` and
-        ``compiled`` execution.
-
-        Engines default to ``compiled``; the paper-figure harnesses pin
-        ``interpreted`` because the 2015-era systems under test ran
-        classic tuple-at-a-time interpreters.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose an execution mode"
-        )
+        """``interpreted`` or ``compiled`` execution, on every engine."""
+        self.options.execution_mode = mode
 
     def set_isolation_level(self, level: str) -> None:
-        """Switch the underlying engine between ``snapshot`` (readers run
-        against an immutable MVCC view and never take or wait on locks)
-        and ``read-committed`` (reads see the latest committed state; the
-        concurrency harness serializes them against writers).
-
-        Engines default to ``snapshot``.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose an isolation level"
-        )
+        """``snapshot`` or ``read-committed`` reads, on every engine."""
+        self.options.isolation_level = level
 
     # -- caching hooks (overridden where relevant) -----------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.core.connectors.base import Connector
 from repro.graphdb.engine import GraphDatabase
+from repro.options import EngineOptions
 from repro.simclock.ledger import charge
 from repro.snb.datagen import SnbDataset
 from repro.snb.schema import (
@@ -151,9 +152,10 @@ class CypherConnector(Connector):
     dialect = "cypher"
     query_catalog = CYPHER_QUERIES
 
-    def __init__(self) -> None:
+    def __init__(self, options: EngineOptions | None = None) -> None:
+        super().__init__(options)
         self._validate_queries()
-        self.db = GraphDatabase("neo4j")
+        self.db = GraphDatabase("neo4j", self.options)
         for label in ("Person", "Forum", "Message", "Tag", "Place",
                       "Organisation", "TagClass"):
             self.db.create_index(label, "id")
@@ -524,12 +526,6 @@ class CypherConnector(Connector):
         with self.db.write_batch():
             for event in events:
                 self.apply_update(event)
-
-    def set_execution_mode(self, mode: str) -> None:
-        self.db.set_execution_mode(mode)
-
-    def set_isolation_level(self, level: str) -> None:
-        self.db.set_isolation_level(level)
 
     def enable_caching(self) -> None:
         """Turn on the store's adjacency/neighborhood cache."""

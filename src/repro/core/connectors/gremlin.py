@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.cache import LRUCache
 from repro.core.connectors.base import Connector, OperationFailed
 from repro.graphdb.tinkerpop_adapter import Neo4jProvider
+from repro.options import EngineOptions
 from repro.snb.datagen import SnbDataset
 from repro.snb.schema import (
     Comment,
@@ -411,10 +412,11 @@ class GremlinConnector(Connector):
     dialect = "gremlin"
     query_catalog = GREMLIN_TRAVERSALS
 
-    def __init__(self) -> None:
+    def __init__(self, options: EngineOptions | None = None) -> None:
+        super().__init__(options)
         self._validate_queries()
         self.provider = self._make_provider()
-        self.server = GremlinServer(self.provider)
+        self.server = GremlinServer(self.provider, options=self.options)
         # vertex references are immutable once created, so no
         # invalidation is needed; the LRU only bounds memory
         self._vertex_cache = LRUCache(8192, name="gremlin-vertices")
@@ -676,13 +678,7 @@ class GremlinConnector(Connector):
             key=f"add_edge:{label}:{out_label}",
         )
 
-    # -- execution-mode / caching hooks --------------------------------------------------------
-
-    def set_execution_mode(self, mode: str) -> None:
-        self.server.set_execution_mode(mode)
-
-    def set_isolation_level(self, level: str) -> None:
-        self.server.set_isolation_level(level)
+    # -- caching hooks -------------------------------------------------------------------------
 
     def enable_caching(self) -> None:
         """Turn on the Gremlin Server's script/bytecode cache."""
@@ -844,6 +840,9 @@ class SqlgConnector(GremlinConnector):
 
     def _make_provider(self) -> GraphProvider:
         provider = SqlgProvider()
+        # private options (see set_isolation_level): start them at the
+        # level this connector was built with, e.g. as a cluster pod
+        provider.db.options.isolation_level = self.options.isolation_level
         provider.define_vertex_label("person", {
             "id": int, "firstName": str, "lastName": str, "gender": str,
             "birthday": int, "creationDate": int, "browserUsed": str,
@@ -890,10 +889,13 @@ class SqlgConnector(GremlinConnector):
         return provider
 
     def set_isolation_level(self, level: str) -> None:
-        # the snapshot is taken at the server, but the backing relational
-        # engine keeps its own default for direct SQL entry points
-        self.server.set_isolation_level(level)
-        self.provider.db.set_isolation_level(level)
+        # trajectory finding 5: sqlg's backing Database keeps private
+        # options, so ``interpreted`` stops at the Gremlin server and its
+        # per-step SQL still runs compiled (benchmarks/trajectory pins
+        # that).  The follow-up passes options=self.options to
+        # SqlgProvider and deletes this override.
+        super().set_isolation_level(level)
+        self.provider.db.options.isolation_level = level
 
     def sanitize_targets(self) -> dict[str, object]:
         return {"sqlg": self.provider.db}

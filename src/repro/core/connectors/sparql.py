@@ -13,6 +13,7 @@ one frontier query per level (``FILTER(?s IN (...))``).
 from __future__ import annotations
 
 from repro.core.connectors.base import Connector
+from repro.options import EngineOptions
 from repro.rdf import RdfDatabase
 from repro.simclock.ledger import charge
 from repro.snb.datagen import SnbDataset
@@ -205,9 +206,10 @@ class VirtuosoSparqlConnector(Connector):
     dialect = "sparql"
     query_catalog = SPARQL_QUERIES
 
-    def __init__(self) -> None:
+    def __init__(self, options: EngineOptions | None = None) -> None:
+        super().__init__(options)
         self._validate_queries()
-        self.db = RdfDatabase("virtuoso-rdf")
+        self.db = RdfDatabase("virtuoso-rdf", self.options)
         self._statement_seq = 0
 
     def sanitize_targets(self) -> dict[str, object]:
@@ -528,12 +530,6 @@ class VirtuosoSparqlConnector(Connector):
         with self.db.wal.group():
             for event in events:
                 self.apply_update(event)
-
-    def set_execution_mode(self, mode: str) -> None:
-        self.db.set_execution_mode(mode)
-
-    def set_isolation_level(self, level: str) -> None:
-        self.db.set_isolation_level(level)
 
     def cache_stats(self) -> list:
         return self.db.cache_stats()

@@ -17,6 +17,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 
 from repro.core.connectors.base import Connector
+from repro.options import EngineOptions
 from repro.relational.engine import Database
 from repro.simclock.ledger import charge
 from repro.snb.datagen import SnbDataset
@@ -197,12 +198,14 @@ class SqlConnector(Connector):
     dialect = "sql"
     query_catalog = SQL_QUERIES
 
-    def __init__(self) -> None:
+    def __init__(self, options: EngineOptions | None = None) -> None:
+        super().__init__(options)
         self._validate_queries()
         self.db = Database(
             self.storage,
             name=self.key,
             transitive_support=self.transitive_support,
+            options=self.options,
         )
         for ddl in _SCHEMA:
             self.db.execute(ddl)
@@ -367,12 +370,6 @@ class SqlConnector(Connector):
                     self.apply_update(event)
         finally:
             self._batch_depth -= 1
-
-    def set_execution_mode(self, mode: str) -> None:
-        self.db.set_execution_mode(mode)
-
-    def set_isolation_level(self, level: str) -> None:
-        self.db.set_isolation_level(level)
 
     def cache_stats(self) -> list:
         return self.db.cache_stats()

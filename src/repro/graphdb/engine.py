@@ -25,6 +25,7 @@ from repro.graphdb.cypher import ast
 from repro.graphdb.cypher.executor import CypherExecutor, WriteSummary
 from repro.graphdb.cypher.parser import parse
 from repro.graphdb.store import GraphStore
+from repro.options import EngineOptions
 from repro.simclock.ledger import charge
 from repro.storage.wal import WriteAheadLog
 from repro.txn import oracle
@@ -44,13 +45,10 @@ def _is_read_only(query: Any) -> bool:
 
 class GraphDatabase:
     def __init__(
-        self, name: str = "neo4j", execution_mode: str = "compiled"
+        self, name: str = "neo4j", options: EngineOptions | None = None
     ) -> None:
-        if execution_mode not in ("interpreted", "compiled"):
-            raise ValueError(f"unknown execution mode: {execution_mode!r}")
         self.name = name
-        self.execution_mode = execution_mode
-        self.isolation_level = "snapshot"
+        self.options = options or EngineOptions()
         self.store = GraphStore(name)
         self.wal = WriteAheadLog(f"{name}-wal")
         self.executor = CypherExecutor(self.store)
@@ -71,7 +69,7 @@ class GraphDatabase:
     ) -> list[tuple]:
         """Run one Cypher statement; returns result rows (empty for writes)."""
         self.statements_executed += 1
-        if self.execution_mode == "compiled":
+        if self.options.execution_mode == "compiled":
             # deferred: repro.exec.cypherc imports this package's AST,
             # so a top-level import would be circular
             from repro.exec.cypherc import compile_query
@@ -90,13 +88,13 @@ class GraphDatabase:
                 # clauses fall back to the interpreter), so every run
                 # gets a snapshot view
                 charge("compiled_exec")
-                with oracle.read_view(self.isolation_level):
+                with oracle.read_view(self.options.isolation_level):
                     rows, _summary = fn(params)
                 return rows
         charge("cypher_exec")
         query = self._parse_cached(cypher)
         if _is_read_only(query):
-            with oracle.read_view(self.isolation_level):
+            with oracle.read_view(self.options.isolation_level):
                 rows, summary = self.executor.run(query, params)
         else:
             rows, summary = self.executor.run(query, params)
@@ -111,17 +109,6 @@ class GraphDatabase:
             query = parse(cypher)
             self._stmt_cache.store(cypher, query)
         return query
-
-    def set_execution_mode(self, mode: str) -> None:
-        """Switch between ``interpreted`` and ``compiled`` execution."""
-        if mode not in ("interpreted", "compiled"):
-            raise ValueError(f"unknown execution mode: {mode!r}")
-        self.execution_mode = mode
-
-    def set_isolation_level(self, level: str) -> None:
-        """``snapshot`` (readers never block) or ``read-committed``."""
-        oracle.check_isolation_level(level)
-        self.isolation_level = level
 
     def _log_writes(self, summary: WriteSummary) -> None:
         writes = (

@@ -6,6 +6,7 @@ from typing import Any
 
 from repro.cache import CacheStats, EpochKeyedCache, LRUCache
 from repro.exec.errors import CompileError
+from repro.options import EngineOptions
 from repro.rdf.sparql.executor import SparqlExecutor
 from repro.rdf.sparql.parser import parse
 from repro.rdf.triples import TripleStore
@@ -22,13 +23,12 @@ class RdfDatabase:
     """SPARQL over a single indexed triple table."""
 
     def __init__(
-        self, name: str = "virtuoso-rdf", execution_mode: str = "compiled"
+        self,
+        name: str = "virtuoso-rdf",
+        options: EngineOptions | None = None,
     ) -> None:
-        if execution_mode not in ("interpreted", "compiled"):
-            raise ValueError(f"unknown execution mode: {execution_mode!r}")
         self.name = name
-        self.execution_mode = execution_mode
-        self.isolation_level = "snapshot"
+        self.options = options or EngineOptions()
         self.store = TripleStore(name)
         self.wal = WriteAheadLog(f"{name}-wal")
         self.executor = SparqlExecutor(self.store)
@@ -46,7 +46,7 @@ class RdfDatabase:
     ) -> list[tuple]:
         """Run one SPARQL SELECT; returns result rows."""
         self.statements_executed += 1
-        if self.execution_mode == "compiled":
+        if self.options.execution_mode == "compiled":
             # deferred: repro.exec.sparqlc imports this package's parser,
             # so a top-level import would be circular
             from repro.exec.sparqlc import compile_query
@@ -63,12 +63,12 @@ class RdfDatabase:
                 self._closure_cache.store(key, fn)
             if fn is not _INTERPRET:
                 charge("compiled_exec")
-                with oracle.read_view(self.isolation_level):
+                with oracle.read_view(self.options.isolation_level):
                     # type ignores: the closure cache stores `object`
                     return fn(params)  # type: ignore[no-any-return, operator]
         charge("sql_exec")  # the translated plan still runs as SQL
         query = self._parse_cached(sparql)
-        with oracle.read_view(self.isolation_level):
+        with oracle.read_view(self.options.isolation_level):
             return self.executor.run(query, params)
 
     def _parse_cached(self, sparql: str) -> Any:
@@ -79,17 +79,6 @@ class RdfDatabase:
             query = parse(sparql)
             self._stmt_cache.put(sparql, query)
         return query
-
-    def set_execution_mode(self, mode: str) -> None:
-        """Switch between ``interpreted`` and ``compiled`` execution."""
-        if mode not in ("interpreted", "compiled"):
-            raise ValueError(f"unknown execution mode: {mode!r}")
-        self.execution_mode = mode
-
-    def set_isolation_level(self, level: str) -> None:
-        """``snapshot`` (readers never block) or ``read-committed``."""
-        oracle.check_isolation_level(level)
-        self.isolation_level = level
 
     def analyze(self) -> None:
         """Refresh triple statistics and switch to stats-based ordering."""

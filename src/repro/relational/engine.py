@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     from repro.exec.sqlc import CompiledQuery
 
 from repro.cache import CacheStats, EpochKeyedCache, LRUCache
+from repro.options import EngineOptions
 from repro.relational.catalog import Catalog
 from repro.relational.sql import ast
 from repro.relational.sql.executor import (
@@ -52,16 +53,13 @@ class Database:
         transitive_support: bool = False,
         buffer_capacity: int = 1 << 16,
         cache_statements: bool = True,
-        execution_mode: str = "compiled",
+        options: EngineOptions | None = None,
     ) -> None:
-        if execution_mode not in ("interpreted", "compiled"):
-            raise ValueError(f"unknown execution mode: {execution_mode!r}")
         self.name = name
-        self.execution_mode = execution_mode
-        #: read statements run under per-statement MVCC snapshots by
-        #: default; "read-committed" skips versioning and sees the
-        #: latest committed state
-        self.isolation_level = "snapshot"
+        #: compiled closures specialize the same cached plans, so a mode
+        #: switch needs no invalidation; read statements run under
+        #: per-statement MVCC snapshots unless "read-committed"
+        self.options = options or EngineOptions()
         self.wal = WriteAheadLog(f"{name}-wal")
         self.catalog = Catalog(
             storage, buffer_capacity=buffer_capacity, wal=self.wal
@@ -146,20 +144,6 @@ class Database:
         self.planner.reorder_enabled = enabled
         self._invalidate_plans()
 
-    def set_execution_mode(self, mode: str) -> None:
-        """Switch between ``interpreted`` and ``compiled`` execution.
-
-        Compiled closures specialize the same cached plans, so switching
-        modes needs no invalidation — both caches stay coherent.
-        """
-        if mode not in ("interpreted", "compiled"):
-            raise ValueError(f"unknown execution mode: {mode!r}")
-        self.execution_mode = mode
-
-    def set_isolation_level(self, level: str) -> None:
-        """Choose the read isolation: ``snapshot`` or ``read-committed``."""
-        self.isolation_level = oracle.check_isolation_level(level)
-
     def query(self, sql: str, params: Sequence[Any] = ()) -> list[tuple]:
         """Like :meth:`execute` but guarantees a row list."""
         result = self.execute(sql, params)
@@ -224,8 +208,8 @@ class Database:
     ) -> list[tuple]:
         # readers never lock: the whole statement runs against one MVCC
         # snapshot (or the latest committed state under read-committed)
-        with oracle.read_view(self.isolation_level):
-            if self.execution_mode == "compiled":
+        with oracle.read_view(self.options.isolation_level):
+            if self.options.execution_mode == "compiled":
                 fn = self._compile_cached(sql, stmt)
                 charge("compiled_exec")
                 rows = fn(ExecContext(params))

@@ -22,6 +22,7 @@ from typing import Any
 
 from repro.cache import CacheStats, EpochKeyedCache
 from repro.exec.errors import CompileError
+from repro.options import EngineOptions
 from repro.simclock.ledger import charge
 from repro.simclock.costmodel import CostModel
 from repro.simclock.ledger import Ledger, metered
@@ -84,10 +85,8 @@ class GremlinServer:
         step_limit: int = 20_000_000,
         request_timeout_us: float | None = 3_000_000.0,
         cost_model: CostModel | None = None,
-        execution_mode: str = "compiled",
+        options: EngineOptions | None = None,
     ) -> None:
-        if execution_mode not in ("interpreted", "compiled"):
-            raise ValueError(f"unknown execution mode: {execution_mode!r}")
         self.graph = Graph(provider)
         self.provider = provider
         self.worker_pool_size = worker_pool_size
@@ -95,8 +94,7 @@ class GremlinServer:
         self.step_limit = step_limit
         self.request_timeout_us = request_timeout_us
         self.cost_model = cost_model or CostModel()
-        self.execution_mode = execution_mode
-        self.isolation_level = "snapshot"
+        self.options = options or EngineOptions()
         self.crashed = False
         self.requests_served = 0
         self.requests_failed = 0
@@ -128,20 +126,9 @@ class GremlinServer:
         if donor._script_cache is not None:
             self._script_cache = donor._script_cache
 
-    def set_execution_mode(self, mode: str) -> None:
-        """Switch between ``interpreted`` and ``compiled`` evaluation."""
-        if mode not in ("interpreted", "compiled"):
-            raise ValueError(f"unknown execution mode: {mode!r}")
-        self.execution_mode = mode
-
-    def set_isolation_level(self, level: str) -> None:
-        """``snapshot`` (readers never block) or ``read-committed``."""
-        oracle.check_isolation_level(level)
-        self.isolation_level = level
-
     def cache_stats(self) -> list[CacheStats]:
         rows = []
-        if self.execution_mode == "compiled":
+        if self.options.execution_mode == "compiled":
             rows.append(self._closure_cache.stats())
         if self._script_cache is not None:
             rows.append(self._script_cache.stats())
@@ -166,7 +153,10 @@ class GremlinServer:
             self.requests_failed += 1
             raise GremlinServerError("Gremlin Server has crashed")
         charge("server_rtt")  # request framing + dispatch
-        if self.execution_mode == "compiled" and cache_key is not None:
+        if (
+            self.options.execution_mode == "compiled"
+            and cache_key is not None
+        ):
             results = self._submit_compiled(build, cache_key)
             if results is not None:
                 return results
@@ -185,7 +175,7 @@ class GremlinServer:
             traversal = build(g)
             if _steps_write(traversal.steps):
                 return traversal.toList()
-            with oracle.read_view(self.isolation_level):
+            with oracle.read_view(self.options.isolation_level):
                 return traversal.toList()
 
         results = self._evaluate(run)
@@ -239,7 +229,7 @@ class GremlinServer:
             return None
         # compiled traversals are read-only by construction (write steps
         # raise CompileError above), so every run gets a snapshot view
-        with oracle.read_view(self.isolation_level):
+        with oracle.read_view(self.options.isolation_level):
             results = self._evaluate(lambda g: fn())
         # vectorized serialization: the whole result set is encoded as
         # one binary frame — one frame setup plus a per-value touch,

@@ -11,6 +11,7 @@ from repro.cache import (
     LRUCache,
 )
 from repro.graphdb import Direction, GraphDatabase, GraphStore
+from repro.options import EngineOptions
 from repro.rdf import RdfDatabase
 from repro.relational import Database
 from repro.simclock import meter
@@ -263,7 +264,7 @@ class TestEngineFacades:
         assert stats["sql-plans"].misses == 1
 
     def test_sql_interpreted_mode_hits_plan_cache(self):
-        db = Database("row", execution_mode="interpreted")
+        db = Database("row", options=EngineOptions("interpreted"))
         db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY)")
         db.execute("INSERT INTO t VALUES (?)", (1,))
         db.query("SELECT id FROM t", ())
@@ -319,7 +320,7 @@ class TestEngineFacades:
         assert stats["sparql-statements"].misses == 1
 
     def test_sparql_interpreted_mode_hits_statement_cache(self):
-        db = RdfDatabase(execution_mode="interpreted")
+        db = RdfDatabase(options=EngineOptions("interpreted"))
         db.store.add("sn:p1", "snb:firstName", "Alice")
         q = "SELECT ?n WHERE { ?p snb:firstName ?n }"
         db.execute(q)
@@ -342,7 +343,7 @@ class TestGremlinScriptCache:
         Graph(provider).traversal().addV("person").property(
             "id", 1
         ).iterate()
-        return GremlinServer(provider, execution_mode="interpreted")
+        return GremlinServer(provider, options=EngineOptions("interpreted"))
 
     def test_keyed_resubmit_skips_compilation(self):
         server = self._server()

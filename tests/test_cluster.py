@@ -344,6 +344,82 @@ def test_replica_pods_share_gremlin_closure_cache(dataset):
     assert cache.stats().hits > hits
 
 
+# -- engine modes reach every pod ------------------------------------------------
+
+
+def _pod_engines(cluster):
+    yield from (primary.engine for primary in cluster.primaries)
+    yield from (r.engine for pods in cluster.replicas for r in pods)
+
+
+def _counters_of_one_read(engine, dataset):
+    with meter() as ledger:
+        engine.one_hop(dataset.persons[0].id)
+    return ledger.counters
+
+
+def test_modes_and_caching_set_before_load_reach_every_pod(dataset):
+    # regression: the pods do not exist before load(), and the parent
+    # commit's fan-out setters silently configured none of them
+    cluster = ClusterConnector("neo4j-gremlin", shards=2, replicas=1)
+    cluster.set_execution_mode("interpreted")
+    cluster.set_isolation_level("read-committed")
+    cluster.enable_caching()
+    cluster.load(dataset)
+    engines = list(_pod_engines(cluster))
+    assert len(engines) == 4
+    for engine in engines:
+        counters = _counters_of_one_read(engine, dataset)
+        assert "step_eval" in counters  # the read ran interpreted,
+        assert "compiled_exec" not in counters
+        assert "ts_alloc" not in counters  # without a snapshot,
+        names = {row.name for row in engine.cache_stats()}
+        assert "gremlin-scripts" in names  # and with its cache on
+
+
+def test_mode_flipped_after_load_is_observed_by_a_replica(dataset):
+    cluster = ClusterConnector("neo4j-gremlin", shards=2, replicas=1)
+    cluster.load(dataset)
+    replica = cluster.replicas[0][0].engine
+    assert "compiled_exec" in _counters_of_one_read(replica, dataset)
+    cluster.set_execution_mode("interpreted")
+    assert "compiled_exec" not in _counters_of_one_read(replica, dataset)
+    cluster.set_execution_mode("compiled")
+    assert "compiled_exec" in _counters_of_one_read(replica, dataset)
+
+
+def test_isolation_level_after_load_reaches_sqlg_pods_backing_db(dataset):
+    # sqlg's backing Database keeps private options (trajectory
+    # finding 5), so the cluster must call each pod's own setter
+    cluster = ClusterConnector("sqlg", shards=2, replicas=1)
+    cluster.load(dataset)
+    cluster.set_isolation_level("read-committed")
+    engines = list(_pod_engines(cluster))
+    assert len(engines) == 4
+    for engine in engines:
+        assert engine.provider.db.options.isolation_level == "read-committed"
+        assert "ts_alloc" not in _counters_of_one_read(engine, dataset)
+    with pytest.raises(ValueError):
+        cluster.set_isolation_level("chaos")
+    for engine in engines:
+        assert engine.provider.db.options.isolation_level == "read-committed"
+
+
+def test_caching_before_or_after_load_gives_the_same_cache_layout(dataset):
+    def script_caches(enable_first):
+        cluster = ClusterConnector("neo4j-gremlin", shards=2, replicas=1)
+        if enable_first:
+            cluster.enable_caching()
+        cluster.load(dataset)
+        if not enable_first:
+            cluster.enable_caching()
+        return [e.server._script_cache for e in _pod_engines(cluster)]
+
+    for caches in (script_caches(True), script_caches(False)):
+        assert None not in caches
+        assert len({id(cache) for cache in caches}) == 4  # one per pod
+
+
 # -- cost accounting -----------------------------------------------------------
 
 

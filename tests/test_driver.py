@@ -179,15 +179,22 @@ class TestInteractiveRunner:
         assert titan_b.read_throughput < titan_c.read_throughput
 
     def test_neo4j_checkpoint_dips(self, dataset):
+        # the shortest run that still shows what the assertion is about:
+        # two checkpoints, and 20 ms windows wide enough (~6 writes) that
+        # the same run *without* checkpoints keeps trough/peak at 0.71;
+        # any smaller and that control falls to 0.5, dips or no dips
         config = InteractiveConfig(
             readers=8,
-            duration_ms=1_000.0,
-            window_ms=50.0,
-            checkpoint_interval_ms=200.0,
+            duration_ms=200.0,
+            window_ms=20.0,
+            checkpoint_interval_ms=40.0,
             checkpoint_stall_us_per_record=3_000.0,
         )
-        result = self._run("neo4j-cypher", dataset, config)
+        connector = make_connector("neo4j-cypher")
+        connector.load(dataset)
+        result = InteractiveWorkloadRunner(connector, dataset, config).run()
         series = [rate for _, rate in result.write_windows.series()]
+        assert connector.db.checkpoint_count >= 2
         assert result.updates_applied > 0
         peak = max(series)
         trough = min(series[1:-1]) if len(series) > 2 else min(series)

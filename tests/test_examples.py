@@ -41,7 +41,8 @@ def test_gremlin_overhead():
 
 
 def test_realtime_feed():
-    out = run_example("realtime_feed.py", "postgres-sql")
+    out = run_example("realtime_feed.py", "postgres-sql", "100")
+    assert "for 100 ms simulated" in out
     assert "reads/s" in out
     assert "writes/s" in out
 

@@ -275,7 +275,7 @@ class TestIsolationLevelPlumbing:
         connector.load(dataset)
         for level in self.LEVELS:
             connector.set_isolation_level(level)
-            assert connector.db.isolation_level == level
+            assert connector.db.options.isolation_level == level
         with pytest.raises(ValueError, match="unknown isolation level"):
             connector.set_isolation_level("chaos")
 
@@ -283,14 +283,16 @@ class TestIsolationLevelPlumbing:
         connector = make_connector("neo4j-gremlin")
         connector.load(dataset)
         connector.set_isolation_level("read-committed")
-        assert connector.server.isolation_level == "read-committed"
+        assert connector.server.options.isolation_level == "read-committed"
 
     def test_sqlg_connector_reaches_server_and_database(self, dataset):
         connector = make_connector("sqlg")
         connector.load(dataset)
         connector.set_isolation_level("read-committed")
-        assert connector.server.isolation_level == "read-committed"
-        assert connector.provider.db.isolation_level == "read-committed"
+        assert connector.server.options.isolation_level == "read-committed"
+        assert (
+            connector.provider.db.options.isolation_level == "read-committed"
+        )
 
     def test_cluster_connector_fans_out_to_every_pod(self, dataset):
         from repro.cluster import ClusterConnector
@@ -299,11 +301,14 @@ class TestIsolationLevelPlumbing:
         cluster.load(dataset)
         cluster.set_isolation_level("read-committed")
         for shard in cluster.primaries:
-            assert shard.engine.db.isolation_level == "read-committed"
+            assert (
+                shard.engine.db.options.isolation_level == "read-committed"
+            )
         for pods in cluster.replicas:
             for replica in pods:
                 assert (
-                    replica.engine.db.isolation_level == "read-committed"
+                    replica.engine.db.options.isolation_level
+                    == "read-committed"
                 )
 
 

@@ -84,7 +84,7 @@ class TestSqlJoinReordering:
         # interpreted execution: the classic iterator model this cost
         # ratio was calibrated against (vectorization narrows the gap
         # because the bad plan's extra tuples get the cheap batch rate)
-        sql_db.set_execution_mode("interpreted")
+        sql_db.options.execution_mode = "interpreted"
         optimized = cost_of(lambda: sql_db.query(REVERSED_2HOP))
         sql_db.set_join_reordering(False)
         try:
