@@ -25,6 +25,7 @@ SCOPE_PACKAGES: tuple[str, ...] = (
     "storage",
     "cache",
     "exec",
+    "lang",
     "graphdb",
     "relational",
     "rdf",

@@ -47,6 +47,7 @@ from repro.graphdb.cypher.executor import (
     _pattern_variables,
 )
 from repro.graphdb.store import GraphStore
+from repro.lang.expr import Accumulator
 from repro.simclock.ledger import charge
 from repro.stats import GraphStatistics, choose_batch_size
 
@@ -530,56 +531,6 @@ def _order_index(expr: ast.Expr, aliases: list[str]) -> int:
     raise CompileError("ORDER BY must reference a returned column")
 
 
-class _AggRun:
-    """Mirror of the interpreter's ``_AggState`` over materialized values."""
-
-    __slots__ = (
-        "func", "count", "total", "minimum", "maximum", "items", "seen",
-    )
-
-    def __init__(self, func: str, distinct: bool) -> None:
-        self.func = func
-        self.count = 0
-        self.total: Any = None
-        self.minimum: Any = None
-        self.maximum: Any = None
-        self.items: list = []
-        self.seen: set | None = set() if distinct else None
-
-    def feed_star(self) -> None:
-        self.count += 1
-
-    def feed(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.add(value)
-        self.count += 1
-        self.items.append(value)
-        self.total = value if self.total is None else self.total + value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
-    def result(self) -> Any:
-        if self.func == "count":
-            return self.count
-        if self.func == "sum":
-            return self.total
-        if self.func == "min":
-            return self.minimum
-        if self.func == "max":
-            return self.maximum
-        if self.func == "avg":
-            return None if not self.count else self.total / self.count
-        if self.func == "collect":
-            return tuple(self.items)
-        raise CypherRuntimeError(f"unknown aggregate {self.func}()")
-
-
 def _compile_aggregate(
     returns: ast.ReturnClause, store: GraphStore
 ) -> Callable[[list[Row], dict], list[tuple]]:
@@ -600,8 +551,14 @@ def _compile_aggregate(
         )
     width = len(returns.items)
 
+    def new_states() -> list[Accumulator]:
+        return [
+            Accumulator(name, distinct, CypherRuntimeError)
+            for _, name, _, distinct, _ in agg_items
+        ]
+
     def project(rows: list[Row], params: dict) -> list[tuple]:
-        groups: dict[tuple, list[_AggRun]] = {}
+        groups: dict[tuple, list[Accumulator]] = {}
         for chunk in batched(rows, 1024):
             charge_batch(len(chunk))
             for row in chunk:
@@ -611,26 +568,20 @@ def _compile_aggregate(
                 )
                 states = groups.get(key)
                 if states is None:
-                    states = [
-                        _AggRun(name, distinct)
-                        for _, name, _, distinct, _ in agg_items
-                    ]
+                    states = new_states()
                     groups[key] = states
                 for state, (_, _, star, _, arg_fn) in zip(
                     states, agg_items
                 ):
                     if star:
-                        state.feed_star()
+                        state.feed(1)
                     else:
                         assert arg_fn is not None
                         state.feed(
                             _materialize(store, arg_fn(row, params))
                         )
         if not groups and not key_items:
-            groups[()] = [
-                _AggRun(name, distinct)
-                for _, name, _, distinct, _ in agg_items
-            ]
+            groups[()] = new_states()
         out = []
         for key, states in groups.items():
             values: list[Any] = [None] * width

@@ -23,10 +23,11 @@ from collections.abc import Callable, Iterator, Sequence
 from typing import Any, Protocol
 
 from repro.exec.batch import batched, charge_batch
+from repro.lang.expr import Accumulator
 from repro.relational.sql.executor import (
     ExecContext,
     ExprFn,
-    _AggState,
+    new_accumulators,
 )
 from repro.relational.table import Table
 from repro.simclock.ledger import charge
@@ -335,26 +336,21 @@ def aggregate_rows(
 
     def run(ctx: ExecContext) -> Iterator[list[tuple]]:
         params = ctx.params
-        groups: dict[tuple, list[_AggState]] = {}
+        groups: dict[tuple, list[Accumulator]] = {}
         for batch in source(ctx):
             charge_batch(len(batch))
             for row in batch:
                 key = tuple(fn(row, params) for fn in group_fns)
                 states = groups.get(key)
                 if states is None:
-                    states = [
-                        _AggState(name, distinct)
-                        for name, _, distinct in agg_specs
-                    ]
+                    states = new_accumulators(agg_specs)
                     groups[key] = states
                 for state, (_, arg_fn, _) in zip(states, agg_specs):
                     state.feed(
                         arg_fn(row, params) if arg_fn is not None else 1
                     )
         if not groups and not group_fns:
-            states = [
-                _AggState(name, distinct) for name, _, distinct in agg_specs
-            ]
+            states = new_accumulators(agg_specs)
             yield [tuple(s.result() for s in states)]
             return
         rows = [

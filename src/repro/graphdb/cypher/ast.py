@@ -1,21 +1,23 @@
-"""Cypher abstract syntax tree."""
+"""Cypher abstract syntax tree.
+
+The dialect-neutral expression nodes are :mod:`repro.lang.expr`'s,
+re-exported so ``ast.BinaryOp`` and friends keep resolving here.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
-# --- expressions -----------------------------------------------------------------
+from repro.lang.expr import (  # noqa: F401  (re-exported)
+    BinaryOp,
+    Expr,
+    FuncCall,
+    IsNull,
+    Literal,
+    UnaryOp,
+)
 
-
-@dataclass(frozen=True)
-class Expr:
-    pass
-
-
-@dataclass(frozen=True)
-class Literal(Expr):
-    value: Any
+# --- Cypher's own expressions --------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -32,33 +34,6 @@ class VarRef(Expr):
 class PropAccess(Expr):
     var: str
     key: str
-
-
-@dataclass(frozen=True)
-class BinaryOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class UnaryOp(Expr):
-    op: str
-    operand: Expr
-
-
-@dataclass(frozen=True)
-class IsNull(Expr):
-    operand: Expr
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class FuncCall(Expr):
-    name: str  # lower-cased: count, min, max, length, id, ...
-    args: tuple[Expr, ...]
-    star: bool = False
-    distinct: bool = False
 
 
 # --- patterns ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Any
 
 from repro.graphdb.cypher import ast
 from repro.graphdb.store import Direction, GraphStore
+from repro.lang.expr import Accumulator
 from repro.simclock.ledger import charge
 from repro.stats import GraphStatistics
 
@@ -799,13 +800,17 @@ class CypherExecutor:
             )
             states = groups.get(key)
             if states is None:
-                states = [_AggState(item.expr) for _, item in agg_items]
+                states = [_accumulator(item.expr) for _, item in agg_items]
                 groups[key] = states
-            for state in states:
-                state.feed(self, row, params)
+            for state, (_, item) in zip(states, agg_items):
+                call = item.expr
+                if call.star:
+                    state.feed(1)
+                else:
+                    value = self._eval(call.args[0], row, params)
+                    state.feed(self._materialize(value))
         if not groups and not key_items:
-            states = [_AggState(item.expr) for _, item in agg_items]
-            groups[()] = states
+            groups[()] = [_accumulator(item.expr) for _, item in agg_items]
         out = []
         for key, states in groups.items():
             values: list[Any] = [None] * len(returns.items)
@@ -845,55 +850,10 @@ class CypherExecutor:
         return ordered
 
 
-class _AggState:
-    def __init__(self, expr: ast.Expr) -> None:
-        if not isinstance(expr, ast.FuncCall):
-            raise CypherRuntimeError(
-                "aggregates cannot be nested in expressions"
-            )
-        self.func = expr.name
-        self.expr = expr
-        self.count = 0
-        self.total: Any = None
-        self.minimum: Any = None
-        self.maximum: Any = None
-        self.items: list = []
-        self.seen: set | None = set() if expr.distinct else None
-
-    def feed(self, executor: CypherExecutor, row: dict, params: dict) -> None:
-        if self.expr.star:
-            self.count += 1
-            return
-        value = executor._eval(self.expr.args[0], row, params)
-        value = executor._materialize(value)
-        if value is None:
-            return
-        if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.add(value)
-        self.count += 1
-        self.items.append(value)
-        self.total = value if self.total is None else self.total + value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
-    def result(self) -> Any:
-        if self.func == "count":
-            return self.count
-        if self.func == "sum":
-            return self.total
-        if self.func == "min":
-            return self.minimum
-        if self.func == "max":
-            return self.maximum
-        if self.func == "avg":
-            return None if not self.count else self.total / self.count
-        if self.func == "collect":
-            return tuple(self.items)
-        raise CypherRuntimeError(f"unknown aggregate {self.func}()")
+def _accumulator(expr: ast.Expr) -> Accumulator:
+    if not isinstance(expr, ast.FuncCall):
+        raise CypherRuntimeError("aggregates cannot be nested in expressions")
+    return Accumulator(expr.name, expr.distinct, CypherRuntimeError)
 
 
 def _contains_aggregate(expr: ast.Expr) -> bool:

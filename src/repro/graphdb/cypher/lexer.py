@@ -1,9 +1,19 @@
-"""Tokenizer for the Cypher subset."""
+"""The Cypher subset's table for :func:`repro.lang.lexing.scan`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Any
+
+from repro.lang.lexing import (
+    LexTable,
+    ParseError,
+    Rule,
+    Token,
+    number,
+    scan,
+    unterminated,
+)
 
 KEYWORDS = {
     "match", "optional", "where", "return", "create", "set", "distinct",
@@ -11,7 +21,7 @@ KEYWORDS = {
     "true", "false", "as", "is",
 }
 
-_PUNCT = {
+_SYMBOLS = {
     "(": "lparen",
     ")": "rparen",
     "[": "lbracket",
@@ -20,114 +30,47 @@ _PUNCT = {
     "}": "rbrace",
     ",": "comma",
     ".": "dot",
+    "..": "dotdot",
     ":": "colon",
     "*": "star",
     "+": "plus",
+    "-": "minus",
+    "->": "arrow_right",
+    "<-": "arrow_left",
     "/": "slash",
     "=": "eq",
     "$": "dollar",
+    **dict.fromkeys(("<>", "<", "<=", ">", ">="), "op"),
 }
 
 
-class CypherLexError(Exception):
+class CypherParseError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: Any
-    pos: int
+class CypherLexError(CypherParseError):
+    pass
+
+
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+
+def _string(lexeme: str) -> tuple[str, Any]:
+    return "string", _ESCAPE.sub(r"\1", lexeme[1:-1])
+
+
+_TABLE = LexTable(
+    keywords=KEYWORDS,
+    symbols=_SYMBOLS,
+    comment="//",
+    rules=(
+        Rule(r"'(?:[^'\\]|\\[\s\S])*'|\"(?:[^\"\\]|\\[\s\S])*\"", _string),
+        Rule("['\"]", unterminated),
+        # "1..3" is number, range operator, number: no decimal point there
+        Rule(r"\d+(?:\.(?!\.)\d*)?", number),
+    ),
+)
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("//", i):
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch in "'\"":
-            quote = ch
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n:
-                    raise CypherLexError(f"unterminated string at {i}")
-                if text[j] == "\\" and j + 1 < n:
-                    parts.append(text[j + 1])
-                    j += 2
-                    continue
-                if text[j] == quote:
-                    break
-                parts.append(text[j])
-                j += 1
-            tokens.append(Token("string", "".join(parts), i))
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            is_float = False
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                if text[j] == ".":
-                    # ".." range operator, not a decimal point
-                    if j + 1 < n and text[j + 1] == ".":
-                        break
-                    if is_float:
-                        break
-                    is_float = True
-                j += 1
-            raw = text[i:j]
-            tokens.append(
-                Token("number", float(raw) if is_float else int(raw), i)
-            )
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            lower = word.lower()
-            if lower in KEYWORDS:
-                tokens.append(Token("keyword", lower, i))
-            else:
-                tokens.append(Token("ident", word, i))
-            i = j
-            continue
-        if text.startswith("..", i):
-            tokens.append(Token("dotdot", "..", i))
-            i += 2
-            continue
-        if text.startswith(("<=", ">=", "<>"), i):
-            tokens.append(Token("op", text[i : i + 2], i))
-            i += 2
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("arrow_right", "->", i))
-            i += 2
-            continue
-        if text.startswith("<-", i):
-            tokens.append(Token("arrow_left", "<-", i))
-            i += 2
-            continue
-        if ch == "-":
-            tokens.append(Token("minus", "-", i))
-            i += 1
-            continue
-        if ch in "<>":
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        raise CypherLexError(f"unexpected character {ch!r} at {i}")
-    tokens.append(Token("eof", None, n))
-    return tokens
+    return scan(text, _TABLE, CypherLexError)

@@ -1,61 +1,24 @@
-"""Recursive-descent parser for the Cypher subset."""
+"""Recursive-descent parser for the Cypher subset.
+
+Clauses and patterns live here; expressions are the shared ladder of
+:class:`repro.lang.expr.ExpressionParser`.
+"""
 
 from __future__ import annotations
 
 from repro.graphdb.cypher import ast
-from repro.graphdb.cypher.lexer import Token, tokenize
-
-
-class CypherParseError(Exception):
-    pass
+from repro.graphdb.cypher.lexer import CypherParseError, tokenize
+from repro.lang.expr import ExpressionParser
 
 
 def parse(text: str) -> ast.Query:
-    parser = _Parser(tokenize(text))
+    parser = _Parser(tokenize(text), CypherParseError)
     query = parser.query()
     parser.expect("eof")
     return query
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
-
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def advance(self) -> Token:
-        token = self.current
-        self._pos += 1
-        return token
-
-    def check(self, kind: str, value: object = None) -> bool:
-        token = self.current
-        return token.kind == kind and (value is None or token.value == value)
-
-    def accept(self, kind: str, value: object = None) -> Token | None:
-        if self.check(kind, value):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, value: object = None) -> Token:
-        if not self.check(kind, value):
-            token = self.current
-            want = value if value is not None else kind
-            raise CypherParseError(
-                f"expected {want!r}, got {token.kind} {token.value!r} "
-                f"at position {token.pos}"
-            )
-        return self.advance()
-
-    def keyword(self, word: str) -> bool:
-        return self.accept("keyword", word) is not None
-
-    def ident(self) -> str:
-        return str(self.expect("ident").value)
-
+class _Parser(ExpressionParser):
     # -- query structure ----------------------------------------------------
 
     def query(self) -> ast.Query:
@@ -86,10 +49,7 @@ class _Parser:
         return ast.Query(tuple(clauses), returns)
 
     def set_clause(self) -> ast.SetClause:
-        items = [self.set_item()]
-        while self.accept("comma"):
-            items.append(self.set_item())
-        return ast.SetClause(tuple(items))
+        return ast.SetClause(tuple(self.comma_list(self.set_item)))
 
     def set_item(self) -> ast.SetItem:
         var = self.ident()
@@ -100,15 +60,11 @@ class _Parser:
 
     def return_clause(self) -> ast.ReturnClause:
         distinct = self.keyword("distinct")
-        items = [self.return_item()]
-        while self.accept("comma"):
-            items.append(self.return_item())
+        items = self.comma_list(self.return_item)
         order_by: list[ast.OrderItem] = []
         if self.keyword("order"):
             self.expect("keyword", "by")
-            order_by.append(self.order_item())
-            while self.accept("comma"):
-                order_by.append(self.order_item())
+            order_by = self.comma_list(self.order_item)
         limit = None
         if self.keyword("limit"):
             limit = int(self.expect("number").value)
@@ -135,10 +91,7 @@ class _Parser:
     # -- patterns ---------------------------------------------------------------
 
     def pattern_list(self) -> list[ast.PathPattern]:
-        patterns = [self.path_pattern()]
-        while self.accept("comma"):
-            patterns.append(self.path_pattern())
-        return patterns
+        return self.comma_list(self.path_pattern)
 
     def path_pattern(self) -> ast.PathPattern:
         assign_var = None
@@ -231,114 +184,30 @@ class _Parser:
 
     def prop_map(self) -> tuple[tuple[str, ast.Expr], ...]:
         self.expect("lbrace")
-        items: list[tuple[str, ast.Expr]] = []
-        if not self.check("rbrace"):
-            while True:
-                key = self.ident()
-                self.expect("colon")
-                items.append((key, self.expression()))
-                if not self.accept("comma"):
-                    break
+        items = (
+            [] if self.check("rbrace") else self.comma_list(self.prop_entry)
+        )
         self.expect("rbrace")
         return tuple(items)
 
-    # -- expressions --------------------------------------------------------------
+    def prop_entry(self) -> tuple[str, ast.Expr]:
+        key = self.ident()
+        self.expect("colon")
+        return key, self.expression()
 
-    def expression(self) -> ast.Expr:
-        return self.or_expr()
+    # -- expression hooks ---------------------------------------------------
 
-    def or_expr(self) -> ast.Expr:
-        left = self.and_expr()
-        while self.keyword("or"):
-            left = ast.BinaryOp("OR", left, self.and_expr())
-        return left
-
-    def and_expr(self) -> ast.Expr:
-        left = self.not_expr()
-        while self.keyword("and"):
-            left = ast.BinaryOp("AND", left, self.not_expr())
-        return left
-
-    def not_expr(self) -> ast.Expr:
-        if self.keyword("not"):
-            return ast.UnaryOp("NOT", self.not_expr())
-        return self.comparison()
-
-    def comparison(self) -> ast.Expr:
-        left = self.additive()
-        if self.check("op"):
-            op = str(self.advance().value)
-            return ast.BinaryOp(op, left, self.additive())
+    def comparison_tail(self, left: ast.Expr) -> ast.Expr:
         if self.accept("eq"):
             return ast.BinaryOp("=", left, self.additive())
-        if self.keyword("is"):
-            negated = self.keyword("not")
-            self.expect("keyword", "null")
-            return ast.IsNull(left, negated)
         return left
 
-    def additive(self) -> ast.Expr:
-        left = self.multiplicative()
-        while True:
-            if self.accept("plus"):
-                left = ast.BinaryOp("+", left, self.multiplicative())
-            elif self.accept("minus"):
-                left = ast.BinaryOp("-", left, self.multiplicative())
-            else:
-                return left
-
-    def multiplicative(self) -> ast.Expr:
-        left = self.unary()
-        while True:
-            if self.accept("star"):
-                left = ast.BinaryOp("*", left, self.unary())
-            elif self.accept("slash"):
-                left = ast.BinaryOp("/", left, self.unary())
-            else:
-                return left
-
-    def unary(self) -> ast.Expr:
-        if self.accept("minus"):
-            return ast.UnaryOp("-", self.unary())
-        return self.primary()
-
-    def primary(self) -> ast.Expr:
-        if self.accept("lparen"):
-            expr = self.expression()
-            self.expect("rparen")
-            return expr
-        if self.check("number") or self.check("string"):
-            return ast.Literal(self.advance().value)
+    def parameter(self) -> ast.Expr | None:
         if self.accept("dollar"):
             return ast.Param(self.ident())
-        if self.keyword("null"):
-            return ast.Literal(None)
-        if self.keyword("true"):
-            return ast.Literal(True)
-        if self.keyword("false"):
-            return ast.Literal(False)
-        if self.check("ident"):
-            name = self.ident()
-            if self.accept("lparen"):
-                return self.func_call(name)
-            if self.accept("dot"):
-                return ast.PropAccess(name, self.ident())
-            return ast.VarRef(name)
-        token = self.current
-        raise CypherParseError(
-            f"unexpected token {token.value!r} at position {token.pos}"
-        )
+        return None
 
-    def func_call(self, name: str) -> ast.FuncCall:
-        lname = name.lower()
-        if self.accept("star"):
-            self.expect("rparen")
-            return ast.FuncCall(lname, (), star=True)
-        if self.accept("rparen"):
-            return ast.FuncCall(lname, ())
-        distinct = self.keyword("distinct")
-        args = [self.expression()]
-        while self.accept("comma"):
-            args.append(self.expression())
-        self.expect("rparen")
-        return ast.FuncCall(lname, tuple(args), distinct=distinct)
+    def name(self, name: str) -> ast.Expr:
+        if self.accept("dot"):
+            return ast.PropAccess(name, self.ident())
+        return ast.VarRef(name)

@@ -135,24 +135,14 @@ class GraphStore:
         stale = [k for k in self.mvcc.stale_keys() if isinstance(k, int)]
         if not stale:
             return hits
-        kept = []
-        for node_id in hits:
-            if self.mvcc.stale(node_id):
-                props = self.mvcc.read(node_id, self._nodes[node_id].props)
-                if props.get(prop) != value:
-                    continue
-            kept.append(node_id)
-        seen = set(kept)
-        for node_id in stale:
-            if node_id in seen or not self.mvcc.visible(node_id):
-                continue
+
+        def snapshot_matches(node_id: int) -> bool:
             record = self._nodes[node_id]
             if label not in record.labels:  # labels are immutable
-                continue
-            props = self.mvcc.read(node_id, record.props)
-            if props.get(prop) == value:
-                kept.append(node_id)
-        return kept
+                return False
+            return self.mvcc.read(node_id, record.props).get(prop) == value
+
+        return self.mvcc.recheck_stale(hits, stale, snapshot_matches)
 
     def has_index(self, label: str, prop: str) -> bool:
         return (label, prop) in self._indexes

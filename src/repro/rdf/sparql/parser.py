@@ -1,9 +1,25 @@
-"""Lexer + parser for the SPARQL subset."""
+"""Lexer + parser for the SPARQL subset.
+
+The scan loop and the token cursor are :mod:`repro.lang.lexing`'s; the
+filter AST stays SPARQL's own (terms, not general expressions).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
+
+from repro.lang.lexing import (
+    LexTable,
+    ParseError,
+    Rule,
+    Token,
+    TokenCursor,
+    number,
+    reject,
+    scan,
+    unterminated,
+)
 
 KEYWORDS = {
     "select", "distinct", "where", "filter", "order", "by", "asc", "desc",
@@ -11,7 +27,7 @@ KEYWORDS = {
 }
 
 
-class SparqlParseError(Exception):
+class SparqlParseError(ParseError):
     pass
 
 
@@ -109,164 +125,46 @@ class SparqlQuery:
 
 # --- lexer --------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: Any
-    pos: int
-
-
-_PUNCT = {
+_SYMBOLS = {
     "{": "lbrace", "}": "rbrace", "(": "lparen", ")": "rparen",
     ".": "dot", ",": "comma", "*": "star",
+    **dict.fromkeys(("=", "!=", "<", "<=", ">", ">="), "op"),
 }
+
+_SIGILS = {"?": "var", "$": "param"}
+_CONNECTIVES = {"&&": "and", "||": "or", "!": "not"}
+
+
+_TABLE = LexTable(
+    keywords=KEYWORDS,
+    symbols=_SYMBOLS,
+    comment="#",
+    bare_word=reject("bare identifier {!r} (IRIs need a prefix)"),
+    rules=(
+        Rule(r"[?$]\w+", lambda s: (_SIGILS[s[0]], s[1:])),
+        Rule(r"[?$]", reject("dangling {!r}")),
+        Rule("'[^']*'|\"[^\"]*\"", lambda s: ("string", s[1:-1])),
+        Rule("['\"]", unterminated),
+        # a trailing dot is the triple terminator, not a decimal point
+        Rule(r"-?\d+(?:\.\d+)?", number),
+        Rule(r"[^\W\d]\w*:[\w-]*", lambda s: ("iri", s)),
+        Rule(r"&&|\|\||!(?!=)", lambda s: ("keyword", _CONNECTIVES[s])),
+    ),
+)
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch in "?$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise SparqlParseError(f"dangling {ch!r} at {i}")
-            kind = "var" if ch == "?" else "param"
-            tokens.append(Token(kind, text[i + 1 : j], i))
-            i = j
-            continue
-        if ch in "'\"":
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n:
-                    raise SparqlParseError(f"unterminated string at {i}")
-                if text[j] == ch:
-                    break
-                parts.append(text[j])
-                j += 1
-            tokens.append(Token("string", "".join(parts), i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            is_float = False
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                if text[j] == ".":
-                    # trailing dot is the triple terminator
-                    if j + 1 >= n or not text[j + 1].isdigit():
-                        break
-                    is_float = True
-                j += 1
-            raw = text[i:j]
-            tokens.append(
-                Token("number", float(raw) if is_float else int(raw), i)
-            )
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_"):
-                j += 1
-            # prefixed IRI?
-            if j < n and text[j] == ":":
-                k = j + 1
-                while k < n and (text[k].isalnum() or text[k] in "_-"):
-                    k += 1
-                tokens.append(Token("iri", text[i:k], i))
-                i = k
-                continue
-            word = text[i:j].lower()
-            if word in KEYWORDS:
-                tokens.append(Token("keyword", word, i))
-            else:
-                raise SparqlParseError(
-                    f"bare identifier {text[i:j]!r} at {i} "
-                    f"(IRIs need a prefix)"
-                )
-            i = j
-            continue
-        if text.startswith(("<=", ">=", "!="), i):
-            tokens.append(Token("op", text[i : i + 2], i))
-            i += 2
-            continue
-        if text.startswith("&&", i):
-            tokens.append(Token("keyword", "and", i))
-            i += 2
-            continue
-        if text.startswith("||", i):
-            tokens.append(Token("keyword", "or", i))
-            i += 2
-            continue
-        if ch in "=<>":
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "!":
-            tokens.append(Token("keyword", "not", i))
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        raise SparqlParseError(f"unexpected character {ch!r} at {i}")
-    tokens.append(Token("eof", None, n))
-    return tokens
+    return scan(text, _TABLE, SparqlParseError)
 
 
 # --- parser -----------------------------------------------------------------------
 
 
 def parse(text: str) -> SparqlQuery:
-    return _Parser(tokenize(text)).query()
+    return _Parser(tokenize(text), SparqlParseError).query()
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
-
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def advance(self) -> Token:
-        token = self.current
-        self._pos += 1
-        return token
-
-    def check(self, kind: str, value: object = None) -> bool:
-        token = self.current
-        return token.kind == kind and (value is None or token.value == value)
-
-    def accept(self, kind: str, value: object = None) -> Token | None:
-        if self.check(kind, value):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, value: object = None) -> Token:
-        if not self.check(kind, value):
-            token = self.current
-            raise SparqlParseError(
-                f"expected {value or kind!r}, got {token.kind} "
-                f"{token.value!r} at {token.pos}"
-            )
-        return self.advance()
-
-    def keyword(self, word: str) -> bool:
-        return self.accept("keyword", word) is not None
-
+class _Parser(TokenCursor):
     def query(self) -> SparqlQuery:
         self.expect("keyword", "select")
         distinct = self.keyword("distinct")
@@ -368,10 +266,7 @@ class _Parser:
             return LiteralTerm(True)
         if self.keyword("false"):
             return LiteralTerm(False)
-        token = self.current
-        raise SparqlParseError(
-            f"expected a term, got {token.kind} {token.value!r} at {token.pos}"
-        )
+        raise self.unexpected("expected a term, got")
 
     # filter expressions: or < and < not < comparison/in
     def filter_expr(self) -> FilterExpr:
@@ -408,8 +303,6 @@ class _Parser:
 
     def _in_items(self) -> tuple[Term, ...]:
         self.expect("lparen")
-        items = [self.term()]
-        while self.accept("comma"):
-            items.append(self.term())
+        items = self.comma_list(self.term)
         self.expect("rparen")
         return tuple(items)

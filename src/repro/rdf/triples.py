@@ -211,7 +211,7 @@ class TripleStore:
         objects_by_pred: dict[Term, set[int]] = {}
         all_subjects: set[int] = set()
         all_objects: set[int] = set()
-        for (s_id, p_id, o_id), _ in self._spo.items():
+        for s_id, p_id, o_id in self._match_ids_raw(None, None, None):
             predicate = self._id_to_term[p_id]
             predicate_counts[predicate] = (
                 predicate_counts.get(predicate, 0) + 1

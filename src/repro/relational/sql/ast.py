@@ -22,19 +22,17 @@ NULL``, and function calls (aggregates plus engine built-ins such as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
-# --- expressions -----------------------------------------------------------------
+from repro.lang.expr import (  # noqa: F401  (re-exported)
+    BinaryOp,
+    Expr,
+    FuncCall,
+    IsNull,
+    Literal,
+    UnaryOp,
+)
 
-
-@dataclass(frozen=True)
-class Expr:
-    pass
-
-
-@dataclass(frozen=True)
-class Literal(Expr):
-    value: Any
+# --- SQL's own expressions (the dialect-neutral ones are repro.lang.expr's) ---
 
 
 @dataclass(frozen=True)
@@ -54,37 +52,10 @@ class ColumnRef(Expr):
 
 
 @dataclass(frozen=True)
-class BinaryOp(Expr):
-    op: str  # = <> < <= > >= + - * / AND OR
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class UnaryOp(Expr):
-    op: str  # NOT, -
-    operand: Expr
-
-
-@dataclass(frozen=True)
 class InList(Expr):
     needle: Expr
     items: tuple[Expr, ...]
     negated: bool = False
-
-
-@dataclass(frozen=True)
-class IsNull(Expr):
-    operand: Expr
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class FuncCall(Expr):
-    name: str  # lower-cased
-    args: tuple[Expr, ...]
-    star: bool = False  # COUNT(*)
-    distinct: bool = False  # COUNT(DISTINCT x)
 
 
 # --- select machinery ---------------------------------------------------------------

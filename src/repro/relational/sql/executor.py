@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
+from repro.lang.expr import Accumulator
 from repro.simclock.ledger import charge
 from repro.relational.sql import ast
 from repro.relational.table import Table
@@ -541,7 +542,7 @@ class Aggregate(PlanNode):
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
         params = ctx.params
-        groups: dict[tuple, list[_AggState]] = {}
+        groups: dict[tuple, list[Accumulator]] = {}
         saw_any = False
         for row in self.child.rows(ctx):
             charge("tuple_cpu")
@@ -549,7 +550,7 @@ class Aggregate(PlanNode):
             key = tuple(fn(row, params) for fn in self.group_fns)
             states = groups.get(key)
             if states is None:
-                states = [_AggState(name, distinct) for name, _, distinct in self.agg_specs]
+                states = new_accumulators(self.agg_specs)
                 groups[key] = states
             for state, (_, arg_fn, _) in zip(states, self.agg_specs):
                 state.feed(
@@ -557,7 +558,7 @@ class Aggregate(PlanNode):
                 )
         if not groups and not self.group_fns and not saw_any:
             # global aggregate over empty input still yields one row
-            states = [_AggState(name, distinct) for name, _, distinct in self.agg_specs]
+            states = new_accumulators(self.agg_specs)
             yield tuple(s.result() for s in states)
             return
         for key, states in groups.items():
@@ -567,44 +568,13 @@ class Aggregate(PlanNode):
         return [self.child]
 
 
-class _AggState:
-    __slots__ = ("func", "distinct", "count", "total", "minimum", "maximum", "seen")
-
-    def __init__(self, func: str, distinct: bool) -> None:
-        self.func = func
-        self.distinct = distinct
-        self.count = 0
-        self.total: Any = None
-        self.minimum: Any = None
-        self.maximum: Any = None
-        self.seen: set | None = set() if distinct else None
-
-    def feed(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.add(value)
-        self.count += 1
-        self.total = value if self.total is None else self.total + value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
-    def result(self) -> Any:
-        if self.func == "count":
-            return self.count
-        if self.func == "sum":
-            return self.total
-        if self.func == "min":
-            return self.minimum
-        if self.func == "max":
-            return self.maximum
-        if self.func == "avg":
-            return None if self.count == 0 else self.total / self.count
-        raise SqlRuntimeError(f"unknown aggregate {self.func!r}")
+def new_accumulators(
+    agg_specs: Sequence[tuple[str, ExprFn | None, bool]],
+) -> list[Accumulator]:
+    return [
+        Accumulator(name, distinct, SqlRuntimeError)
+        for name, _, distinct in agg_specs
+    ]
 
 
 class Sort(PlanNode):

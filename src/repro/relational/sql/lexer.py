@@ -1,9 +1,16 @@
-"""Tokenizer for the SQL dialect."""
+"""The SQL dialect's table for :func:`repro.lang.lexing.scan`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from repro.lang.lexing import (
+    LexTable,
+    ParseError,
+    Rule,
+    Token,
+    number,
+    scan,
+    unterminated,
+)
 
 KEYWORDS = {
     "select", "distinct", "from", "join", "left", "outer", "inner", "on",
@@ -13,7 +20,7 @@ KEYWORDS = {
     "using", "with", "recursive", "as", "union", "all", "analyze",
 }
 
-_PUNCT = {
+_SYMBOLS = {
     "(": "lparen",
     ")": "rparen",
     ",": "comma",
@@ -24,89 +31,34 @@ _PUNCT = {
     "/": "slash",
     "?": "param",
     ";": "semicolon",
+    **dict.fromkeys(("=", "<>", "<", "<=", ">", ">="), "op"),
 }
 
 
-class SqlLexError(Exception):
+class SqlParseError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # keyword | ident | number | string | op | one of _PUNCT values | eof
-    value: Any
-    pos: int
+class SqlLexError(SqlParseError):
+    pass
+
+
+_TABLE = LexTable(
+    keywords=KEYWORDS,
+    symbols=_SYMBOLS,
+    comment="--",
+    rules=(
+        # '' is an escaped quote: the closing quote is one no quote follows
+        Rule(
+            r"'(?:[^']|'')*'(?!')",
+            lambda s: ("string", s[1:-1].replace("''", "'")),
+        ),
+        Rule("'", unterminated),
+        Rule(r"\d+(?:\.\d*)?|\.\d+", number),
+        Rule("!=", lambda s: ("op", "<>")),
+    ),
+)
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == "'":
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n:
-                    raise SqlLexError(f"unterminated string at {i}")
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":  # escaped quote
-                        parts.append("'")
-                        j += 2
-                        continue
-                    break
-                parts.append(text[j])
-                j += 1
-            tokens.append(Token("string", "".join(parts), i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            is_float = False
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                if text[j] == ".":
-                    if is_float:
-                        break
-                    is_float = True
-                j += 1
-            raw = text[i:j]
-            tokens.append(
-                Token("number", float(raw) if is_float else int(raw), i)
-            )
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            lower = word.lower()
-            if lower in KEYWORDS:
-                tokens.append(Token("keyword", lower, i))
-            else:
-                tokens.append(Token("ident", word, i))
-            i = j
-            continue
-        if text.startswith(("<=", ">=", "<>", "!="), i):
-            op = text[i : i + 2]
-            tokens.append(Token("op", "<>" if op == "!=" else op, i))
-            i += 2
-            continue
-        if ch in "=<>":
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        raise SqlLexError(f"unexpected character {ch!r} at {i}")
-    tokens.append(Token("eof", None, n))
-    return tokens
+    return scan(text, _TABLE, SqlLexError)

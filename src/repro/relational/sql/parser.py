@@ -1,13 +1,15 @@
-"""Recursive-descent parser producing :mod:`repro.relational.sql.ast` nodes."""
+"""Recursive-descent parser producing :mod:`repro.relational.sql.ast` nodes.
+
+Statements and clauses live here; expressions are the shared ladder of
+:class:`repro.lang.expr.ExpressionParser`.
+"""
 
 from __future__ import annotations
 
+from repro.lang.expr import ExpressionParser
+from repro.lang.lexing import Token
 from repro.relational.sql import ast
-from repro.relational.sql.lexer import Token, tokenize
-
-
-class SqlParseError(Exception):
-    pass
+from repro.relational.sql.lexer import SqlParseError, tokenize
 
 
 def parse(text: str) -> ast.Statement:
@@ -19,50 +21,13 @@ def parse(text: str) -> ast.Statement:
     return stmt
 
 
-class _Parser:
+class _Parser(ExpressionParser):
     def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
+        super().__init__(tokens, SqlParseError)
         self._param_count = 0
-
-    # -- token plumbing -------------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def advance(self) -> Token:
-        token = self.current
-        self._pos += 1
-        return token
-
-    def check(self, kind: str, value: object = None) -> bool:
-        token = self.current
-        return token.kind == kind and (value is None or token.value == value)
-
-    def accept(self, kind: str, value: object = None) -> Token | None:
-        if self.check(kind, value):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, value: object = None) -> Token:
-        if not self.check(kind, value):
-            token = self.current
-            want = value if value is not None else kind
-            raise SqlParseError(
-                f"expected {want!r}, got {token.kind} {token.value!r} "
-                f"at position {token.pos}"
-            )
-        return self.advance()
-
-    def keyword(self, word: str) -> bool:
-        return self.accept("keyword", word) is not None
 
     def expect_keyword(self, word: str) -> None:
         self.expect("keyword", word)
-
-    def ident(self) -> str:
-        return str(self.expect("ident").value)
 
     # -- statements -------------------------------------------------------------
 
@@ -86,17 +51,12 @@ class _Parser:
             if self.keyword("index"):
                 return self.create_index()
             raise SqlParseError("expected TABLE or INDEX after CREATE")
-        token = self.current
-        raise SqlParseError(
-            f"cannot parse statement starting with {token.value!r}"
-        )
+        raise self.unexpected("cannot parse statement starting with")
 
     def select(self) -> ast.Select:
         self.expect_keyword("select")
         distinct = self.keyword("distinct")
-        items = [self.select_item()]
-        while self.accept("comma"):
-            items.append(self.select_item())
+        items = self.comma_list(self.select_item)
 
         from_table = None
         joins: list[ast.Join] = []
@@ -126,16 +86,12 @@ class _Parser:
         group_by: list[ast.Expr] = []
         if self.keyword("group"):
             self.expect_keyword("by")
-            group_by.append(self.expression())
-            while self.accept("comma"):
-                group_by.append(self.expression())
+            group_by = self.comma_list(self.expression)
 
         order_by: list[ast.OrderItem] = []
         if self.keyword("order"):
             self.expect_keyword("by")
-            order_by.append(self.order_item())
-            while self.accept("comma"):
-                order_by.append(self.order_item())
+            order_by = self.comma_list(self.order_item)
 
         limit = None
         if self.keyword("limit"):
@@ -157,9 +113,7 @@ class _Parser:
         self.expect_keyword("recursive")
         name = self.ident()
         self.expect("lparen")
-        columns = [self.ident()]
-        while self.accept("comma"):
-            columns.append(self.ident())
+        columns = self.comma_list(self.ident)
         self.expect("rparen")
         self.expect_keyword("as")
         self.expect("lparen")
@@ -178,18 +132,14 @@ class _Parser:
         table = self.ident()
         self.expect_keyword("values")
         self.expect("lparen")
-        values = [self.expression()]
-        while self.accept("comma"):
-            values.append(self.expression())
+        values = self.comma_list(self.expression)
         self.expect("rparen")
         return ast.Insert(table, tuple(values))
 
     def update(self) -> ast.Update:
         table = self.ident()
         self.expect_keyword("set")
-        assignments = [self.assignment()]
-        while self.accept("comma"):
-            assignments.append(self.assignment())
+        assignments = self.comma_list(self.assignment)
         where = self.expression() if self.keyword("where") else None
         return ast.Update(table, tuple(assignments), where)
 
@@ -207,9 +157,7 @@ class _Parser:
     def create_table(self) -> ast.CreateTable:
         name = self.ident()
         self.expect("lparen")
-        columns = [self.column_def()]
-        while self.accept("comma"):
-            columns.append(self.column_def())
+        columns = self.comma_list(self.column_def)
         self.expect("rparen")
         return ast.CreateTable(name, tuple(columns))
 
@@ -270,126 +218,31 @@ class _Parser:
             self.keyword("asc")
         return ast.OrderItem(expr, descending)
 
-    # -- expressions (precedence climbing) ------------------------------------------
+    # -- expression hooks ---------------------------------------------------
 
-    def expression(self) -> ast.Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> ast.Expr:
-        left = self.and_expr()
-        while self.keyword("or"):
-            left = ast.BinaryOp("OR", left, self.and_expr())
-        return left
-
-    def and_expr(self) -> ast.Expr:
-        left = self.not_expr()
-        while self.keyword("and"):
-            left = ast.BinaryOp("AND", left, self.not_expr())
-        return left
-
-    def not_expr(self) -> ast.Expr:
-        if self.keyword("not"):
-            return ast.UnaryOp("NOT", self.not_expr())
-        return self.comparison()
-
-    def comparison(self) -> ast.Expr:
-        left = self.additive()
-        if self.check("op"):
-            op = str(self.advance().value)
-            return ast.BinaryOp(op, left, self.additive())
-        if self.check("keyword", "is"):
-            self.advance()
-            negated = self.keyword("not")
-            self.expect_keyword("null")
-            return ast.IsNull(left, negated)
-        negated = False
-        if self.check("keyword", "not"):
-            # NOT IN
-            self.advance()
-            negated = True
-            self.expect_keyword("in")
-            return self.in_list(left, negated)
+    def comparison_tail(self, left: ast.Expr) -> ast.Expr:
         if self.keyword("in"):
-            return self.in_list(left, negated)
+            return self.in_list(left, negated=False)
+        if self.keyword("not"):
+            self.expect_keyword("in")
+            return self.in_list(left, negated=True)
         return left
 
     def in_list(self, needle: ast.Expr, negated: bool) -> ast.InList:
         self.expect("lparen")
-        items = [self.expression()]
-        while self.accept("comma"):
-            items.append(self.expression())
+        items = self.comma_list(self.expression)
         self.expect("rparen")
         return ast.InList(needle, tuple(items), negated)
 
-    def additive(self) -> ast.Expr:
-        left = self.multiplicative()
-        while True:
-            if self.accept("plus"):
-                left = ast.BinaryOp("+", left, self.multiplicative())
-            elif self.accept("minus"):
-                left = ast.BinaryOp("-", left, self.multiplicative())
-            else:
-                return left
+    def parameter(self) -> ast.Expr | None:
+        if not self.accept("param"):
+            return None
+        self._param_count += 1
+        return ast.Param(self._param_count - 1)
 
-    def multiplicative(self) -> ast.Expr:
-        left = self.unary()
-        while True:
+    def name(self, name: str) -> ast.Expr:
+        if self.accept("dot"):
             if self.accept("star"):
-                left = ast.BinaryOp("*", left, self.unary())
-            elif self.accept("slash"):
-                left = ast.BinaryOp("/", left, self.unary())
-            else:
-                return left
-
-    def unary(self) -> ast.Expr:
-        if self.accept("minus"):
-            return ast.UnaryOp("-", self.unary())
-        return self.primary()
-
-    def primary(self) -> ast.Expr:
-        if self.accept("lparen"):
-            expr = self.expression()
-            self.expect("rparen")
-            return expr
-        if self.check("number"):
-            return ast.Literal(self.advance().value)
-        if self.check("string"):
-            return ast.Literal(self.advance().value)
-        if self.check("param"):
-            self.advance()
-            param = ast.Param(self._param_count)
-            self._param_count += 1
-            return param
-        if self.keyword("null"):
-            return ast.Literal(None)
-        if self.keyword("true"):
-            return ast.Literal(True)
-        if self.keyword("false"):
-            return ast.Literal(False)
-        if self.check("ident"):
-            name = self.ident()
-            if self.accept("lparen"):
-                return self.func_call(name)
-            if self.accept("dot"):
-                if self.accept("star"):
-                    return ast.ColumnRef(name, "*")
-                return ast.ColumnRef(name, self.ident())
-            return ast.ColumnRef(None, name)
-        token = self.current
-        raise SqlParseError(
-            f"unexpected token {token.value!r} at position {token.pos}"
-        )
-
-    def func_call(self, name: str) -> ast.FuncCall:
-        lname = name.lower()
-        if self.accept("star"):
-            self.expect("rparen")
-            return ast.FuncCall(lname, (), star=True)
-        if self.accept("rparen"):
-            return ast.FuncCall(lname, ())
-        distinct = self.keyword("distinct")
-        args = [self.expression()]
-        while self.accept("comma"):
-            args.append(self.expression())
-        self.expect("rparen")
-        return ast.FuncCall(lname, tuple(args), distinct=distinct)
+                return ast.ColumnRef(name, "*")
+            return ast.ColumnRef(name, self.ident())
+        return ast.ColumnRef(None, name)

@@ -382,21 +382,12 @@ class Table:
         if not stale:
             return hits
         pos = self._col_pos[column]
-        kept = []
-        for handle in hits:
-            if self.mvcc.stale(handle):
-                row = self.mvcc.read(handle, self._fetch_raw(handle))
-                if not matches(row[pos]):
-                    continue
-            kept.append(handle)
-        seen = set(kept)
-        for handle in stale:
-            if handle in seen or not self.mvcc.visible(handle):
-                continue
-            row = self.mvcc.read(handle, self._fetch_raw(handle))
-            if row[pos] is not None and matches(row[pos]):
-                kept.append(handle)
-        return kept
+
+        def snapshot_matches(handle: Any) -> bool:
+            value = self.mvcc.read(handle, self._fetch_raw(handle))[pos]
+            return value is not None and matches(value)
+
+        return self.mvcc.recheck_stale(hits, stale, snapshot_matches)
 
     def range_lookup(
         self, column: str, lo: Any, hi: Any, *, hi_inclusive: bool = True

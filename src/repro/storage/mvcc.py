@@ -218,6 +218,33 @@ class VersionStore:
         read_ts = snapshot.read_ts
         return [k for k, ts in self._stamps.items() if ts > read_ts]
 
+    def recheck_stale(
+        self,
+        hits: list[Key],
+        stale: list[Key],
+        matches: Callable[[Key], bool],
+    ) -> list[Key]:
+        """Correct an index probe's visible ``hits`` for moved entries.
+
+        ``stale`` is the caller's share of :meth:`stale_keys` (non-empty;
+        callers return ``hits`` themselves otherwise) and ``matches(key)``
+        whether the key's *snapshot* value — the caller's :meth:`read` —
+        still satisfies the probe.  Stale hits that no longer match are
+        dropped (the entry was re-filed under the probed value after the
+        snapshot began); stale visible keys missing from ``hits`` are
+        recovered when they match (their old-value entry is gone).
+        """
+        kept = [
+            key for key in hits if not self.stale(key) or matches(key)
+        ]
+        seen = set(kept)
+        kept.extend(
+            key
+            for key in stale
+            if key not in seen and self.visible(key) and matches(key)
+        )
+        return kept
+
     def read(self, key: Key, current_value: Any) -> Any:
         """The value of ``key`` as of the current view.
 

@@ -62,28 +62,22 @@ class TinkerGraphProvider(GraphProvider):
         hits = [
             v for v in index.get(value, ()) if self.mvcc.visible(("v", v))
         ]
-        stale = [k for k in self.mvcc.stale_keys() if k[0] == "v"]
+        stale = [
+            k
+            for k in self.mvcc.stale_keys()
+            if k[0] == "v" and self._vertex_labels.get(k[1]) == label
+        ]
         if not stale:
             return hits
-        kept = []
-        for vid in hits:
-            if self.mvcc.stale(("v", vid)):
-                props = self.mvcc.read(("v", vid), self._vertex_props[vid])
-                if props.get(key) != value:
-                    continue
-            kept.append(vid)
-        seen = set(kept)
-        for _, vid in stale:
-            if (
-                vid in seen
-                or self._vertex_labels.get(vid) != label
-                or not self.mvcc.visible(("v", vid))
-            ):
-                continue
-            props = self.mvcc.read(("v", vid), self._vertex_props[vid])
-            if props.get(key) == value:
-                kept.append(vid)
-        return kept
+
+        def snapshot_matches(vkey: tuple) -> bool:
+            props = self.mvcc.read(vkey, self._vertex_props[vkey[1]])
+            return props.get(key) == value
+
+        kept = self.mvcc.recheck_stale(
+            [("v", vid) for vid in hits], stale, snapshot_matches
+        )
+        return [vid for _, vid in kept]
 
     # -- reads --------------------------------------------------------------------
 

@@ -269,25 +269,19 @@ class TitanProvider(GraphProvider):
         stale = [k for k in self.mvcc.stale_keys() if k[0] == "v"]
         if not stale:
             return hits
-        kept = []
-        for vid in hits:
-            if self.mvcc.stale(("v", vid)):
-                # chain-covered read: current value is never consulted
-                record = self.mvcc.read(("v", vid), None)
-                if record["props"].get(key) != value:
-                    continue
-            kept.append(vid)
-        seen = set(kept)
-        for _, vid in stale:
-            if vid in seen or not self.mvcc.visible(("v", vid)):
-                continue
-            record = self.mvcc.read(("v", vid), None)
-            if (
+
+        def snapshot_matches(vkey: tuple) -> bool:
+            # chain-covered read: current value is never consulted
+            record = self.mvcc.read(vkey, None)
+            return (
                 record["label"] == label
                 and record["props"].get(key) == value
-            ):
-                kept.append(vid)
-        return kept
+            )
+
+        kept = self.mvcc.recheck_stale(
+            [("v", vid) for vid in hits], stale, snapshot_matches
+        )
+        return [vid for _, vid in kept]
 
     # -- stats -------------------------------------------------------------------------------
 

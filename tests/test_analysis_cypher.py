@@ -1,5 +1,7 @@
 """The Cypher walker: clean built-in catalog, seeded-defect detection."""
 
+import pytest
+
 from repro.analysis import analyze_cypher
 from repro.core.connectors.cypher import CYPHER_QUERIES
 
@@ -47,6 +49,16 @@ class TestMutations:
 
     def test_parse_error(self):
         assert codes(("MATCH (p:Person RETURN",)) == ["QA105"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "MATCH (p:Person {id: $id}) RETURN p ~",  # unexpected character
+            "MATCH (p:Person {firstName: 'abc}) RETURN p.id",  # unterminated
+        ],
+    )
+    def test_lex_error_is_a_parse_error(self, text):
+        assert codes((text,)) == ["QA105"]
 
     def test_unbound_variable(self):
         assert codes(

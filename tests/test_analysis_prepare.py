@@ -41,6 +41,16 @@ class TestInvalidCatalogs:
             BadSqlConnector()
         assert excinfo.value.diagnostics[0].code == "QA104"
 
+    def test_unlexable_query_is_rejected(self):
+        class BadSqlConnector(PostgresConnector):
+            query_catalog = {
+                "point_lookup": ("SELECT id FROM person WHERE id = @",),
+            }
+
+        with pytest.raises(QueryValidationError) as excinfo:
+            BadSqlConnector()
+        assert [d.code for d in excinfo.value.diagnostics] == ["QA105"]
+
     def test_mutated_builtin_catalog_is_rejected(self):
         mutated = dict(CYPHER_QUERIES)
         mutated["one_hop"] = (

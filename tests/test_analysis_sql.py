@@ -1,5 +1,7 @@
 """The SQL walker: clean built-in catalog, seeded-defect detection."""
 
+import pytest
+
 from repro.analysis import analyze_sql
 from repro.core.connectors.sql import SQL_QUERIES
 
@@ -42,6 +44,16 @@ class TestMutations:
 
     def test_parse_error(self):
         assert codes(("SELECT FROM WHERE",)) == ["QA105"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT id FROM person WHERE id = @",  # unexpected character
+            "SELECT id FROM person WHERE firstname = 'abc",  # unterminated
+        ],
+    )
+    def test_lex_error_is_a_parse_error(self, text):
+        assert codes((text,)) == ["QA105"]
 
     def test_insert_arity_mismatch(self):
         # person has 9 columns
