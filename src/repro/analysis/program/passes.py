@@ -169,7 +169,8 @@ class Program:
 def run_passes(
     program: Program, selected: set[str] | None = None
 ) -> list[Diagnostic]:
-    """Run the chosen passes (all five by default), sorted stably."""
+    """Run the chosen passes (all of ``PASS_NAMES`` by default), sorted
+    stably."""
     wanted = set(PASS_NAMES) if selected is None else selected
     diagnostics: list[Diagnostic] = []
     if "QA801" in wanted:

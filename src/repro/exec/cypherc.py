@@ -1,12 +1,16 @@
-"""Cypher plan-to-closure compiler (read-only statements).
+"""Cypher plan-to-closure compiler (read-only statements): MATCH.
 
 Compiles a parsed+planned query — the object the engine's epoch-keyed
 statement cache stores — into one closure per clause: anchor selection
 and pattern ordering are decided **at compile time** using the same
-statistics code the interpreter consults per row, expressions become
-pre-bound value closures, and pattern expansion runs level-synchronous
-over row batches, fetching adjacency and node records through the
-store's deduplicating batch APIs.
+statistics code the interpreter consults per row, and pattern expansion
+runs level-synchronous over row batches, fetching adjacency and node
+records through the store's deduplicating batch APIs.  That is a
+different algorithm from the interpreter's depth-first matching, with
+different storage charges, and the only Cypher code of this module;
+expression closures and the RETURN tail are the interpreter's own
+(:mod:`repro.graphdb.cypher.evaluator`), handed the vectorized row
+charge.
 
 Level-synchronous expansion enumerates candidate rows in exactly the
 interpreter's depth-first order (lexicographic in per-hop adjacency
@@ -23,41 +27,41 @@ anchor selection stops being a compile-time decision).
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Callable
 from typing import Any
 
-from repro.exec.batch import batched, charge_batch
+from repro.exec.batch import batched
 from repro.exec.errors import CompileError
 from repro.exec.kernels import expand_frontier
 from repro.graphdb.cypher import ast
-from repro.graphdb.cypher.executor import (
-    _FLIP,
-    _TO_DIRECTION,
-    AGGREGATE_FUNCS,
-    CypherExecutor,
+from repro.graphdb.cypher.evaluator import (
     CypherRuntimeError,
     NodeRef,
     PathRef,
     RelRef,
+    Row,
+    compile_expr,
+    compile_return,
+)
+from repro.graphdb.cypher.executor import (
+    FLIP,
+    TO_DIRECTION,
+    CypherExecutor,
     WriteSummary,
-    _contains_aggregate,
-    _expr_name,
-    _null_safe,
-    _pattern_variables,
+    pattern_variables,
 )
 from repro.graphdb.store import GraphStore
-from repro.lang.expr import Accumulator
 from repro.simclock.ledger import charge
 from repro.stats import GraphStatistics, choose_batch_size
 
-Row = dict[str, Any]
-ValueFn = Callable[[Row, dict], Any]
 #: (origin row index, bindings, cursor node, anchor node, used rel ids)
 _State = tuple[int, Row, int, int, frozenset]
 CompiledCypher = Callable[
     [dict[str, Any] | None], tuple[list[tuple], WriteSummary]
 ]
+
+#: rows per dispatched batch at the MATCH-filter and RETURN levels
+_CHUNK = 1024
 
 _FAKE_BINDING = {
     "node": NodeRef(0),
@@ -125,7 +129,11 @@ def compile_query(
 
     if query.returns is None:
         raise CompileError("statements without RETURN require the interpreter")
-    project = _compile_return(query.returns, store)
+    try:
+        project = compile_return(query.returns, store, _charge_chunks)
+    except CypherRuntimeError as error:
+        # the interpreter reports it when the statement runs
+        raise CompileError(str(error)) from None
 
     def run(params: dict[str, Any] | None) -> tuple[list[tuple], WriteSummary]:
         bound_params = params or {}
@@ -177,11 +185,11 @@ def _compile_match(
             kinds.setdefault(pattern.assign_var, "path")
 
     where_fn = (
-        _compile_expr(clause.where, store)
+        compile_expr(clause.where, store)
         if clause.where is not None
         else None
     )
-    pattern_vars = _pattern_variables(clause.patterns)
+    pattern_vars = pattern_variables(clause.patterns)
     optional = clause.optional
 
     def run(rows: list[Row], params: dict) -> list[Row]:
@@ -194,12 +202,11 @@ def _compile_match(
                 for origin, row in items
                 if where_fn(row, params)
             ]
-        if where_fn is not None or optional:
+        if (where_fn is not None or optional) and items:
             # the filter / left-outer merge is the only per-item work at
             # this level; a plain MATCH is pass-through and dispatches
             # nothing
-            for chunk in batched(items, 1024):
-                charge_batch(len(chunk))
+            _charge_chunks(len(items))
         if not optional:
             return [row for _, row in items]
         out: list[Row] = []
@@ -248,7 +255,7 @@ def _compile_pattern(
         _compile_step(
             rels[pos - 1],
             nodes[pos - 1],
-            _FLIP[rels[pos - 1].direction],
+            FLIP[rels[pos - 1].direction],
             store,
             batch_size,
         )
@@ -322,7 +329,7 @@ def _compile_anchor_source(
     for label in node.labels:
         for key, expr in node.props:
             if store.has_index(label, key):
-                value_fn = _compile_expr(expr, store)
+                value_fn = compile_expr(expr, store)
                 return (
                     lambda row, params, label=label, key=key: store.lookup(
                         label, key, value_fn(row, params)
@@ -352,7 +359,7 @@ def _compile_node_check(
     var = node.var
     labels = node.labels
     prop_fns = [
-        (key, _compile_expr(expr, store)) for key, expr in node.props
+        (key, compile_expr(expr, store)) for key, expr in node.props
     ]
 
     def check(entries: list[tuple[Row, int]], params: dict) -> list[bool]:
@@ -401,9 +408,9 @@ def _compile_step(
 ) -> Callable[[list[_State], dict], list[_State]]:
     """One fixed-length hop as a frontier-at-a-time expand kernel."""
     rel_type = rel.types[0] if rel.types else None
-    store_dir = _TO_DIRECTION[direction]
+    store_dir = TO_DIRECTION[direction]
     rel_prop_fns = [
-        (key, _compile_expr(expr, store)) for key, expr in rel.props
+        (key, compile_expr(expr, store)) for key, expr in rel.props
     ]
     node_check = _compile_node_check(target, store, fused=True)
     rel_var, target_var = rel.var, target.var
@@ -460,323 +467,8 @@ def _compile_step(
     return run
 
 
-# --- RETURN ------------------------------------------------------------------
-
-
-def _compile_return(
-    returns: ast.ReturnClause, store: GraphStore
-) -> Callable[[list[Row], dict], list[tuple]]:
-    aliases = [
-        item.alias or _expr_name(item.expr) for item in returns.items
-    ]
-    if any(_contains_aggregate(item.expr) for item in returns.items):
-        project = _compile_aggregate(returns, store)
-    else:
-        value_fns = [
-            _compile_expr(item.expr, store) for item in returns.items
-        ]
-
-        def project(rows: list[Row], params: dict) -> list[tuple]:
-            out = []
-            for chunk in batched(rows, 1024):
-                charge_batch(len(chunk))
-                for row in chunk:
-                    out.append(
-                        tuple(
-                            _materialize(store, fn(row, params))
-                            for fn in value_fns
-                        )
-                    )
-            return out
-
-    order_keys: list[tuple[int, bool]] | None = None
-    if returns.order_by:
-        order_keys = [
-            (_order_index(item.expr, aliases), item.descending)
-            for item in returns.order_by
-        ]
-    distinct = returns.distinct
-    limit = returns.limit
-
-    def run(rows: list[Row], params: dict) -> list[tuple]:
-        projected = project(rows, params)
-        if distinct:
-            seen: set[tuple] = set()
-            unique = []
-            for row in projected:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            projected = unique
-        if order_keys is not None:
-            for index, descending in reversed(order_keys):
-                projected.sort(
-                    key=lambda row, i=index: _null_safe(row[i]),
-                    reverse=descending,
-                )
-        if limit is not None:
-            projected = projected[:limit]
-        return projected
-
-    return run
-
-
-def _order_index(expr: ast.Expr, aliases: list[str]) -> int:
-    if isinstance(expr, ast.VarRef) and expr.name in aliases:
-        return aliases.index(expr.name)
-    if isinstance(expr, ast.PropAccess):
-        name = f"{expr.var}.{expr.key}"
-        if name in aliases:
-            return aliases.index(name)
-    raise CompileError("ORDER BY must reference a returned column")
-
-
-def _compile_aggregate(
-    returns: ast.ReturnClause, store: GraphStore
-) -> Callable[[list[Row], dict], list[tuple]]:
-    key_items: list[tuple[int, ValueFn]] = []
-    agg_items: list[tuple[int, str, bool, bool, ValueFn | None]] = []
-    for index, item in enumerate(returns.items):
-        if not _contains_aggregate(item.expr):
-            key_items.append((index, _compile_expr(item.expr, store)))
-            continue
-        expr = item.expr
-        if not isinstance(expr, ast.FuncCall):
-            raise CompileError(
-                "aggregates nested in expressions require the interpreter"
-            )
-        arg_fn = None if expr.star else _compile_expr(expr.args[0], store)
-        agg_items.append(
-            (index, expr.name, expr.star, expr.distinct, arg_fn)
-        )
-    width = len(returns.items)
-
-    def new_states() -> list[Accumulator]:
-        return [
-            Accumulator(name, distinct, CypherRuntimeError)
-            for _, name, _, distinct, _ in agg_items
-        ]
-
-    def project(rows: list[Row], params: dict) -> list[tuple]:
-        groups: dict[tuple, list[Accumulator]] = {}
-        for chunk in batched(rows, 1024):
-            charge_batch(len(chunk))
-            for row in chunk:
-                key = tuple(
-                    _materialize(store, fn(row, params))
-                    for _, fn in key_items
-                )
-                states = groups.get(key)
-                if states is None:
-                    states = new_states()
-                    groups[key] = states
-                for state, (_, _, star, _, arg_fn) in zip(
-                    states, agg_items
-                ):
-                    if star:
-                        state.feed(1)
-                    else:
-                        assert arg_fn is not None
-                        state.feed(
-                            _materialize(store, arg_fn(row, params))
-                        )
-        if not groups and not key_items:
-            groups[()] = new_states()
-        out = []
-        for key, states in groups.items():
-            values: list[Any] = [None] * width
-            for (index, _), value in zip(key_items, key):
-                values[index] = value
-            for (index, _, _, _, _), state in zip(agg_items, states):
-                values[index] = state.result()
-            out.append(tuple(values))
-        return out
-
-    return project
-
-
-# --- expressions ----------------------------------------------------------------
-
-
-def _materialize(store: GraphStore, value: Any) -> Any:
-    if isinstance(value, NodeRef):
-        return tuple(sorted(store.node_props(value.id).items()))
-    if isinstance(value, RelRef):
-        return tuple(sorted(store.rel_props(value.id).items()))
-    if isinstance(value, PathRef):
-        return value
-    if isinstance(value, list):
-        return tuple(value)
-    return value
-
-
-_CMP = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-_ARITH = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
-
-
-def _compile_expr(expr: ast.Expr, store: GraphStore) -> ValueFn:
-    """Pre-bind an expression to ``fn(row, params)``.
-
-    Runtime behaviour (NULL logic, error messages) mirrors
-    ``CypherExecutor._eval`` exactly.
-    """
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda row, params: value
-    if isinstance(expr, ast.Param):
-        name = expr.name
-
-        def read_param(row: Row, params: dict) -> Any:
-            try:
-                return params[name]
-            except KeyError:
-                raise CypherRuntimeError(
-                    f"missing parameter ${name}"
-                ) from None
-
-        return read_param
-    if isinstance(expr, ast.VarRef):
-        var = expr.name
-
-        def read_var(row: Row, params: dict) -> Any:
-            try:
-                return row[var]
-            except KeyError:
-                raise CypherRuntimeError(
-                    f"unbound variable {var!r}"
-                ) from None
-
-        return read_var
-    if isinstance(expr, ast.PropAccess):
-        var, key = expr.var, expr.key
-
-        def read_prop(row: Row, params: dict) -> Any:
-            target = row.get(var)
-            if isinstance(target, NodeRef):
-                return store.node_prop(target.id, key)
-            if isinstance(target, RelRef):
-                return store.rel_props(target.id).get(key)
-            if target is None:
-                return None
-            raise CypherRuntimeError(
-                f"{var!r} is not a node or relationship"
-            )
-
-        return read_prop
-    if isinstance(expr, ast.UnaryOp):
-        operand = _compile_expr(expr.operand, store)
-        if expr.op == "NOT":
-            return lambda row, params: not operand(row, params)
-
-        def negate(row: Row, params: dict) -> Any:
-            value = operand(row, params)
-            return None if value is None else -value
-
-        return negate
-    if isinstance(expr, ast.IsNull):
-        operand = _compile_expr(expr.operand, store)
-        if expr.negated:
-            return lambda row, params: operand(row, params) is not None
-        return lambda row, params: operand(row, params) is None
-    if isinstance(expr, ast.BinaryOp):
-        return _compile_binary(expr, store)
-    if isinstance(expr, ast.FuncCall):
-        return _compile_scalar_func(expr, store)
-    raise CompileError(f"cannot compile expression {expr!r}")
-
-
-def _compile_binary(expr: ast.BinaryOp, store: GraphStore) -> ValueFn:
-    op = expr.op
-    left = _compile_expr(expr.left, store)
-    right = _compile_expr(expr.right, store)
-    if op == "AND":
-        return lambda row, params: bool(left(row, params)) and bool(
-            right(row, params)
-        )
-    if op == "OR":
-        return lambda row, params: bool(left(row, params)) or bool(
-            right(row, params)
-        )
-    if op in _CMP:
-        compare = _CMP[op]
-
-        def run_compare(row: Row, params: dict) -> Any:
-            lv, rv = left(row, params), right(row, params)
-            if lv is None or rv is None:
-                return False
-            if isinstance(lv, NodeRef) or isinstance(rv, NodeRef):
-                same = (
-                    isinstance(lv, NodeRef)
-                    and isinstance(rv, NodeRef)
-                    and lv.id == rv.id
-                )
-                if op == "=":
-                    return same
-                if op == "<>":
-                    return not same
-                raise CypherRuntimeError("nodes are not ordered")
-            return compare(lv, rv)
-
-        return run_compare
-    if op in _ARITH:
-        apply = _ARITH[op]
-
-        def run_arith(row: Row, params: dict) -> Any:
-            lv, rv = left(row, params), right(row, params)
-            if lv is None or rv is None:
-                return None
-            return apply(lv, rv)
-
-        return run_arith
-    raise CompileError(f"cannot compile operator {op!r}")
-
-
-def _compile_scalar_func(expr: ast.FuncCall, store: GraphStore) -> ValueFn:
-    if expr.name in AGGREGATE_FUNCS:
-        name = expr.name
-
-        def misuse(row: Row, params: dict) -> Any:
-            raise CypherRuntimeError(f"aggregate {name}() outside RETURN")
-
-        return misuse
-    arg_fns = [_compile_expr(arg, store) for arg in expr.args]
-    if expr.name == "length":
-
-        def run_length(row: Row, params: dict) -> Any:
-            (path,) = [fn(row, params) for fn in arg_fns]
-            if not isinstance(path, PathRef):
-                raise CypherRuntimeError("length() expects a path")
-            return path.length
-
-        return run_length
-    if expr.name == "id":
-
-        def run_id(row: Row, params: dict) -> Any:
-            (ref,) = [fn(row, params) for fn in arg_fns]
-            if isinstance(ref, (NodeRef, RelRef)):
-                return ref.id
-            raise CypherRuntimeError("id() expects a node or relationship")
-
-        return run_id
-    if expr.name == "labels":
-
-        def run_labels(row: Row, params: dict) -> Any:
-            (ref,) = [fn(row, params) for fn in arg_fns]
-            if isinstance(ref, NodeRef):
-                return list(store.node_labels(ref.id))
-            raise CypherRuntimeError("labels() expects a node")
-
-        return run_labels
-    raise CompileError(f"cannot compile function {expr.name}()")
+def _charge_chunks(count: int) -> None:
+    """The vectorized price of ``count`` (> 0) rows: one dispatch per
+    chunk, ``tuple_vec`` per row."""
+    charge("vector_setup", -(-count // _CHUNK))
+    charge("tuple_vec", count)

@@ -3,17 +3,21 @@
 The Gremlin Server's interpreted path charges ``step_eval`` per
 traverser per step — the TinkerPop iterator overhead the paper measures.
 :func:`compile_traversal` walks a built step chain once and emits one
-closure per step, chained as batch generators: a batch of traversers
-flows through each closure with one ``vector_setup`` plus ``tuple_vec``
+kernel per step, chained as batch generators: a batch of traversers
+flows through each kernel with one ``vector_setup`` plus ``tuple_vec``
 per emitted traverser, while data access still goes through the same
 provider calls (and therefore the same storage charges) as the
 interpreter.
 
-Semantics are bit-identical to :mod:`repro.tinkerpop.traversal`: each
-compiled step reproduces its interpreted step's traverser order, path
-bookkeeping and error behavior.  Step budgets and evaluation-timeout
-guards observe the same traverser counts via
-:func:`repro.tinkerpop.traversal.tick_batch`.
+What a per-traverser step *does* is not written here: a kernel is the
+vectorizing envelope (:func:`_vectorize`) around the step's own
+:meth:`~repro.tinkerpop.traversal.Step.bind` — the definition the
+interpreter's ``Step.apply`` envelope drives too — so traverser order,
+path bookkeeping and errors agree by construction.  Step budgets and
+evaluation-timeout guards observe the same traverser counts via
+:func:`repro.tinkerpop.traversal.tick_batch`.  Only the kernels that
+really differ from their interpreted step are spelled out: label-free
+``has()``, ``limit``, ``count``, ``order``.
 
 Steps that cannot be compiled raise :class:`CompileError` and the
 server falls back to the interpreter for that script:
@@ -26,7 +30,6 @@ server falls back to the interpreter for that script:
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import replace
 from typing import Any
 
 from repro.exec.errors import CompileError
@@ -37,26 +40,17 @@ from repro.tinkerpop.traversal import (
     AddVStep,
     AdjacentStep,
     CountStep,
-    DedupStep,
     EdgeVertexStep,
-    FilterStep,
-    HasLabelStep,
     HasStep,
-    IdStep,
     LimitStep,
     OrderStep,
-    PathStep,
     PropertyStep,
     RepeatStep,
-    SimplePathStep,
     Step,
     Traversal,
     TraversalError,
     Traverser,
-    ValueMapStep,
-    ValuesStep,
     VStep,
-    _element_props,
     tick_batch,
 )
 
@@ -67,6 +61,18 @@ CompiledTraversal = Callable[[], list[Any]]
 _StepKernel = Callable[
     [Iterator[list[Traverser]]], Iterator[list[Traverser]]
 ]
+
+#: sources and expansions always pay their own batch dispatch; every
+#: other per-element step fuses into the loop of the kernel feeding it
+#: (``order()`` pays one per materialized batch, in its own kernel)
+_OWN_DISPATCH = (VStep, AdjacentStep, EdgeVertexStep)
+
+_INTERPRETED_ONLY = {
+    RepeatStep: "repeat() is data-dependent iteration",
+    AddVStep: "write steps run interpreted",
+    AddEStep: "write steps run interpreted",
+    PropertyStep: "write steps run interpreted",
+}
 
 
 def compile_traversal(traversal: Traversal) -> CompiledTraversal:
@@ -98,70 +104,44 @@ def compile_traversal(traversal: Traversal) -> CompiledTraversal:
 def _compile_step(
     step: Step, provider: GraphProvider, fused: bool = False
 ) -> _StepKernel:
-    # sources, expansions, and order() always charge their own dispatch
-    if isinstance(step, VStep):
-        return _compile_v(step, provider)
-    if isinstance(step, AdjacentStep):
-        return _compile_adjacent(step, provider)
-    if isinstance(step, EdgeVertexStep):
-        return _compile_edge_vertex(step, provider)
+    reason = _INTERPRETED_ONLY.get(type(step))
+    if reason is not None:
+        raise CompileError(reason)
     if isinstance(step, OrderStep):
         return _compile_order(step, provider)
-    # per-element steps fuse into the feeding kernel's loop
-    if isinstance(step, HasStep):
-        return _compile_has(step, provider, fused)
-    if isinstance(step, HasLabelStep):
-        return _compile_has_label(step, provider, fused)
-    if isinstance(step, ValuesStep):
-        return _compile_values(step, provider, fused)
-    if isinstance(step, ValueMapStep):
-        return _compile_value_map(provider, fused)
-    if isinstance(step, IdStep):
-        return _compile_id(fused)
-    if isinstance(step, DedupStep):
-        return _compile_dedup(fused)
-    if isinstance(step, SimplePathStep):
-        return _compile_simple_path(fused)
-    if isinstance(step, PathStep):
-        return _compile_path(fused)
     if isinstance(step, LimitStep):
         return _compile_limit(step, fused)
     if isinstance(step, CountStep):
         return _compile_count(fused)
-    if isinstance(step, FilterStep):
-        return _compile_filter(step, fused)
-    if isinstance(step, RepeatStep):
-        raise CompileError("repeat() is data-dependent iteration")
-    if isinstance(step, (AddVStep, AddEStep, PropertyStep)):
-        raise CompileError("write steps run interpreted")
-    raise CompileError(f"no batch kernel for {type(step).__name__}")
+    if isinstance(step, HasStep) and step.label is None:
+        return _compile_has(step, provider, fused)
+    if type(step).bind is Step.bind:
+        raise CompileError(f"no batch kernel for {type(step).__name__}")
+    return _vectorize(
+        step, provider, fused and not isinstance(step, _OWN_DISPATCH)
+    )
 
 
-# -- element steps -----------------------------------------------------------------
+def _vectorize(
+    step: Step, provider: GraphProvider, fused: bool
+) -> _StepKernel:
+    """The vectorizing envelope around a step's one-traverser meaning.
 
+    Budget tick for the batch, one dispatch unless fused, the step's
+    :meth:`~repro.tinkerpop.traversal.Step.bind` definition over the
+    batch, ``tuple_vec`` per emitted traverser — in that order, because
+    the evaluation-timeout guard prices the ledger at tick time.
+    """
 
-def _compile_v(step: VStep, provider: GraphProvider) -> _StepKernel:
     def kernel(
         batches: Iterator[list[Traverser]],
     ) -> Iterator[list[Traverser]]:
+        one = step.bind(provider)
         for batch in batches:
             tick_batch(len(batch))
-            charge("vector_setup")
-            out: list[Traverser] = []
-            for t in batch:
-                if step.vid is not None:
-                    vids: Any = (step.vid,)
-                elif step.index_key is not None:
-                    vids = provider.lookup(
-                        step.label, step.index_key, step.index_value
-                    )
-                else:
-                    vids = provider.vertices(step.label)
-                for vid in vids:
-                    vertex = Vertex(vid)
-                    out.append(
-                        replace(t, obj=vertex, path=t.path + (vertex,))
-                    )
+            if not fused:
+                charge("vector_setup")
+            out = [result for t in batch for result in one(t)]
             if out:
                 charge("tuple_vec", len(out))
             yield out
@@ -169,9 +149,18 @@ def _compile_v(step: VStep, provider: GraphProvider) -> _StepKernel:
     return kernel
 
 
+# -- kernels that differ from their interpreted step -------------------------------
+
+
 def _compile_has(
     step: HasStep, provider: GraphProvider, fused: bool = False
 ) -> _StepKernel:
+    """Label-free ``has()``: one property gather per unique vertex in
+    the batch, where the interpreter re-reads per traverser occurrence
+    — a different storage charge, hence its own kernel.  (A labelled
+    ``has()`` keeps per-traverser reads: its label gate must see
+    exactly the vertices the interpreter reads.)"""
+
     def kernel(
         batches: Iterator[list[Traverser]],
     ) -> Iterator[list[Traverser]]:
@@ -179,269 +168,23 @@ def _compile_has(
             tick_batch(len(batch))
             if not fused:
                 charge("vector_setup")
-            # one property gather per unique vertex in the batch — the
-            # interpreter re-reads per traverser occurrence (label'd
-            # has() keeps per-traverser reads: the label gate must see
-            # exactly the vertices the interpreter reads)
-            vertex_props: dict[int, dict[str, Any]] = (
-                {
-                    vid: provider.vertex_props(vid)
-                    for vid in dict.fromkeys(
-                        t.obj.id
-                        for t in batch
-                        if isinstance(t.obj, Vertex)
-                    )
-                }
-                if step.label is None
-                else {}
-            )
+            vertex_props = {
+                vid: provider.vertex_props(vid)
+                for vid in dict.fromkeys(
+                    t.obj.id for t in batch if isinstance(t.obj, Vertex)
+                )
+            }
             out: list[Traverser] = []
             for t in batch:
                 obj = t.obj
                 if isinstance(obj, Vertex):
-                    if step.label is not None and (
-                        provider.vertex_label(obj.id) != step.label
-                    ):
-                        continue
-                    props = (
-                        vertex_props[obj.id]
-                        if step.label is None
-                        else provider.vertex_props(obj.id)
-                    )
-                    value = props.get(step.key)
+                    value = vertex_props[obj.id].get(step.key)
                 elif isinstance(obj, Edge):
                     value = provider.edge_props(obj.id).get(step.key)
                 else:
                     raise TraversalError("has() needs an element")
                 if step.predicate.test(value):
                     out.append(t)
-            if out:
-                charge("tuple_vec", len(out))
-            yield out
-
-    return kernel
-
-
-def _compile_has_label(
-    step: HasLabelStep, provider: GraphProvider, fused: bool = False
-) -> _StepKernel:
-    def kernel(
-        batches: Iterator[list[Traverser]],
-    ) -> Iterator[list[Traverser]]:
-        for batch in batches:
-            tick_batch(len(batch))
-            if not fused:
-                charge("vector_setup")
-            out: list[Traverser] = []
-            for t in batch:
-                obj = t.obj
-                if isinstance(obj, Vertex):
-                    if provider.vertex_label(obj.id) == step.label:
-                        out.append(t)
-                elif isinstance(obj, Edge):
-                    if provider.edge_label(obj.id) == step.label:
-                        out.append(t)
-            if out:
-                charge("tuple_vec", len(out))
-            yield out
-
-    return kernel
-
-
-def _compile_adjacent(
-    step: AdjacentStep, provider: GraphProvider
-) -> _StepKernel:
-    def kernel(
-        batches: Iterator[list[Traverser]],
-    ) -> Iterator[list[Traverser]]:
-        for batch in batches:
-            tick_batch(len(batch))
-            charge("vector_setup")
-            out: list[Traverser] = []
-            for t in batch:
-                obj = t.obj
-                if not isinstance(obj, Vertex):
-                    raise TraversalError(
-                        f"{step.direction}() needs a vertex, got {obj!r}"
-                    )
-                for eid, other in provider.adjacent(
-                    obj.id, step.direction, step.label
-                ):
-                    element: Any = (
-                        Edge(eid) if step.to_edge else Vertex(other)
-                    )
-                    out.append(
-                        replace(t, obj=element, path=t.path + (element,))
-                    )
-            if out:
-                charge("tuple_vec", len(out))
-            yield out
-
-    return kernel
-
-
-def _compile_edge_vertex(
-    step: EdgeVertexStep, provider: GraphProvider
-) -> _StepKernel:
-    def kernel(
-        batches: Iterator[list[Traverser]],
-    ) -> Iterator[list[Traverser]]:
-        for batch in batches:
-            tick_batch(len(batch))
-            charge("vector_setup")
-            out: list[Traverser] = []
-            for t in batch:
-                edge = t.obj
-                if not isinstance(edge, Edge):
-                    raise TraversalError(f"{step.which}() needs an edge")
-                out_vid, in_vid = provider.edge_endpoints(edge.id)
-                if step.which == "inV":
-                    targets = [in_vid]
-                elif step.which == "outV":
-                    targets = [out_vid]
-                else:  # otherV: the endpoint we did not come from
-                    prev = None
-                    for element in reversed(t.path[:-1]):
-                        if isinstance(element, Vertex):
-                            prev = element.id
-                            break
-                    targets = [in_vid if prev == out_vid else out_vid]
-                for vid in targets:
-                    vertex = Vertex(vid)
-                    out.append(
-                        replace(t, obj=vertex, path=t.path + (vertex,))
-                    )
-            if out:
-                charge("tuple_vec", len(out))
-            yield out
-
-    return kernel
-
-
-# -- value steps -------------------------------------------------------------------
-
-
-def _compile_values(
-    step: ValuesStep, provider: GraphProvider, fused: bool = False
-) -> _StepKernel:
-    def kernel(
-        batches: Iterator[list[Traverser]],
-    ) -> Iterator[list[Traverser]]:
-        for batch in batches:
-            tick_batch(len(batch))
-            if not fused:
-                charge("vector_setup")
-            out: list[Traverser] = []
-            for t in batch:
-                props = _element_props(t.obj, provider)
-                for key in step.keys:
-                    value = props.get(key)
-                    if value is not None:
-                        out.append(replace(t, obj=value))
-            if out:
-                charge("tuple_vec", len(out))
-            yield out
-
-    return kernel
-
-
-def _compile_value_map(
-    provider: GraphProvider, fused: bool = False
-) -> _StepKernel:
-    def kernel(
-        batches: Iterator[list[Traverser]],
-    ) -> Iterator[list[Traverser]]:
-        for batch in batches:
-            tick_batch(len(batch))
-            if not fused:
-                charge("vector_setup")
-            out = [
-                replace(t, obj=dict(_element_props(t.obj, provider)))
-                for t in batch
-            ]
-            if out:
-                charge("tuple_vec", len(out))
-            yield out
-
-    return kernel
-
-
-def _compile_id(fused: bool = False) -> _StepKernel:
-    def kernel(
-        batches: Iterator[list[Traverser]],
-    ) -> Iterator[list[Traverser]]:
-        for batch in batches:
-            tick_batch(len(batch))
-            if not fused:
-                charge("vector_setup")
-            out = [replace(t, obj=t.obj.id) for t in batch]
-            if out:
-                charge("tuple_vec", len(out))
-            yield out
-
-    return kernel
-
-
-# -- stream steps ------------------------------------------------------------------
-
-
-def _compile_dedup(fused: bool = False) -> _StepKernel:
-    def kernel(
-        batches: Iterator[list[Traverser]],
-    ) -> Iterator[list[Traverser]]:
-        seen: set = set()
-        for batch in batches:
-            tick_batch(len(batch))
-            if not fused:
-                charge("vector_setup")
-            out: list[Traverser] = []
-            for t in batch:
-                key = t.obj
-                if isinstance(key, dict):
-                    key = tuple(sorted(key.items()))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(t)
-            # membership tests ride the per-item batch charge, exactly
-            # as the interpreter folds them into its per-traverser tick
-            if out:
-                charge("tuple_vec", len(out))
-            yield out
-
-    return kernel
-
-
-def _compile_simple_path(fused: bool = False) -> _StepKernel:
-    def kernel(
-        batches: Iterator[list[Traverser]],
-    ) -> Iterator[list[Traverser]]:
-        for batch in batches:
-            tick_batch(len(batch))
-            if not fused:
-                charge("vector_setup")
-            out: list[Traverser] = []
-            for t in batch:
-                elements = [
-                    e for e in t.path if isinstance(e, (Vertex, Edge))
-                ]
-                if len(elements) == len(set(elements)):
-                    out.append(t)
-            if out:
-                charge("tuple_vec", len(out))
-            yield out
-
-    return kernel
-
-
-def _compile_path(fused: bool = False) -> _StepKernel:
-    def kernel(
-        batches: Iterator[list[Traverser]],
-    ) -> Iterator[list[Traverser]]:
-        for batch in batches:
-            tick_batch(len(batch))
-            if not fused:
-                charge("vector_setup")
-            out = [replace(t, obj=tuple(t.path)) for t in batch]
             if out:
                 charge("tuple_vec", len(out))
             yield out
@@ -496,36 +239,11 @@ def _compile_order(step: OrderStep, provider: GraphProvider) -> _StepKernel:
             charge("vector_setup")
             materialized.extend(batch)
         tick_batch(1)
-
-        def sort_key(t: Traverser) -> tuple[bool, Any]:
-            obj = t.obj
-            if step.key is None:
-                value = obj
-            else:
-                value = _element_props(obj, provider).get(step.key)
-            return (value is not None, value)
-
-        materialized.sort(key=sort_key, reverse=step.descending)
+        materialized.sort(
+            key=step.sort_key(provider), reverse=step.descending
+        )
         if materialized:
             charge("tuple_vec", len(materialized))
         yield materialized
-
-    return kernel
-
-
-def _compile_filter(
-    step: FilterStep, fused: bool = False
-) -> _StepKernel:
-    def kernel(
-        batches: Iterator[list[Traverser]],
-    ) -> Iterator[list[Traverser]]:
-        for batch in batches:
-            tick_batch(len(batch))
-            if not fused:
-                charge("vector_setup")
-            out = [t for t in batch if step.fn(t.obj)]
-            if out:
-                charge("tuple_vec", len(out))
-            yield out
 
     return kernel

@@ -28,6 +28,7 @@ from repro.relational.sql.executor import (
     ExecContext,
     ExprFn,
     new_accumulators,
+    sort_key,
 )
 from repro.relational.table import Table
 from repro.simclock.ledger import charge
@@ -174,16 +175,12 @@ def sort_rows(
         charge_batch(len(rows))
         for key_fn, desc in reversed(list(zip(key_fns, descending))):
             rows.sort(
-                key=lambda row: _sort_key(key_fn(row, params)),
+                key=lambda row: sort_key(key_fn(row, params)),
                 reverse=desc,
             )
         yield from batched(rows, batch_size)
 
     return run
-
-
-def _sort_key(value: Any) -> tuple:
-    return (value is not None, value)
 
 
 # --- joins ---------------------------------------------------------------------

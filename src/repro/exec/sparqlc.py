@@ -35,7 +35,14 @@ from typing import Any
 from repro.exec.batch import batched
 from repro.exec.errors import CompileError
 from repro.rdf.sparql import parser as ast
-from repro.rdf.sparql.executor import SparqlExecutor, SparqlRuntimeError
+from repro.rdf.sparql.executor import (
+    SparqlExecutor,
+    SparqlRuntimeError,
+    count_row,
+    filter_vars,
+    order_columns,
+    select_tail,
+)
 from repro.rdf.triples import TripleStore
 from repro.simclock.ledger import charge
 from repro.stats.batching import choose_batch_size
@@ -64,20 +71,22 @@ def compile_query(
     by the returned closure.
     """
     ordered, bound_after = _order_patterns(query, executor)
-    pending = list(query.filters)
+    # compiled first: an unknown filter form is a CompileError here,
+    # before filter_vars() would raise the interpreter's runtime error
+    pending = [
+        (_compile_filter(flt.expr), filter_vars(flt.expr))
+        for flt in query.filters
+    ]
     stages: list[_Stage] = []
     bound_before: set[str] = set()
     for pattern, bound in zip(ordered, bound_after):
         stages.append(_compile_join(pattern, store, bound_before))
         bound_before = bound
-        still_pending = []
-        for flt in pending:
-            if _filter_vars(flt.expr) <= bound:
-                stages.append(_compile_filter(flt.expr))
-            else:
-                still_pending.append(flt)
-        pending = still_pending
-    tail_filters = [_compile_filter(flt.expr) for flt in pending]
+        stages.extend(stage for stage, needs in pending if needs <= bound)
+        pending = [
+            (stage, needs) for stage, needs in pending if not needs <= bound
+        ]
+    tail_filters = [stage for stage, _ in pending]
     all_bound = bound_after[-1] if bound_after else set()
     project = _compile_project(query, sorted(all_bound))
 
@@ -233,26 +242,6 @@ def _compile_join(
 # -- filters -----------------------------------------------------------------------
 
 
-def _filter_vars(expr: ast.FilterExpr) -> set[str]:
-    if isinstance(expr, ast.Comparison):
-        return {
-            term.name
-            for term in (expr.left, expr.right)
-            if isinstance(term, ast.Var)
-        }
-    if isinstance(expr, ast.InFilter):
-        return {
-            term.name
-            for term in (expr.needle, *expr.items)
-            if isinstance(term, ast.Var)
-        }
-    if isinstance(expr, ast.BoolOp):
-        return _filter_vars(expr.left) | _filter_vars(expr.right)
-    if isinstance(expr, ast.NotOp):
-        return _filter_vars(expr.operand)
-    raise CompileError(f"unknown filter {expr!r}")
-
-
 def _compile_filter(expr: ast.FilterExpr) -> _Stage:
     predicate = _compile_filter_expr(expr)
 
@@ -338,37 +327,25 @@ def _compile_project(
     query: ast.SparqlQuery, all_vars: list[str]
 ) -> Callable[[list[Row], dict[str, Any]], list[tuple]]:
     aggregate = any(item.count for item in query.items)
+    try:
+        order = order_columns(query)
+        if aggregate and not query.star:
+            count_row([], query)  # rejects plain variables beside COUNT
+    except SparqlRuntimeError as error:
+        # the interpreter reports it when the query runs
+        raise CompileError(str(error)) from None
     if query.star:
         names = list(all_vars)
     elif aggregate:
-        if any(not item.count for item in query.items):
-            raise CompileError(
-                "mixing plain variables with COUNT needs GROUP BY"
-            )
         names = []
     else:
         names = [item.var.name for item in query.items]  # type: ignore[union-attr]
-    order_indexes: list[tuple[int, bool]] = []
-    if query.order_by:
-        if query.star or aggregate:
-            raise CompileError(
-                "ORDER BY requires explicit SELECT variables"
-            )
-        for order in query.order_by:
-            if order.var.name not in names:
-                raise CompileError(
-                    f"ORDER BY variable ?{order.var.name} not selected"
-                )
-            order_indexes.append(
-                (names.index(order.var.name), order.descending)
-            )
-    agg_fns = _compile_aggregates(query) if aggregate else None
 
     def project(rows: list[Row], params: dict[str, Any]) -> list[tuple]:
         if query.star and not rows:
             return []
-        if agg_fns is not None:
-            projected = [tuple(fn(rows) for fn in agg_fns)]
+        if aggregate:
+            projected = [count_row(rows, query)]
         else:
             projected = []
             for batch in batched(rows, choose_batch_size(len(rows))):
@@ -379,51 +356,6 @@ def _compile_project(
                 if chunk:
                     charge("tuple_vec", len(chunk))
                 projected.extend(chunk)
-        if query.distinct:
-            seen: set[tuple] = set()
-            unique = []
-            for row in projected:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            # no hash_probe: the interpreter's DISTINCT folds membership
-            # into its per-value charge, and parity is per dialect
-            projected = unique
-        for idx, descending in reversed(order_indexes):
-            projected.sort(
-                key=lambda r: (r[idx] is not None, r[idx]),
-                reverse=descending,
-            )
-        if query.limit is not None:
-            projected = projected[: query.limit]
-        return projected
+        return select_tail(projected, query, order)
 
     return project
-
-
-def _compile_aggregates(
-    query: ast.SparqlQuery,
-) -> list[Callable[[list[Row]], Any]]:
-    fns: list[Callable[[list[Row]], Any]] = []
-    for item in query.items:
-        if item.var is None:
-            fns.append(len)
-        elif item.count_distinct:
-            name = item.var.name
-            fns.append(
-                lambda rows, name=name: len(
-                    {
-                        row[name]
-                        for row in rows
-                        if row.get(name) is not None
-                    }
-                )
-            )
-        else:
-            name = item.var.name
-            fns.append(
-                lambda rows, name=name: sum(
-                    1 for row in rows if row.get(name) is not None
-                )
-            )
-    return fns

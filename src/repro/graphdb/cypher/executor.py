@@ -11,6 +11,10 @@ used twice in one chain), matching Cypher's semantics for the queries in
 scope.  Every intermediate row charges ``cypher_row`` — the interpreted
 runtime overhead of the Neo4j-2.3-era Cypher engine, visible in the
 paper's point-lookup latencies.
+
+What expressions and RETURN *mean* is defined once, in
+:mod:`repro.graphdb.cypher.evaluator`; this module is the row-at-a-time
+driver around it (depth-first MATCH, CREATE, SET, ``cypher_row``).
 """
 
 from __future__ import annotations
@@ -20,39 +24,29 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.graphdb.cypher import ast
+from repro.graphdb.cypher.evaluator import (
+    CypherRuntimeError,
+    NodeRef,
+    PathRef,
+    RelRef,
+    ValueFn,
+    compile_expr,
+    compile_return,
+)
 from repro.graphdb.store import Direction, GraphStore
-from repro.lang.expr import Accumulator
 from repro.simclock.ledger import charge
 from repro.stats import GraphStatistics
 
-AGGREGATE_FUNCS = {"count", "min", "max", "sum", "avg", "collect"}
-
-_FLIP = {"out": "in", "in": "out", "both": "both"}
-_TO_DIRECTION = {
+FLIP = {"out": "in", "in": "out", "both": "both"}
+TO_DIRECTION = {
     "out": Direction.OUT,
     "in": Direction.IN,
     "both": Direction.BOTH,
 }
 
-
-class CypherRuntimeError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class NodeRef:
-    id: int
-
-
-@dataclass(frozen=True)
-class RelRef:
-    id: int
-
-
-@dataclass(frozen=True)
-class PathRef:
-    nodes: tuple[int, ...]
-    length: int
+#: closures kept per executor before the table starts over (the
+#: engine's statement cache holds as many statements)
+_MAX_CLOSURES = 4096
 
 
 @dataclass
@@ -66,6 +60,9 @@ class CypherExecutor:
     def __init__(self, store: GraphStore) -> None:
         self.store = store
         self.stats: GraphStatistics | None = None
+        #: frozen AST node -> its evaluator closure; the closures bind
+        #: the node and the store only, so no epoch can stale them
+        self._closures: dict[Any, Callable] = {}
 
     # -- entry point ------------------------------------------------------------
 
@@ -88,122 +85,22 @@ class CypherExecutor:
                 )
         if query.returns is None:
             return [], summary
-        return self._project(rows, query.returns, params), summary
+        project = self._closure(query.returns, compile_return, _charge_rows)
+        return project(rows, params), summary
 
-    # -- expressions -------------------------------------------------------------
+    # -- evaluator closures --------------------------------------------------------
 
-    def _eval(self, expr: ast.Expr, row: dict, params: dict) -> Any:
-        if isinstance(expr, ast.Literal):
-            return expr.value
-        if isinstance(expr, ast.Param):
-            try:
-                return params[expr.name]
-            except KeyError:
-                raise CypherRuntimeError(
-                    f"missing parameter ${expr.name}"
-                ) from None
-        if isinstance(expr, ast.VarRef):
-            try:
-                return row[expr.name]
-            except KeyError:
-                raise CypherRuntimeError(
-                    f"unbound variable {expr.name!r}"
-                ) from None
-        if isinstance(expr, ast.PropAccess):
-            target = row.get(expr.var)
-            if isinstance(target, NodeRef):
-                return self.store.node_prop(target.id, expr.key)
-            if isinstance(target, RelRef):
-                return self.store.rel_props(target.id).get(expr.key)
-            if target is None:
-                return None
-            raise CypherRuntimeError(
-                f"{expr.var!r} is not a node or relationship"
-            )
-        if isinstance(expr, ast.UnaryOp):
-            value = self._eval(expr.operand, row, params)
-            if expr.op == "NOT":
-                return not value
-            return None if value is None else -value
-        if isinstance(expr, ast.IsNull):
-            value = self._eval(expr.operand, row, params)
-            return (value is not None) if expr.negated else (value is None)
-        if isinstance(expr, ast.BinaryOp):
-            return self._eval_binary(expr, row, params)
-        if isinstance(expr, ast.FuncCall):
-            return self._eval_scalar_func(expr, row, params)
-        raise CypherRuntimeError(f"cannot evaluate {expr!r}")
+    def _closure(self, node: Any, build: Callable, *extra: Any) -> Callable:
+        """``build(node, store, *extra)``, at most once per cached statement."""
+        fn = self._closures.get(node)
+        if fn is None:
+            if len(self._closures) >= _MAX_CLOSURES:
+                self._closures.clear()
+            fn = self._closures[node] = build(node, self.store, *extra)
+        return fn
 
-    def _eval_binary(self, expr: ast.BinaryOp, row: dict, params: dict) -> Any:
-        op = expr.op
-        if op == "AND":
-            return bool(self._eval(expr.left, row, params)) and bool(
-                self._eval(expr.right, row, params)
-            )
-        if op == "OR":
-            return bool(self._eval(expr.left, row, params)) or bool(
-                self._eval(expr.right, row, params)
-            )
-        left = self._eval(expr.left, row, params)
-        right = self._eval(expr.right, row, params)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            if left is None or right is None:
-                return False
-            if isinstance(left, NodeRef) or isinstance(right, NodeRef):
-                same = (
-                    isinstance(left, NodeRef)
-                    and isinstance(right, NodeRef)
-                    and left.id == right.id
-                )
-                if op == "=":
-                    return same
-                if op == "<>":
-                    return not same
-                raise CypherRuntimeError("nodes are not ordered")
-            return {
-                "=": left == right,
-                "<>": left != right,
-                "<": left < right,
-                "<=": left <= right,
-                ">": left > right,
-                ">=": left >= right,
-            }[op]
-        if left is None or right is None:
-            return None
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return left / right
-        raise CypherRuntimeError(f"unknown operator {op!r}")
-
-    def _eval_scalar_func(
-        self, expr: ast.FuncCall, row: dict, params: dict
-    ) -> Any:
-        if expr.name in AGGREGATE_FUNCS:
-            raise CypherRuntimeError(
-                f"aggregate {expr.name}() outside RETURN"
-            )
-        args = [self._eval(a, row, params) for a in expr.args]
-        if expr.name == "length":
-            (path,) = args
-            if not isinstance(path, PathRef):
-                raise CypherRuntimeError("length() expects a path")
-            return path.length
-        if expr.name == "id":
-            (ref,) = args
-            if isinstance(ref, (NodeRef, RelRef)):
-                return ref.id
-            raise CypherRuntimeError("id() expects a node or relationship")
-        if expr.name == "labels":
-            (ref,) = args
-            if isinstance(ref, NodeRef):
-                return list(self.store.node_labels(ref.id))
-            raise CypherRuntimeError("labels() expects a node")
-        raise CypherRuntimeError(f"unknown function {expr.name}()")
+    def _fn(self, expr: ast.Expr) -> ValueFn:
+        return self._closure(expr, compile_expr)
 
     # -- MATCH ----------------------------------------------------------------------
 
@@ -211,16 +108,15 @@ class CypherExecutor:
         self, rows: list[dict], clause: ast.MatchClause, params: dict
     ) -> list[dict]:
         out: list[dict] = []
-        pattern_vars = _pattern_variables(clause.patterns)
+        pattern_vars = pattern_variables(clause.patterns)
         patterns = self._order_patterns(
             list(clause.patterns), set(rows[0]) if rows else set()
         )
+        where = None if clause.where is None else self._fn(clause.where)
         for row in rows:
             matched = False
             for candidate in self._match_patterns(row, patterns, params):
-                if clause.where is not None and not self._eval(
-                    clause.where, candidate, params
-                ):
+                if where is not None and not where(candidate, params):
                     continue
                 charge("cypher_row")
                 matched = True
@@ -296,7 +192,7 @@ class CypherExecutor:
             rel = rels[pos - 1]
             target = nodes[pos - 1]
             for new_row, new_used, next_id in self._step(
-                row, node_id, rel, target, _FLIP[rel.direction], used, params
+                row, node_id, rel, target, FLIP[rel.direction], used, params
             ):
                 yield from go_left(new_row, pos - 1, next_id, new_used)
 
@@ -314,7 +210,7 @@ class CypherExecutor:
     ) -> Iterator[tuple[dict, frozenset, int]]:
         """One hop (or var-length expansion) from ``node_id``."""
         rel_type = rel.types[0] if rel.types else None
-        store_dir = _TO_DIRECTION[direction]
+        store_dir = TO_DIRECTION[direction]
         if not rel.var_length:
             # neighbors() serves the whole adjacency list from the
             # store's neighborhood cache when it is enabled
@@ -408,8 +304,8 @@ class CypherExecutor:
             return (source,)
         rel_type = rel.types[0] if rel.types else None
         max_hops = rel.max_hops if rel.max_hops > 0 else 128
-        fwd_dir = _TO_DIRECTION[rel.direction]
-        bwd_dir = _TO_DIRECTION[_FLIP[rel.direction]]
+        fwd_dir = TO_DIRECTION[rel.direction]
+        bwd_dir = TO_DIRECTION[FLIP[rel.direction]]
         parent_f: dict[int, int | None] = {source: None}
         parent_b: dict[int, int | None] = {target: None}
         frontier_f, frontier_b = [source], [target]
@@ -588,7 +484,7 @@ class CypherExecutor:
     def _hop_degree(self, rel: ast.RelPattern, flipped: bool) -> float:
         assert self.stats is not None
         rel_type = rel.types[0] if rel.types else None
-        direction = _FLIP[rel.direction] if flipped else rel.direction
+        direction = FLIP[rel.direction] if flipped else rel.direction
         degree = max(self.stats.avg_degree(rel_type, direction), 0.1)
         if rel.var_length and rel.max_hops > 1:
             degree = degree ** min(rel.max_hops, 4)
@@ -607,7 +503,7 @@ class CypherExecutor:
         for label in node.labels:
             for key, expr in node.props:
                 if self.store.has_index(label, key):
-                    value = self._eval(expr, row, params)
+                    value = self._fn(expr)(row, params)
                     return [
                         nid
                         for nid in self.store.lookup(label, key, value)
@@ -646,7 +542,7 @@ class CypherExecutor:
         params: dict,
     ) -> bool:
         return all(
-            props.get(key) == self._eval(expr, row, params)
+            props.get(key) == self._fn(expr)(row, params)
             for key, expr in wanted
         )
 
@@ -674,7 +570,7 @@ class CypherExecutor:
                         node_ids.append(bound.id)
                         continue
                     props = {
-                        key: self._eval(expr, new_row, params)
+                        key: self._fn(expr)(new_row, params)
                         for key, expr in node.props
                     }
                     node_id = self.store.create_node(node.labels, props)
@@ -692,7 +588,7 @@ class CypherExecutor:
                             "CREATE requires exactly one relationship type"
                         )
                     props = {
-                        key: self._eval(expr, new_row, params)
+                        key: self._fn(expr)(new_row, params)
                         for key, expr in rel.props
                     }
                     start, end = node_ids[i], node_ids[i + 1]
@@ -722,169 +618,18 @@ class CypherExecutor:
                     raise CypherRuntimeError(
                         f"SET target {item.target.var!r} is not a node"
                     )
-                value = self._eval(item.value, row, params)
+                value = self._fn(item.value)(row, params)
                 self.store.set_node_prop(target.id, item.target.key, value)
                 summary.properties_set += 1
         return rows
 
-    # -- RETURN -----------------------------------------------------------------------------
 
-    def _project(
-        self, rows: list[dict], returns: ast.ReturnClause, params: dict
-    ) -> list[tuple]:
-        has_aggregates = any(
-            _contains_aggregate(item.expr) for item in returns.items
-        )
-        aliases = [
-            item.alias or _expr_name(item.expr) for item in returns.items
-        ]
-        if has_aggregates:
-            projected = self._aggregate(rows, returns, params)
-        else:
-            projected = []
-            for row in rows:
-                charge("cypher_row")
-                projected.append(
-                    tuple(
-                        self._materialize(
-                            self._eval(item.expr, row, params)
-                        )
-                        for item in returns.items
-                    )
-                )
-        if returns.distinct:
-            seen = set()
-            unique = []
-            for row in projected:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            projected = unique
-        if returns.order_by:
-            projected = self._order(projected, returns, aliases, params)
-        if returns.limit is not None:
-            projected = projected[: returns.limit]
-        return projected
-
-    def _materialize(self, value: Any) -> Any:
-        """Nodes returned whole become property maps (as drivers do)."""
-        if isinstance(value, NodeRef):
-            return tuple(sorted(self.store.node_props(value.id).items()))
-        if isinstance(value, RelRef):
-            return tuple(sorted(self.store.rel_props(value.id).items()))
-        if isinstance(value, PathRef):
-            return value
-        if isinstance(value, list):
-            return tuple(value)
-        return value
-
-    def _aggregate(
-        self, rows: list[dict], returns: ast.ReturnClause, params: dict
-    ) -> list[tuple]:
-        key_items = [
-            (i, item)
-            for i, item in enumerate(returns.items)
-            if not _contains_aggregate(item.expr)
-        ]
-        agg_items = [
-            (i, item)
-            for i, item in enumerate(returns.items)
-            if _contains_aggregate(item.expr)
-        ]
-        groups: dict[tuple, list] = {}
-        for row in rows:
-            charge("cypher_row")
-            key = tuple(
-                self._materialize(self._eval(item.expr, row, params))
-                for _, item in key_items
-            )
-            states = groups.get(key)
-            if states is None:
-                states = [_accumulator(item.expr) for _, item in agg_items]
-                groups[key] = states
-            for state, (_, item) in zip(states, agg_items):
-                call = item.expr
-                if call.star:
-                    state.feed(1)
-                else:
-                    value = self._eval(call.args[0], row, params)
-                    state.feed(self._materialize(value))
-        if not groups and not key_items:
-            groups[()] = [_accumulator(item.expr) for _, item in agg_items]
-        out = []
-        for key, states in groups.items():
-            values: list[Any] = [None] * len(returns.items)
-            for (i, _), value in zip(key_items, key):
-                values[i] = value
-            for (i, _), state in zip(agg_items, states):
-                values[i] = state.result()
-            out.append(tuple(values))
-        return out
-
-    def _order(
-        self,
-        projected: list[tuple],
-        returns: ast.ReturnClause,
-        aliases: list[str],
-        params: dict,
-    ) -> list[tuple]:
-        def key_for(order_item: ast.OrderItem) -> Callable[[tuple], Any]:
-            expr = order_item.expr
-            if isinstance(expr, ast.VarRef) and expr.name in aliases:
-                idx = aliases.index(expr.name)
-                return lambda row: _null_safe(row[idx])
-            if isinstance(expr, ast.PropAccess):
-                name = f"{expr.var}.{expr.key}"
-                if name in aliases:
-                    idx = aliases.index(name)
-                    return lambda row: _null_safe(row[idx])
-            raise CypherRuntimeError(
-                "ORDER BY must reference a returned column or its alias"
-            )
-
-        ordered = list(projected)
-        for order_item in reversed(returns.order_by):
-            ordered.sort(
-                key=key_for(order_item), reverse=order_item.descending
-            )
-        return ordered
+def _charge_rows(count: int) -> None:
+    """The interpreted runtime's price for rows entering RETURN."""
+    charge("cypher_row", count)
 
 
-def _accumulator(expr: ast.Expr) -> Accumulator:
-    if not isinstance(expr, ast.FuncCall):
-        raise CypherRuntimeError("aggregates cannot be nested in expressions")
-    return Accumulator(expr.name, expr.distinct, CypherRuntimeError)
-
-
-def _contains_aggregate(expr: ast.Expr) -> bool:
-    if isinstance(expr, ast.FuncCall):
-        if expr.name in AGGREGATE_FUNCS:
-            return True
-        return any(_contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, ast.BinaryOp):
-        return _contains_aggregate(expr.left) or _contains_aggregate(
-            expr.right
-        )
-    if isinstance(expr, (ast.UnaryOp, ast.IsNull)):
-        return _contains_aggregate(expr.operand)
-    return False
-
-
-def _expr_name(expr: ast.Expr) -> str:
-    if isinstance(expr, ast.PropAccess):
-        return f"{expr.var}.{expr.key}"
-    if isinstance(expr, ast.VarRef):
-        return expr.name
-    if isinstance(expr, ast.FuncCall):
-        return f"{expr.name}(...)"
-    return "expr"
-
-
-def _null_safe(value: Any) -> tuple:
-    return (value is not None, value)
-
-
-def _pattern_variables(patterns: tuple[ast.PathPattern, ...]) -> list[str]:
+def pattern_variables(patterns: tuple[ast.PathPattern, ...]) -> list[str]:
     out = []
     for pattern in patterns:
         if pattern.assign_var:

@@ -22,7 +22,21 @@ class Expr:
 
 @dataclass(frozen=True)
 class Literal(Expr):
+    """A constant.  Equality is by type *and* value — ``1``, ``1.0`` and
+    ``true`` compare equal in Python but are different constants, and
+    expression nodes key caches of their evaluators."""
+
     value: Any
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is Literal
+            and type(other.value) is type(self.value)
+            and other.value == self.value
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ class SparqlExecutor:
             bound_now = set(rows[0])
             still_pending = []
             for flt in pending_filters:
-                if self._filter_vars(flt.expr) <= bound_now:
+                if filter_vars(flt.expr) <= bound_now:
                     rows = [
                         row
                         for row in rows
@@ -203,25 +203,6 @@ class SparqlExecutor:
 
     # -- filters -----------------------------------------------------------------
 
-    def _filter_vars(self, expr: ast.FilterExpr) -> set[str]:
-        if isinstance(expr, ast.Comparison):
-            out = set()
-            for term in (expr.left, expr.right):
-                if isinstance(term, ast.Var):
-                    out.add(term.name)
-            return out
-        if isinstance(expr, ast.InFilter):
-            out = set()
-            for term in (expr.needle, *expr.items):
-                if isinstance(term, ast.Var):
-                    out.add(term.name)
-            return out
-        if isinstance(expr, ast.BoolOp):
-            return self._filter_vars(expr.left) | self._filter_vars(expr.right)
-        if isinstance(expr, ast.NotOp):
-            return self._filter_vars(expr.operand)
-        raise SparqlRuntimeError(f"unknown filter {expr!r}")
-
     def _eval_filter(
         self, expr: ast.FilterExpr, row: Row, params: dict
     ) -> bool:
@@ -264,65 +245,91 @@ class SparqlExecutor:
             names = sorted(rows[0])
             projected = [tuple(row.get(n) for n in names) for row in rows]
         elif any(item.count for item in query.items):
-            projected = [self._aggregate(rows, query)]
+            projected = [count_row(rows, query)]
         else:
             names = [item.var.name for item in query.items]  # type: ignore[union-attr]
             projected = [
                 tuple(row.get(n) for n in names) for row in rows
             ]
         charge("value_cpu", sum(len(r) for r in projected))
-        if query.distinct:
-            seen: set[tuple] = set()
-            unique = []
-            for row in projected:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            projected = unique
-        if query.order_by:
-            if query.star or any(item.count for item in query.items):
-                raise SparqlRuntimeError(
-                    "ORDER BY requires explicit SELECT variables"
-                )
-            names = [item.var.name for item in query.items]  # type: ignore[union-attr]
-            for order in reversed(query.order_by):
-                if order.var.name not in names:
-                    raise SparqlRuntimeError(
-                        f"ORDER BY variable ?{order.var.name} not selected"
-                    )
-                idx = names.index(order.var.name)
-                projected.sort(
-                    key=lambda r: (r[idx] is not None, r[idx]),
-                    reverse=order.descending,
-                )
-        if query.limit is not None:
-            projected = projected[: query.limit]
-        return projected
+        return select_tail(projected, query, order_columns(query))
 
-    def _aggregate(self, rows: list[Row], query: ast.SparqlQuery) -> tuple:
-        values = []
-        for item in query.items:
-            if not item.count:
-                raise SparqlRuntimeError(
-                    "mixing plain variables with COUNT needs GROUP BY "
-                    "(unsupported)"
-                )
-            if item.var is None:
-                values.append(len(rows))
-            else:
-                seen = {
-                    row[item.var.name]
-                    for row in rows
-                    if row.get(item.var.name) is not None
-                }
-                if item.count_distinct:
-                    values.append(len(seen))
-                else:
-                    values.append(
-                        sum(
-                            1
-                            for row in rows
-                            if row.get(item.var.name) is not None
-                        )
-                    )
-        return tuple(values)
+
+# -- charge-free pieces shared with the compiled path (exec/sparqlc.py) --------
+
+
+def filter_vars(expr: ast.FilterExpr) -> set[str]:
+    """The variables a FILTER needs bound before it can run."""
+    if isinstance(expr, ast.Comparison):
+        terms: tuple = (expr.left, expr.right)
+    elif isinstance(expr, ast.InFilter):
+        terms = (expr.needle, *expr.items)
+    elif isinstance(expr, ast.BoolOp):
+        return filter_vars(expr.left) | filter_vars(expr.right)
+    elif isinstance(expr, ast.NotOp):
+        return filter_vars(expr.operand)
+    else:
+        raise SparqlRuntimeError(f"unknown filter {expr!r}")
+    return {term.name for term in terms if isinstance(term, ast.Var)}
+
+
+def count_row(rows: list[Row], query: ast.SparqlQuery) -> tuple:
+    """The single result row of an all-COUNT SELECT (three COUNT forms)."""
+    values = []
+    for item in query.items:
+        if not item.count:
+            raise SparqlRuntimeError(
+                "mixing plain variables with COUNT needs GROUP BY "
+                "(unsupported)"
+            )
+        if item.var is None:  # COUNT(*)
+            values.append(len(rows))
+            continue
+        bound = [
+            row[item.var.name]
+            for row in rows
+            if row.get(item.var.name) is not None
+        ]
+        values.append(len(set(bound)) if item.count_distinct else len(bound))
+    return tuple(values)
+
+
+def order_columns(query: ast.SparqlQuery) -> list[tuple[int, bool]]:
+    """ORDER BY as ``(column index, descending)`` pairs, or raise."""
+    if not query.order_by:
+        return []
+    if query.star or any(item.count for item in query.items):
+        raise SparqlRuntimeError(
+            "ORDER BY requires explicit SELECT variables"
+        )
+    names = [item.var.name for item in query.items]  # type: ignore[union-attr]
+    columns = []
+    for order in query.order_by:
+        if order.var.name not in names:
+            raise SparqlRuntimeError(
+                f"ORDER BY variable ?{order.var.name} not selected"
+            )
+        columns.append((names.index(order.var.name), order.descending))
+    return columns
+
+
+def select_tail(
+    projected: list[tuple],
+    query: ast.SparqlQuery,
+    order: list[tuple[int, bool]],
+) -> list[tuple]:
+    """DISTINCT -> ORDER BY -> LIMIT over projected rows.
+
+    No ``hash_probe`` for DISTINCT: membership folds into the per-value
+    projection charge, in both execution modes.
+    """
+    if query.distinct:
+        projected = list(dict.fromkeys(projected))
+    for idx, descending in reversed(order):
+        projected.sort(
+            key=lambda r: (r[idx] is not None, r[idx]),
+            reverse=descending,
+        )
+    if query.limit is not None:
+        projected = projected[: query.limit]
+    return projected

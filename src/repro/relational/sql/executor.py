@@ -597,7 +597,7 @@ class Sort(PlanNode):
         # stable multi-key sort: apply keys right-to-left; NULLs sort first
         for key_fn, desc in reversed(list(zip(self.key_fns, self.descending))):
             materialized.sort(
-                key=lambda row: _sort_key(key_fn(row, params)),
+                key=lambda row: sort_key(key_fn(row, params)),
                 reverse=desc,
             )
         yield from materialized
@@ -606,7 +606,7 @@ class Sort(PlanNode):
         return [self.child]
 
 
-def _sort_key(value: Any) -> tuple:
+def sort_key(value: Any) -> tuple:
     # bool < int comparisons are fine; strings never mix with numbers in a
     # single column, so tagging by NULL-ness suffices
     return (value is not None, value)

@@ -205,12 +205,15 @@ class GremlinServer:
         # modules of this package, so a top-level import would be circular
         from repro.exec.gremlinc import compile_traversal
 
+        fn = None
         verdict = self._closure_cache.lookup(cache_key)
         if verdict is None:
             charge("gremlin_compile")
             charge("closure_compile")
             try:
-                compile_traversal(build(self.graph.traversal()))
+                # the closure carries this request's parameters, so it
+                # runs below; only the verdict is worth caching
+                fn = compile_traversal(build(self.graph.traversal()))
                 verdict = _COMPILED
             except CompileError:
                 verdict = _INTERPRET
@@ -221,12 +224,14 @@ class GremlinServer:
             charge("cache_hit")  # bytecode reused; evaluation interpreted
             return None
         charge("compiled_exec")  # parameter binding into the closure
-        try:
-            fn = compile_traversal(build(self.graph.traversal()))
-        except CompileError:
-            # the key was reused for a different, uncompilable shape;
-            # evaluate this request interpreted without poisoning the key
-            return None
+        if fn is None:
+            try:
+                fn = compile_traversal(build(self.graph.traversal()))
+            except CompileError:
+                # the key was reused for a different, uncompilable
+                # shape; evaluate this request interpreted without
+                # poisoning the key
+                return None
         # compiled traversals are read-only by construction (write steps
         # raise CompileError above), so every run gets a snapshot view
         with oracle.read_view(self.options.isolation_level):

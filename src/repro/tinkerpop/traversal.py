@@ -13,8 +13,8 @@ count, order/by, repeat/times/until/emit, addV, addE/to/from_, property``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
 from typing import Any
 
 from repro.simclock.costmodel import CostModel
@@ -75,21 +75,12 @@ class cost_guard:
         self.check_every = check_every
         self._ticks = 0
 
-    def tick(self) -> None:
-        self._ticks += 1
-        if self._ticks % self.check_every:
-            return
-        self._check()
-
     def tick_many(self, n: int) -> None:
         """Advance the guard by ``n`` step evaluations at once."""
         before = self._ticks // self.check_every
         self._ticks += n
         if self._ticks // self.check_every == before:
             return
-        self._check()
-
-    def _check(self) -> None:
         if self.model.cost_us(self.ledger.counters) > self.limit_us:
             raise StepBudgetExceeded(
                 f"traversal exceeded the {self.limit_us / 1e6:.1f}s "
@@ -107,10 +98,11 @@ class cost_guard:
 def tick_batch(n: int) -> None:
     """Consume ``n`` step evaluations' worth of budget in one call.
 
-    The compiled (vectorized) executor replaces the per-traverser
-    ``step_eval`` charge with batch charges, but the server's step budget
-    and evaluation-timeout guard must observe the same traverser counts
-    in both modes — otherwise compiled requests would never DNF.
+    Both envelopes tick through here — the interpreter with ``n = 1``
+    per traverser, the vectorizing one with a batch's length — so the
+    server's step budget and evaluation-timeout guard observe the same
+    traverser counts in both modes; otherwise compiled requests would
+    never DNF.
     """
     if n <= 0:
         return
@@ -185,26 +177,54 @@ class Traverser:
     path: tuple = ()
     loops: int = 0
 
+    def move(self, element: Any) -> "Traverser":
+        """Step onto ``element``, extending the path."""
+        return Traverser(element, self.path + (element,), self.loops)
+
+    def map(self, value: Any) -> "Traverser":
+        """Replace the current object; the path is unchanged."""
+        return Traverser(value, self.path, self.loops)
+
+
+#: a step bound for one evaluation: one traverser in, what it becomes out
+StepFn = Callable[[Traverser], Iterable[Traverser]]
+
 
 # --- steps -----------------------------------------------------------------------
 
 
 class Step:
+    """One link of the chain.
+
+    A per-traverser step defines its meaning once, in :meth:`bind`;
+    *how* it is driven is an envelope around that definition —
+    :meth:`apply` here (tuple-at-a-time, ``step_eval`` per traverser)
+    or the vectorizing one in :mod:`repro.exec.gremlinc` (batch
+    charges).  Neither envelope may appear inside a definition.
+    """
+
+    def bind(self, provider: GraphProvider) -> StepFn:
+        """This step's effect on *one* traverser, for one evaluation.
+
+        State that must not leak between evaluations (``dedup``'s
+        seen-set) is created here.  Steps reading the provider lazily
+        return a generator — a downstream ``limit()`` must be able to
+        stop the reads; 1:1 steps and filters return a tuple.
+        """
+        raise NotImplementedError
+
     def apply(
         self, traversers: Iterator[Traverser], provider: GraphProvider
     ) -> Iterator[Traverser]:
-        raise NotImplementedError
+        """The interpreted envelope: tick, then the definition."""
+        one = self.bind(provider)
+        for traverser in traversers:
+            self._tick()
+            yield from one(traverser)
 
     def _tick(self) -> None:
         charge("step_eval")
-        if _BUDGET:
-            _BUDGET[-1] -= 1
-            if _BUDGET[-1] <= 0:
-                raise StepBudgetExceeded(
-                    "traversal exceeded its step budget"
-                )
-        if _COST_GUARDS:
-            _COST_GUARDS[-1].tick()
+        tick_batch(1)
 
 
 class VStep(Step):
@@ -215,30 +235,20 @@ class VStep(Step):
         self.index_key: str | None = None
         self.index_value: Any = None
 
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
+    def bind(self, provider: GraphProvider) -> StepFn:
+        def one(traverser: Traverser) -> Iterator[Traverser]:
             if self.vid is not None:
-                vertex = Vertex(self.vid)
-                yield replace(
-                    traverser, obj=vertex, path=traverser.path + (vertex,)
-                )
+                vids: Any = (self.vid,)
             elif self.index_key is not None:
-                for vid in provider.lookup(
+                vids = provider.lookup(
                     self.label, self.index_key, self.index_value
-                ):
-                    vertex = Vertex(vid)
-                    yield replace(
-                        traverser, obj=vertex, path=traverser.path + (vertex,)
-                    )
+                )
             else:
-                for vid in provider.vertices(self.label):
-                    vertex = Vertex(vid)
-                    yield replace(
-                        traverser, obj=vertex, path=traverser.path + (vertex,)
-                    )
+                vids = provider.vertices(self.label)
+            for vid in vids:
+                yield traverser.move(Vertex(vid))
+
+        return one
 
 
 class HasStep(Step):
@@ -249,42 +259,44 @@ class HasStep(Step):
         self.predicate = predicate
         self.label = label
 
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
+    def bind(self, provider: GraphProvider) -> StepFn:
+        key, test, label = self.key, self.predicate.test, self.label
+
+        def one(traverser: Traverser) -> tuple[Traverser, ...]:
             obj = traverser.obj
             if isinstance(obj, Vertex):
-                if self.label is not None and (
-                    provider.vertex_label(obj.id) != self.label
+                if label is not None and (
+                    provider.vertex_label(obj.id) != label
                 ):
-                    continue
-                value = provider.vertex_props(obj.id).get(self.key)
+                    return ()
+                value = provider.vertex_props(obj.id).get(key)
             elif isinstance(obj, Edge):
-                value = provider.edge_props(obj.id).get(self.key)
+                value = provider.edge_props(obj.id).get(key)
             else:
                 raise TraversalError("has() needs an element")
-            if self.predicate.test(value):
-                yield traverser
+            return (traverser,) if test(value) else ()
+
+        return one
 
 
 class HasLabelStep(Step):
     def __init__(self, label: str) -> None:
         self.label = label
 
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
+    def bind(self, provider: GraphProvider) -> StepFn:
+        label = self.label
+
+        def one(traverser: Traverser) -> tuple[Traverser, ...]:
             obj = traverser.obj
             if isinstance(obj, Vertex):
-                if provider.vertex_label(obj.id) == self.label:
-                    yield traverser
+                found = provider.vertex_label(obj.id)
             elif isinstance(obj, Edge):
-                if provider.edge_label(obj.id) == self.label:
-                    yield traverser
+                found = provider.edge_label(obj.id)
+            else:
+                return ()
+            return (traverser,) if found == label else ()
+
+        return one
 
 
 class AdjacentStep(Step):
@@ -297,25 +309,19 @@ class AdjacentStep(Step):
         self.label = label
         self.to_edge = to_edge
 
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
+    def bind(self, provider: GraphProvider) -> StepFn:
+        direction, label, to_edge = self.direction, self.label, self.to_edge
+
+        def one(traverser: Traverser) -> Iterator[Traverser]:
             obj = traverser.obj
             if not isinstance(obj, Vertex):
                 raise TraversalError(
-                    f"{self.direction}() needs a vertex, got {obj!r}"
+                    f"{direction}() needs a vertex, got {obj!r}"
                 )
-            for eid, other in provider.adjacent(
-                obj.id, self.direction, self.label
-            ):
-                element = Edge(eid) if self.to_edge else Vertex(other)
-                yield replace(
-                    traverser,
-                    obj=element,
-                    path=traverser.path + (element,),
-                )
+            for eid, other in provider.adjacent(obj.id, direction, label):
+                yield traverser.move(Edge(eid) if to_edge else Vertex(other))
+
+        return one
 
 
 class EdgeVertexStep(Step):
@@ -324,102 +330,92 @@ class EdgeVertexStep(Step):
     def __init__(self, which: str) -> None:
         self.which = which
 
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
+    def bind(self, provider: GraphProvider) -> StepFn:
+        which = self.which
+
+        def one(traverser: Traverser) -> tuple[Traverser, ...]:
             edge = traverser.obj
             if not isinstance(edge, Edge):
-                raise TraversalError(f"{self.which}() needs an edge")
+                raise TraversalError(f"{which}() needs an edge")
             out_vid, in_vid = provider.edge_endpoints(edge.id)
-            if self.which == "inV":
-                targets = [in_vid]
-            elif self.which == "outV":
-                targets = [out_vid]
+            if which == "inV":
+                vid = in_vid
+            elif which == "outV":
+                vid = out_vid
             else:  # otherV: the endpoint we did not come from
                 prev = None
                 for element in reversed(traverser.path[:-1]):
                     if isinstance(element, Vertex):
                         prev = element.id
                         break
-                targets = [in_vid if prev == out_vid else out_vid]
-            for vid in targets:
-                vertex = Vertex(vid)
-                yield replace(
-                    traverser, obj=vertex, path=traverser.path + (vertex,)
-                )
+                vid = in_vid if prev == out_vid else out_vid
+            return (traverser.move(Vertex(vid)),)
+
+        return one
 
 
 class ValuesStep(Step):
     def __init__(self, keys: tuple[str, ...]) -> None:
         self.keys = keys
 
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
-            props = _element_props(traverser.obj, provider)
-            for key in self.keys:
-                value = props.get(key)
-                if value is not None:
-                    yield replace(traverser, obj=value)
+    def bind(self, provider: GraphProvider) -> StepFn:
+        keys = self.keys
+
+        def one(traverser: Traverser) -> list[Traverser]:
+            props = element_props(traverser.obj, provider)
+            return [
+                traverser.map(value)
+                for key in keys
+                if (value := props.get(key)) is not None
+            ]
+
+        return one
 
 
 class ValueMapStep(Step):
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
-            yield replace(
-                traverser, obj=dict(_element_props(traverser.obj, provider))
-            )
+    def bind(self, provider: GraphProvider) -> StepFn:
+        return lambda traverser: (
+            traverser.map(dict(element_props(traverser.obj, provider))),
+        )
 
 
 class IdStep(Step):
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
-            yield replace(traverser, obj=traverser.obj.id)
+    def bind(self, provider: GraphProvider) -> StepFn:
+        return lambda traverser: (traverser.map(traverser.obj.id),)
 
 
 class DedupStep(Step):
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
+    def bind(self, provider: GraphProvider) -> StepFn:
         seen: set = set()
-        for traverser in traversers:
-            self._tick()
+
+        def one(traverser: Traverser) -> tuple[Traverser, ...]:
             key = traverser.obj
             if isinstance(key, dict):
                 key = tuple(sorted(key.items()))
-            if key not in seen:
-                seen.add(key)
-                yield traverser
+            if key in seen:
+                return ()
+            seen.add(key)
+            return (traverser,)
+
+        return one
 
 
 class SimplePathStep(Step):
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
-            elements = [e for e in traverser.path if isinstance(e, (Vertex, Edge))]
+    def bind(self, provider: GraphProvider) -> StepFn:
+        def one(traverser: Traverser) -> tuple[Traverser, ...]:
+            elements = [
+                e for e in traverser.path if isinstance(e, (Vertex, Edge))
+            ]
             if len(elements) == len(set(elements)):
-                yield traverser
+                return (traverser,)
+            return ()
+
+        return one
 
 
 class PathStep(Step):
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
-            yield replace(traverser, obj=tuple(traverser.path))
+    def bind(self, provider: GraphProvider) -> StepFn:
+        return lambda traverser: (traverser.map(tuple(traverser.path)),)
 
 
 class LimitStep(Step):
@@ -454,21 +450,28 @@ class OrderStep(Step):
         self.key: str | None = None
         self.descending = False
 
+    def sort_key(
+        self, provider: GraphProvider
+    ) -> Callable[[Traverser], tuple[bool, Any]]:
+        """NULLs-first key over the object or its ``by()`` property."""
+        key = self.key
+
+        def sort_key(traverser: Traverser) -> tuple[bool, Any]:
+            value = traverser.obj
+            if key is not None:
+                value = element_props(value, provider).get(key)
+            return (value is not None, value)
+
+        return sort_key
+
     def apply(
         self, traversers: Iterator[Traverser], provider: GraphProvider
     ) -> Iterator[Traverser]:
         materialized = list(traversers)
         self._tick()
-
-        def sort_key(traverser: Traverser) -> tuple[bool, Any]:
-            obj = traverser.obj
-            if self.key is None:
-                value = obj
-            else:
-                value = _element_props(obj, provider).get(self.key)
-            return (value is not None, value)
-
-        materialized.sort(key=sort_key, reverse=self.descending)
+        materialized.sort(
+            key=self.sort_key(provider), reverse=self.descending
+        )
         yield from materialized
 
 
@@ -493,9 +496,10 @@ class RepeatStep(Step):
             next_frontier: list[Traverser] = []
             for traverser in frontier:
                 self._tick()
-                for result in self.body._apply_to(
-                    replace(traverser, loops=traverser.loops + 1), provider
-                ):
+                looped = Traverser(
+                    traverser.obj, traverser.path, traverser.loops + 1
+                )
+                for result in self.body._apply_to(looped, provider):
                     if self.until is not None and self._test(
                         result, provider
                     ):
@@ -524,16 +528,12 @@ class AddVStep(Step):
         self.label = label
         self.props: dict[str, Any] = {}
 
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
+    def bind(self, provider: GraphProvider) -> StepFn:
+        def one(traverser: Traverser) -> tuple[Traverser, ...]:
             vid = provider.create_vertex(self.label, dict(self.props))
-            vertex = Vertex(vid)
-            yield replace(
-                traverser, obj=vertex, path=traverser.path + (vertex,)
-            )
+            return (traverser.move(Vertex(vid)),)
+
+        return one
 
 
 class AddEStep(Step):
@@ -543,11 +543,8 @@ class AddEStep(Step):
         self.from_vertex: Vertex | None = None
         self.props: dict[str, Any] = {}
 
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
+    def bind(self, provider: GraphProvider) -> StepFn:
+        def one(traverser: Traverser) -> tuple[Traverser, ...]:
             current = traverser.obj
             if not isinstance(current, Vertex) and (
                 self.from_vertex is None or self.to_vertex is None
@@ -558,8 +555,9 @@ class AddEStep(Step):
             eid = provider.create_edge(
                 self.label, out_v.id, in_v.id, dict(self.props)
             )
-            edge = Edge(eid)
-            yield replace(traverser, obj=edge, path=traverser.path + (edge,))
+            return (traverser.move(Edge(eid)),)
+
+        return one
 
 
 class PropertyStep(Step):
@@ -569,16 +567,15 @@ class PropertyStep(Step):
         self.key = key
         self.value = value
 
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
+    def bind(self, provider: GraphProvider) -> StepFn:
+        def one(traverser: Traverser) -> tuple[Traverser, ...]:
             obj = traverser.obj
             if not isinstance(obj, Vertex):
                 raise TraversalError("property() mutation needs a vertex")
             provider.set_vertex_prop(obj.id, self.key, self.value)
-            yield traverser
+            return (traverser,)
+
+        return one
 
 
 class FilterStep(Step):
@@ -587,16 +584,12 @@ class FilterStep(Step):
     def __init__(self, fn: Callable[[Any], bool]) -> None:
         self.fn = fn
 
-    def apply(
-        self, traversers: Iterator[Traverser], provider: GraphProvider
-    ) -> Iterator[Traverser]:
-        for traverser in traversers:
-            self._tick()
-            if self.fn(traverser.obj):
-                yield traverser
+    def bind(self, provider: GraphProvider) -> StepFn:
+        fn = self.fn
+        return lambda traverser: (traverser,) if fn(traverser.obj) else ()
 
 
-def _element_props(obj: Any, provider: GraphProvider) -> dict[str, Any]:
+def element_props(obj: Any, provider: GraphProvider) -> dict[str, Any]:
     if isinstance(obj, Vertex):
         return provider.vertex_props(obj.id)
     if isinstance(obj, Edge):
