@@ -22,10 +22,11 @@ piece of derived state in the repo must use one of them:
    * planner reconfiguration (``set_join_reordering``),
    * bulk load.
 
-   Used by: the SQL statement/plan caches (``relational/engine.py``),
-   the Cypher statement/plan cache (``graphdb/engine.py``), the SPARQL
-   parse+translate cache (``rdf/engine.py``), and the Gremlin Server
-   script cache (``tinkerpop/server.py``).
+   Used by: the SQL plan/closure/DML-shape caches
+   (``relational/engine.py``), the Cypher statement/plan cache
+   (``graphdb/engine.py``), the SPARQL parse+translate cache
+   (``rdf/engine.py``), and the Gremlin Server script cache
+   (``tinkerpop/server.py``).
 
 2. **Dependency set (fine).**  Each entry declares the member ids its
    value was derived from, via a
@@ -45,8 +46,32 @@ Audit of derived-state sites (staleness hazards)
 
 * SQL ``_stmt_cache`` — parse trees depend only on the SQL text, never
   stale; plain LRU.
-* SQL ``_plan_cache`` — depends on schema + stats; **epoch**, bumped by
-  DDL / ANALYZE / reorder toggle.
+* SQL ``_plan_cache`` / ``_closure_cache`` — depend on schema + stats;
+  **epoch**, bumped by DDL / ANALYZE / reorder toggle.  A closure is
+  stored beside the plan it was compiled from and reused only for that
+  very plan object.
+* SQL ``_dml_cache`` — the compiled shape of an INSERT / UPDATE / DELETE
+  text (value and assignment functions, index pick, residual
+  predicates).  The index pick depends on which indexes exist, so
+  **epoch**, same bumps.  Host-only: nothing is charged for building a
+  shape, so no configuration's ledger depends on it and it has no
+  ``cache_stats()`` row.
+* SQL prepared state of a **non-caching** database
+  (``Database(cache_statements=False)``, the Sqlg configuration) — the
+  three caches above are filled all the same, as a *host memo*: a hit
+  replays the ``sql_parse`` / ``sql_plan`` / ``closure_compile`` charges
+  of the prepare it stands for instead of being free.  Replay is only
+  honest while a fresh prepare would build the same plan, so these
+  entries carry **two** guards: the **epoch**, and a **live-cardinality
+  witness** — without ANALYZE statistics the planner costs from
+  ``len(table)``, which feeds ``est_rows`` and through it the compiled
+  batch sizes, so each plan records the ``(table, len)`` pairs the
+  planner consulted (``PlanNode.live_rows``) and is prepared afresh
+  once one of them has moved.  (A caching database never checks the
+  witness: its modelled plan cache keeps a plan until the epoch moves.)
+  For such a database ``cache_stats()`` counts host-memo hits — work
+  the Python process skipped — not charges the simulated server saved;
+  the ledger still shows one ``sql_parse`` per statement executed.
 * Cypher ``_stmt_cache`` — the cached object bundles parse *and* plan;
   plans depend on indexes + stats, so the whole cache is **epoch**,
   bumped by ``create_index`` / ``analyze`` (previously never

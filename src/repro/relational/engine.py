@@ -15,7 +15,7 @@ shortest-path queries.  Without it (PostgreSQL-like), clients must use
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
 
@@ -70,12 +70,19 @@ class Database:
             funcs["shortest_path_len"] = self._shortest_path_len
         self.transitive_support = transitive_support
         self.planner = Planner(self.catalog, funcs)
+        #: whether a repeated SQL text is *charged* as a cache hit; the
+        #: host remembers every text either way (see ``_parse_cached``)
         self._cache_statements = cache_statements
         self._stmt_cache = LRUCache(4096, name="sql-statements")
         #: sql -> (stats/schema epoch, plan); stale epochs force a replan
         self._plan_cache = EpochKeyedCache(4096, name="sql-plans")
-        #: sql -> compiled closure; invalidated in lockstep with plans
+        #: sql -> (plan, closure compiled from it); invalidated in
+        #: lockstep with plans
         self._closure_cache = EpochKeyedCache(4096, name="sql-closures")
+        #: sql -> compiled INSERT/UPDATE/DELETE shape; same epoch (CREATE
+        #: INDEX changes the index pick).  Host-only: no charge depends on
+        #: it, so it is not one of the modelled caches of ``cache_stats``
+        self._dml_cache = EpochKeyedCache(4096, name="sql-dml")
         self._active_txn: Transaction | None = None
         self.statements_executed = 0
 
@@ -95,11 +102,11 @@ class Database:
         if isinstance(stmt, (ast.Select, ast.RecursiveCTE)):
             return self._execute_query(sql, stmt, params)
         if isinstance(stmt, ast.Insert):
-            return self._execute_insert(stmt, params)
+            return self._execute_insert(sql, stmt, params)
         if isinstance(stmt, ast.Update):
-            return self._execute_update(stmt, params)
+            return self._execute_update(sql, stmt, params)
         if isinstance(stmt, ast.Delete):
-            return self._execute_delete(stmt, params)
+            return self._execute_delete(sql, stmt, params)
         if isinstance(stmt, ast.CreateTable):
             return self._execute_create_table(stmt)
         if isinstance(stmt, ast.CreateIndex):
@@ -130,6 +137,7 @@ class Database:
     def _stats_epoch(self, value: int) -> None:
         self._plan_cache.epoch = value
         self._closure_cache.epoch = value
+        self._dml_cache.epoch = value
 
     def cache_stats(self) -> list[CacheStats]:
         """Uniform cache counters (shared facade across all dialects)."""
@@ -180,27 +188,40 @@ class Database:
     # -- query path ------------------------------------------------------------------
 
     def _parse_cached(self, sql: str) -> ast.Statement:
-        """Prepared-statement cache.
+        """Prepared-statement cache: one parse per SQL text on the host.
 
-        Disabled for the Sqlg configuration: Sqlg 1.x generated SQL with
-        inlined literals, so nothing could be reused and every little
-        request re-parsed and re-planned.
+        ``cache_statements`` decides what a repeated text is *charged*,
+        not whether it is remembered.  The Sqlg configuration switches
+        it off: Sqlg 1.x generated SQL with inlined literals, so nothing
+        could be reused and every little request re-parsed and
+        re-planned.  Such a database still keeps the parse tree, plan and
+        closure of each text, and on a hit issues the very ``sql_parse``
+        / ``sql_plan`` / ``closure_compile`` charges a fresh prepare
+        would, in the same order — the simulated clock pays for the
+        re-parse, the host does not repeat it.
         """
         stmt = self._stmt_cache.get(sql)
         if stmt is None:
             charge("sql_parse")
             stmt = parse(sql)
-            if self._cache_statements:
-                self._stmt_cache.put(sql, stmt)
+            self._stmt_cache.put(sql, stmt)
+        elif not self._cache_statements:
+            charge("sql_parse")
         return stmt
 
     def _plan_cached(self, sql: str, stmt: ast.Statement) -> Any:
         plan = self._plan_cache.lookup(sql)
-        if plan is not None:
+        if plan is not None and self._cache_statements:
+            return plan
+        # a fresh prepare would see today's table sizes: replay its
+        # charge only while every size the planner consulted still holds
+        if plan is not None and all(
+            len(table) == rows for table, rows in plan.live_rows
+        ):
+            charge("sql_plan")
             return plan
         plan = self.planner.plan(stmt)  # charges sql_plan
-        if self._cache_statements:
-            self._plan_cache.store(sql, plan)
+        self._plan_cache.store(sql, plan)
         return plan
 
     def _execute_query(
@@ -227,14 +248,15 @@ class Database:
         # so a module-level import would be circular
         from repro.exec.sqlc import compile_plan
 
-        fn = self._closure_cache.lookup(sql)
-        if fn is not None:
-            return fn
+        entry = self._closure_cache.lookup(sql)
+        if entry is not None and self._cache_statements:
+            return entry[1]
         plan = self._plan_cached(sql, stmt)
         charge("closure_compile")
+        if entry is not None and entry[0] is plan:
+            return entry[1]
         fn = compile_plan(plan)
-        if self._cache_statements:
-            self._closure_cache.store(sql, fn)
+        self._closure_cache.store(sql, (plan, fn))
         return fn
 
     # -- DML --------------------------------------------------------------------------
@@ -252,17 +274,39 @@ class Database:
         )
         return txn if autocommit else None
 
-    def _execute_insert(self, stmt: ast.Insert, params: Sequence[Any]) -> int:
+    def _dml_prepared(
+        self,
+        sql: str,
+        stmt: ast.Statement,
+        prepare: Callable[[Any], tuple],
+    ) -> tuple:
+        """The compiled shape of a DML text, built once per epoch."""
+        shape = self._dml_cache.lookup(sql)
+        if shape is None:
+            shape = prepare(stmt)
+            self._dml_cache.store(sql, shape)
+        return shape
+
+    def _prepare_insert(self, stmt: ast.Insert) -> tuple:
         table = self.catalog.table(stmt.table)
         empty = Schema([])
-        values = tuple(
-            compile_expr(e, empty)( (), tuple(params) ) for e in stmt.values
-        )
-        pk = (
-            values[table.column_position(table.primary_key)]
+        value_fns = [compile_expr(e, empty) for e in stmt.values]
+        pk_pos = (
+            table.column_position(table.primary_key)
             if table.primary_key
             else None
         )
+        return table, value_fns, pk_pos
+
+    def _execute_insert(
+        self, sql: str, stmt: ast.Insert, params: Sequence[Any]
+    ) -> int:
+        table, value_fns, pk_pos = self._dml_prepared(
+            sql, stmt, self._prepare_insert
+        )
+        params_t = tuple(params)
+        values = tuple(fn((), params_t) for fn in value_fns)
+        pk = values[pk_pos] if pk_pos is not None else None
         auto = self._dml_boundary(table, pk)
         try:
             handle = table.insert(values)
@@ -279,19 +323,26 @@ class Database:
             auto.commit()
         return 1
 
-    def _execute_update(self, stmt: ast.Update, params: Sequence[Any]) -> int:
+    def _prepare_update(self, stmt: ast.Update) -> tuple:
         table = self.catalog.table(stmt.table)
         schema = Schema.for_table(table, stmt.table)
         assign_fns = [
             (col, compile_expr(e, schema)) for col, e in stmt.assignments
         ]
-        matches = self._matching(table, stmt.table, stmt.where, params)
+        return table, assign_fns, self._prepare_where(table, stmt)
+
+    def _execute_update(
+        self, sql: str, stmt: ast.Update, params: Sequence[Any]
+    ) -> int:
+        table, assign_fns, where = self._dml_prepared(
+            sql, stmt, self._prepare_update
+        )
+        params_t = tuple(params)
+        matches = self._matching(table, where, params_t)
         self._lock_rows(table, matches)
         affected = 0
         for handle, row in matches:
-            changes = {
-                col: fn(row, tuple(params)) for col, fn in assign_fns
-            }
+            changes = {col: fn(row, params_t) for col, fn in assign_fns}
             auto = self._dml_boundary(table, handle)
             try:
                 old = {c: row[table.column_position(c)] for c in changes}
@@ -311,9 +362,15 @@ class Database:
             affected += 1
         return affected
 
-    def _execute_delete(self, stmt: ast.Delete, params: Sequence[Any]) -> int:
+    def _prepare_delete(self, stmt: ast.Delete) -> tuple:
         table = self.catalog.table(stmt.table)
-        matches = self._matching(table, stmt.table, stmt.where, params)
+        return table, self._prepare_where(table, stmt)
+
+    def _execute_delete(
+        self, sql: str, stmt: ast.Delete, params: Sequence[Any]
+    ) -> int:
+        table, where = self._dml_prepared(sql, stmt, self._prepare_delete)
+        matches = self._matching(table, where, tuple(params))
         self._lock_rows(table, matches)
         affected = 0
         for handle, row in matches:
@@ -354,40 +411,43 @@ class Database:
             LockMode.EXCLUSIVE,
         )
 
-    def _matching(
-        self,
-        table: Table,
-        binding: str,
-        where: ast.Expr | None,
-        params: Sequence[Any],
-    ) -> list[tuple[Any, tuple]]:
-        """(handle, row) pairs matching ``where``, via index when possible."""
-        schema = Schema.for_table(table, binding)
-        conjuncts = self._where_conjuncts(where)
-        index_pick = None
+    def _prepare_where(
+        self, table: Table, stmt: ast.Update | ast.Delete
+    ) -> tuple:
+        """``(index probe or None, residual predicates)`` of a DML WHERE."""
+        binding = stmt.table
+        conjuncts = self._where_conjuncts(stmt.where)
+        probe = None
         for i, conjunct in enumerate(conjuncts):
             pick = self.planner._index_eq_candidate(conjunct, binding, table)
             if pick is not None:
-                index_pick = (i, pick)
+                column, key_expr = pick
+                probe = (column, compile_expr(key_expr, Schema([])))
+                del conjuncts[i]
                 break
-        params_t = tuple(params)
-        if index_pick is not None:
-            i, (column, key_expr) = index_pick
-            key = compile_expr(key_expr, Schema([]))((), params_t)
-            residual = conjuncts[:i] + conjuncts[i + 1 :]
+        schema = Schema.for_table(table, binding)
+        return probe, [compile_expr(c, schema) for c in conjuncts]
+
+    def _matching(
+        self, table: Table, where: tuple, params: tuple
+    ) -> list[tuple[Any, tuple]]:
+        """(handle, row) pairs matching a prepared WHERE, via its index
+        probe when it has one."""
+        probe, residual = where
+        if probe is not None:
+            column, key_fn = probe
             candidates = [
-                (h, table.fetch(h)) for h in table.lookup(column, key)
+                (h, table.fetch(h))
+                for h in table.lookup(column, key_fn((), params))
             ]
         else:
-            residual = conjuncts
             candidates = list(table.scan())
         if not residual:
             return candidates
-        fns = [compile_expr(c, schema) for c in residual]
         return [
             (h, row)
             for h, row in candidates
-            if all(fn(row, params_t) for fn in fns)
+            if all(fn(row, params) for fn in residual)
         ]
 
     @staticmethod
@@ -438,6 +498,7 @@ class Database:
     def _invalidate_plans(self) -> None:
         self._plan_cache.bump_epoch()
         self._closure_cache.bump_epoch()
+        self._dml_cache.bump_epoch()
 
     # -- crash recovery --------------------------------------------------------------
 
@@ -448,20 +509,22 @@ class Database:
         *,
         storage: str = "row",
         transitive_support: bool = False,
+        cache_statements: bool = True,
         name: str = "recovered",
     ) -> "Database":
         """Rebuild a database from a write-ahead log.
 
         Replays every *durable* record (DDL and logical row changes) into
         a fresh instance; appended-but-unsynced records are lost, as on a
-        real crash.  ``storage``/``transitive_support`` must match the
-        original configuration (a real system reads them from the control
-        file).
+        real crash.  ``storage``/``transitive_support``/
+        ``cache_statements`` must match the original configuration (a
+        real system reads them from the control file).
         """
         db = cls(
             storage,
             name=name,
             transitive_support=transitive_support,
+            cache_statements=cache_statements,
         )
         from repro.storage.codec import ColumnType
 

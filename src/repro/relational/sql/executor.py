@@ -196,6 +196,11 @@ class PlanNode:
     schema: Schema
     #: estimated output rows, annotated by the planner's cost pass
     est_rows: float | None = None
+    #: on a plan's root: each ``(table, len(table))`` the planner fell
+    #: back on for want of ANALYZE statistics — the plan (join order,
+    #: every ``est_rows``, hence compiled batch sizes) is a function of
+    #: these, so a remembered plan equals a fresh one while they hold
+    live_rows: tuple[tuple[Any, int], ...] = ()
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
         raise NotImplementedError

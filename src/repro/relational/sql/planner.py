@@ -177,11 +177,14 @@ class Planner:
         self.funcs = funcs or {}
         self.stats = stats
         self.reorder_enabled = True
+        #: table -> live ``len(table)`` consulted by the plan in progress
+        self._live_rows: dict[Any, int] = {}
 
     # -- entry points --------------------------------------------------------
 
     def plan(self, stmt: ast.Select | ast.RecursiveCTE) -> PlanNode:
         charge("sql_plan")
+        self._live_rows = {}
         if isinstance(stmt, ast.Select):
             plan = self.plan_select(stmt)
         elif isinstance(stmt, ast.RecursiveCTE):
@@ -189,6 +192,7 @@ class Planner:
         else:
             raise PlanError(f"cannot plan {type(stmt).__name__}")
         self._annotate(plan)
+        plan.live_rows = tuple(self._live_rows.items())
         return plan
 
     # -- scans -----------------------------------------------------------------
@@ -619,7 +623,7 @@ class Planner:
             table_stats = self.stats.table(table.name)
             if table_stats is not None:
                 return float(max(table_stats.row_count, 1))
-        live = len(table)
+        live = self._live_rows[table] = len(table)
         return float(live) if live else DEFAULT_ROWS
 
     def _distinct(self, table: Any, column: str) -> int | None:

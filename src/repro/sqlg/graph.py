@@ -22,6 +22,11 @@ from repro.tinkerpop.structure import GraphProvider
 _SQL_TYPES = {int: "BIGINT", str: "TEXT", float: "FLOAT", bool: "BOOL"}
 
 
+def _insert_sql(table: str, schema: list[str]) -> str:
+    placeholders = ", ".join("?" for _ in schema)
+    return f"INSERT INTO {table} VALUES ({placeholders})"
+
+
 class SqlgProvider(GraphProvider):
     name = "sqlg"
 
@@ -31,6 +36,9 @@ class SqlgProvider(GraphProvider):
         )
         self._vertex_schemas: dict[str, list[str]] = {}
         self._edge_schemas: dict[str, list[str]] = {}
+        #: label -> its INSERT text, built once when the label is defined
+        self._vertex_insert: dict[str, str] = {}
+        self._edge_insert: dict[str, str] = {}
         self._vertex_label_cache: dict[Any, str] = {}
 
     # -- schema ------------------------------------------------------------------
@@ -49,7 +57,9 @@ class SqlgProvider(GraphProvider):
         self.db.execute(
             f"CREATE TABLE v_{label} (id BIGINT PRIMARY KEY{suffix})"
         )
-        self._vertex_schemas[label] = ["id", *extra.keys()]
+        schema = ["id", *extra.keys()]
+        self._vertex_schemas[label] = schema
+        self._vertex_insert[label] = _insert_sql(f"v_{label}", schema)
 
     def define_edge_label(
         self, label: str, columns: Mapping[str, type] | None = None
@@ -67,10 +77,12 @@ class SqlgProvider(GraphProvider):
         )
         self.db.execute(f"CREATE INDEX ON e_{label} (out_id) USING HASH")
         self.db.execute(f"CREATE INDEX ON e_{label} (in_id) USING HASH")
-        self._edge_schemas[label] = [
+        schema = [
             "eid", "out_id", "in_id", "out_label", "in_label",
             *columns.keys(),
         ]
+        self._edge_schemas[label] = schema
+        self._edge_insert[label] = _insert_sql(f"e_{label}", schema)
 
     def create_prop_index(self, label: str, key: str) -> None:
         self.db.execute(f"CREATE INDEX ON v_{label} ({key}) USING HASH")
@@ -172,11 +184,8 @@ class SqlgProvider(GraphProvider):
     def create_vertex(self, label: str, props: dict[str, Any]) -> Any:
         schema = self._vertex_schemas[label]
         values = [props.get(col) for col in schema]
-        placeholders = ", ".join("?" for _ in schema)
         charge("client_rtt")
-        self.db.execute(
-            f"INSERT INTO v_{label} VALUES ({placeholders})", values
-        )
+        self.db.execute(self._vertex_insert[label], values)
         return (label, props["id"])
 
     _next_eid = 0
@@ -196,11 +205,8 @@ class SqlgProvider(GraphProvider):
             **props,
         }
         values = [row.get(col) for col in schema]
-        placeholders = ", ".join("?" for _ in schema)
         charge("client_rtt")
-        self.db.execute(
-            f"INSERT INTO e_{label} VALUES ({placeholders})", values
-        )
+        self.db.execute(self._edge_insert[label], values)
         return (label, eid)
 
     def set_vertex_prop(self, vid: Any, key: str, value: Any) -> None:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.relational import Database
+from repro.simclock.ledger import meter
 
 
 @pytest.fixture
@@ -37,6 +38,30 @@ class TestCaching:
         fresh_epoch, fresh_plan = db._plan_cache[QUERY]
         assert fresh_epoch == db._stats_epoch
         assert fresh_plan is not stale_plan
+
+
+    def test_prepare_is_charged_once_per_text_per_epoch(self, db):
+        """A caching database pays parse/plan/compile for a text once,
+        and plan/compile again after each epoch bump (the parse tree
+        depends on the text alone)."""
+        prepare = ("sql_parse", "sql_plan", "closure_compile")
+
+        def charged(param):
+            with meter() as ledger:
+                db.query(QUERY, (param,))
+            counters = ledger.snapshot()
+            return tuple(counters.get(name, 0) for name in prepare)
+
+        assert charged("c1") == (1, 1, 1)
+        assert charged("c2") == (0, 0, 0)
+        # growth alone never re-prepares, even though the plan was
+        # costed from the live row count: that is what ANALYZE is for
+        for pid in range(30, 400):
+            db.execute("INSERT INTO person VALUES (?, ?)", (pid, "c1"))
+        assert charged("c1") == (0, 0, 0)
+        db.analyze()
+        assert charged("c1") == (0, 1, 1)
+        assert charged("c2") == (0, 0, 0)
 
 
 class TestInvalidation:

@@ -1,0 +1,261 @@
+"""A non-caching ``Database`` remembers what it prepared and replays the
+charges: the ledger and the answers must be those of a fresh prepare.
+
+``Database(cache_statements=False)`` (the Sqlg configuration) models a
+server that re-parses, re-plans and re-compiles every statement.  The
+host keeps each text's parse tree, plan and closure anyway and, on a
+hit, only *charges* ``sql_parse`` / ``sql_plan`` / ``closure_compile``.
+These tests pin the invariant by running everything twice — once
+normally, once with every memo swapped for a mapping that never hits, so
+each statement really is prepared from scratch — and requiring equal
+per-operation ledgers and answers.
+"""
+
+import pytest
+
+from repro.core import make_connector
+from repro.core.benchmark import WorkloadParams
+from repro.relational import Database
+from repro.relational import engine as engine_module
+from repro.relational.sql.planner import Planner
+from repro.simclock.ledger import meter
+from repro.snb import GeneratorConfig, generate
+from repro.sqlg import SqlgProvider
+from tests.test_exec_differential import _catalog, _normalize
+
+CONFIG = GeneratorConfig(scale_factor=3, scale_divisor=8000, seed=13)
+
+
+class _NeverHit:
+    """Stands in for any of a Database's memos and remembers nothing."""
+
+    epoch = 0
+
+    def get(self, key, default=None):
+        return default
+
+    lookup = get
+
+    def put(self, key, value):
+        pass
+
+    store = put
+
+    def bump_epoch(self):
+        pass
+
+
+def _forget_everything(db):
+    for memo in (
+        "_stmt_cache", "_plan_cache", "_closure_cache", "_dml_cache"
+    ):
+        assert hasattr(db, memo)
+        setattr(db, memo, _NeverHit())
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return generate(CONFIG)
+
+
+@pytest.fixture(scope="module")
+def params(dataset):
+    return WorkloadParams.curate(dataset, count=5, seed=3)
+
+
+def _metered(label, call):
+    with meter() as ledger:
+        answer = call()
+    return label, _normalize(answer), ledger.snapshot()
+
+
+def _sqlg_trace(dataset, params, mode, monkeypatch, *, memo):
+    """load, every read, 256 update events, every read again — one
+    ``(label, answer, ledger)`` triple per operation, each operation
+    under its own ``meter()``."""
+    # the edge-id counter is class-wide: same edge ids in both runs
+    monkeypatch.setattr(SqlgProvider, "_next_eid", 0)
+    connector = make_connector("sqlg")
+    db = connector.provider.db
+    db.options.execution_mode = mode
+    if not memo:
+        _forget_everything(db)
+    reads = _catalog(params)
+    assert len({op for op, _args in reads}) == 13
+
+    def read_pass(tag):
+        ops = [
+            _metered(
+                (tag, op, args), lambda: getattr(connector, op)(*args)
+            )
+            for op, args in reads
+        ]
+        # the catalog probes indexes only, whose estimates do not move
+        # with table size; label scans are what springs the drift trap
+        # (posts grow 127 -> 140 here: est_rows crosses a batch size)
+        provider = connector.provider
+        ops += [
+            _metered(
+                (tag, "scan", label), lambda: list(provider.vertices(label))
+            )
+            for label in ("person", "forum", "post", "comment")
+        ]
+        return ops
+
+    trace = [_metered("load", lambda: connector.load(dataset))]
+    trace += read_pass("before")
+    for i, event in enumerate(dataset.updates[:256]):
+        trace.append(
+            _metered(("update", i), lambda: connector.apply_update(event))
+        )
+    trace += read_pass("after")
+    return trace, db
+
+
+@pytest.mark.parametrize("mode", ["interpreted", "compiled"])
+def test_sqlg_ledgers_match_a_database_that_remembers_nothing(
+    dataset, params, mode, monkeypatch
+):
+    replayed, db = _sqlg_trace(dataset, params, mode, monkeypatch, memo=True)
+    fresh, _ = _sqlg_trace(dataset, params, mode, monkeypatch, memo=False)
+    assert len(replayed) == len(fresh) > 256
+    for got, expected in zip(replayed, fresh):
+        assert got == expected, got[0]
+    # the comparison is only worth something if the memo was in play
+    hits = {s.name: s.hits for s in db.cache_stats()}
+    assert hits["sql-statements"] > 1000
+    assert hits["sql-plans"] > 100
+
+
+# -- the drift trap: live cardinalities feed est_rows and batch sizes ------
+
+
+def _small_table(rows, **kwargs):
+    db = Database("row", cache_statements=False, **kwargs)
+    db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, grp BIGINT)")
+    _grow(db, 0, rows)
+    return db
+
+
+def _grow(db, start, stop):
+    for i in range(start, stop):
+        db.execute("INSERT INTO t VALUES (?, ?)", (i, i % 7))
+
+
+def _run(db, sql, params=()):
+    with meter() as ledger:
+        rows = db.query(sql, params)
+    return rows, ledger.snapshot()
+
+
+def test_plan_prepared_at_10_rows_is_not_replayed_at_300():
+    db = _small_table(10)
+    _rows, small = _run(db, "SELECT id FROM t")
+    assert small["vector_setup"] == 2  # one batch each: scan, project
+    _grow(db, 10, 300)
+    rows, grown = _run(db, "SELECT id FROM t")
+    assert len(rows) == 300
+    # est_rows=300 still fits one batch per operator; the closure
+    # remembered from the 10-row table has small batches and charges 10
+    assert grown["vector_setup"] == 2
+    twin = _small_table(300)
+    _forget_everything(twin)
+    assert _run(twin, "SELECT id FROM t") == (rows, grown)
+    # unchanged sizes: the next run replays, charges included
+    assert _run(db, "SELECT id FROM t") == (rows, grown)
+    assert grown["sql_parse"] == grown["sql_plan"] == 1
+    assert grown["closure_compile"] == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda db: db.execute("CREATE INDEX ON t (grp) USING HASH"),
+        lambda db: db.set_join_reordering(False),
+    ],
+    ids=["create-index", "reordering-off"],
+)
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT a.id FROM t a JOIN t b ON a.grp = b.id WHERE b.grp = ?",
+        "UPDATE t SET grp = grp WHERE grp = ? AND id < 40",
+        "DELETE FROM t WHERE grp = ? AND id >= 40",
+    ],
+    ids=["select", "update", "delete"],
+)
+def test_epoch_change_between_two_runs_of_one_text(sql, change):
+    def both_runs(db):
+        with meter() as first:
+            before = db.execute(sql, (3,))
+        change(db)
+        with meter() as second:
+            after = db.execute(sql, (3,))
+        return before, first.snapshot(), after, second.snapshot()
+
+    twin = _small_table(60)
+    _forget_everything(twin)
+    assert both_runs(_small_table(60)) == both_runs(twin)
+
+
+def test_explain_of_a_non_caching_database_shows_live_estimates():
+    db = _small_table(10)
+    sql = "SELECT id FROM t"
+
+    def fresh():
+        return Planner(db.catalog).plan(engine_module.parse(sql)).explain()
+
+    assert db.explain(sql) == fresh()
+    assert "est_rows=10]" in db.explain(sql)
+    _grow(db, 10, 300)
+    assert db.explain(sql) == fresh()
+    assert "est_rows=300]" in db.explain(sql)
+    with meter() as ledger:
+        db.explain(sql)
+    assert ledger.snapshot() == {"sql_parse": 1, "sql_plan": 1}
+
+
+# -- host work: what is charged is no longer executed ----------------------
+
+
+@pytest.fixture
+def host_calls(monkeypatch):
+    calls = {"parse": 0, "plan": 0}
+    real_parse, real_plan = engine_module.parse, Planner.plan
+
+    def counting_parse(sql):
+        calls["parse"] += 1
+        return real_parse(sql)
+
+    def counting_plan(self, stmt):
+        calls["plan"] += 1
+        return real_plan(self, stmt)
+
+    monkeypatch.setattr(engine_module, "parse", counting_parse)
+    monkeypatch.setattr(Planner, "plan", counting_plan)
+    return calls
+
+
+def test_sqlg_load_parses_each_text_once(dataset, params, host_calls):
+    connector = make_connector("sqlg")
+    db = connector.provider.db
+    host_calls["parse"] = 0
+    executed = db.statements_executed
+    with meter() as ledger:
+        connector.load(dataset)
+    executed = db.statements_executed - executed
+    assert executed > 1000
+    assert 0 < host_calls["parse"] <= 80
+    assert ledger.snapshot()["sql_parse"] == executed
+
+    pid = params.person_ids[0]
+    connector.one_hop(pid)  # warm
+    host_calls.update(parse=0, plan=0)
+    executed = db.statements_executed
+    with meter() as ledger:
+        connector.one_hop(pid)
+    executed = db.statements_executed - executed
+    assert host_calls == {"parse": 0, "plan": 0}
+    charged = ledger.snapshot()
+    assert charged["sql_parse"] == charged["sql_plan"] == executed > 0
+    assert charged["closure_compile"] == executed

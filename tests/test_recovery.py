@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.relational import Database
+from repro.simclock.ledger import meter
+from repro.sqlg import SqlgProvider
 
 
 def seeded_db(storage="row"):
@@ -73,6 +75,29 @@ class TestRecovery:
         # and the recovered WAL now logs again: recover the recovery
         twice = Database.recover(recovered.wal)
         assert twice.query("SELECT COUNT(*) FROM person") == [(4,)]
+
+    def test_recovered_sqlg_database_still_charges_every_prepare(self):
+        """``cache_statements`` is configuration like ``storage``: a
+        recovered Sqlg backing database must keep charging re-parse and
+        re-plan per statement, not turn into a caching one."""
+        provider = SqlgProvider()
+        provider.define_vertex_label("person", {"id": int, "name": str})
+        provider.create_vertex("person", {"id": 1, "name": "a"})
+        recovered = Database.recover(
+            provider.db.wal, cache_statements=False
+        )
+        sql = "SELECT name FROM v_person WHERE id = ?"
+        for _ in range(2):
+            with meter() as ledger:
+                assert recovered.query(sql, (1,)) == [("a",)]
+            charged = ledger.snapshot()
+            assert charged["sql_parse"] == charged["sql_plan"] == 1
+        # the default stays a caching database
+        cached = Database.recover(provider.db.wal)
+        cached.query(sql, (1,))
+        with meter() as ledger:
+            cached.query(sql, (1,))
+        assert "sql_parse" not in ledger.snapshot()
 
     def test_unknown_record_rejected(self):
         db = seeded_db()
