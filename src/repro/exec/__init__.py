@@ -21,6 +21,11 @@ default to:
   constants, offsets and accessors pre-bound; the warm path never
   touches the AST again.
 
+What an operator *means* — a join's stitch, a fixpoint, an aggregate,
+a FILTER, a Gremlin step, a Cypher RETURN — is defined once, beside its
+interpreter, and imported here; this package holds only what prices or
+batches (the interpreted path never runs a frame from it).
+
 Compilation units are the engines' plan caches: compiled closures live
 in epoch-keyed caches bumped by exactly the events that evict plans
 (DDL, ANALYZE, planner reconfiguration), so a stale closure can never

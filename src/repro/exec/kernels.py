@@ -3,12 +3,13 @@
 Each factory pre-binds its constants (tables, columns, key closures,
 batch sizes) and returns a *kernel*: a closure
 ``(ctx) -> Iterator[list[tuple]]`` following the batch-at-a-time
-convention of :mod:`repro.exec.batch`.  The relational kernels mirror
-the iterator operators in :mod:`repro.relational.sql.executor` row for
-row — same output, same order — but move per-tuple interpretation
-(``tuple_cpu``) to per-batch dispatch (``vector_setup`` +
-``tuple_vec``) and reach storage through the deduplicating batch read
-APIs.
+convention of :mod:`repro.exec.batch`.  The relational kernels are the
+compiled envelopes of the operators in
+:mod:`repro.relational.sql.executor`, calling its join stitch, hash
+build, aggregation and sort per batch; they keep only the price
+(``vector_setup`` + ``tuple_vec`` per batch for ``tuple_cpu`` per row)
+and the batching — scans, and the index join's deduplicated
+``lookup_batch`` + ``fetch_batch``.
 
 The graph helpers at the bottom (:func:`expand_frontier`,
 :func:`gather_props`) are the expand / neighbor-lookup kernel shared by
@@ -22,13 +23,21 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any, Protocol
 
-from repro.exec.batch import batched, charge_batch
-from repro.lang.expr import Accumulator
+from repro.exec.batch import batched, charge_batch, flatten
 from repro.relational.sql.executor import (
+    Aggregate,
     ExecContext,
     ExprFn,
-    new_accumulators,
-    sort_key,
+    HashJoin,
+    IndexEqScan,
+    IndexNLJoin,
+    NLJoin,
+    RowsHolder,
+    Sort,
+    aggregate,
+    hash_build,
+    multi_key_sort,
+    stitch,
 )
 from repro.relational.table import Table
 from repro.simclock.ledger import charge
@@ -67,14 +76,10 @@ def seq_scan(table: Table, batch_size: int) -> Kernel:
     return run
 
 
-def index_eq_scan(
-    table: Table,
-    column: str,
-    key_fn: ExprFn,
-    needed: Sequence[str] | None,
-    batch_size: int,
-) -> Kernel:
+def index_eq_scan(node: IndexEqScan, batch_size: int) -> Kernel:
     """Index probe with a runtime key, batch-fetched rows."""
+    table, column, needed = node.table, node.column, node.needed
+    key_fn = node.key_fn
 
     def run(ctx: ExecContext) -> Iterator[list[tuple]]:
         key = key_fn((), ctx.params)
@@ -87,13 +92,12 @@ def index_eq_scan(
     return run
 
 
-def materialized_scan(
-    rows_of: Callable[[], list[tuple]], batch_size: int
-) -> Kernel:
-    """Scan over a shared in-memory row list (CTE working tables)."""
+def materialized_scan(holder: RowsHolder, batch_size: int) -> Kernel:
+    """Scan over a shared in-memory row list (CTE working tables), read
+    when the kernel runs."""
 
     def run(ctx: ExecContext) -> Iterator[list[tuple]]:
-        for batch in batched(rows_of(), batch_size):
+        for batch in batched(holder.rows, batch_size):
             charge_batch(len(batch))
             yield batch
 
@@ -161,23 +165,14 @@ def distinct_rows(source: Kernel) -> Kernel:
     return run
 
 
-def sort_rows(
-    source: Kernel,
-    key_fns: Sequence[ExprFn],
-    descending: Sequence[bool],
-    batch_size: int,
-) -> Kernel:
-    """Stable multi-key sort (right-to-left passes, NULLs first)."""
+def sort_rows(source: Kernel, node: Sort, batch_size: int) -> Kernel:
+    """The operator's :func:`multi_key_sort`, one dispatch for all rows."""
+    key_fns, descending = node.key_fns, node.descending
 
     def run(ctx: ExecContext) -> Iterator[list[tuple]]:
-        params = ctx.params
-        rows = [row for batch in source(ctx) for row in batch]
+        rows = flatten(source(ctx))
         charge_batch(len(rows))
-        for key_fn, desc in reversed(list(zip(key_fns, descending))):
-            rows.sort(
-                key=lambda row: sort_key(key_fn(row, params)),
-                reverse=desc,
-            )
+        multi_key_sort(rows, key_fns, descending, ctx.params)
         yield from batched(rows, batch_size)
 
     return run
@@ -186,22 +181,16 @@ def sort_rows(
 # --- joins ---------------------------------------------------------------------
 
 
-def index_nl_join(
-    outer: Kernel,
-    table: Table,
-    inner_column: str,
-    outer_key_fn: ExprFn,
-    kind: str,
-    residual: ExprFn | None,
-    needed: Sequence[str] | None,
-    null_row: tuple,
-) -> Kernel:
+def index_nl_join(outer: Kernel, node: IndexNLJoin) -> Kernel:
     """Batched index nested-loop join.
 
     Per outer batch: one deduplicated probe pass over the inner index,
-    one batch fetch of every matched handle, then an in-memory stitch in
-    outer order — identical output to the tuple-at-a-time operator.
+    one batch fetch of every matched handle, then :func:`stitch` in
+    outer order.
     """
+    table, inner_column, needed = node.table, node.inner_column, node.needed
+    outer_key_fn = node.outer_key_fn
+    residual, kind, null_row = node.residual, node.kind, node.null_row
 
     def run(ctx: ExecContext) -> Iterator[list[tuple]]:
         params = ctx.params
@@ -225,17 +214,11 @@ def index_nl_join(
             )
             out: list[tuple] = []
             for row, key in zip(batch, keys):
-                matched = False
-                for handle in probed.get(key, ()) if key is not None else ():
-                    combined = row + fetched[handle]
-                    if residual is not None and not residual(
-                        combined, params
-                    ):
-                        continue
-                    matched = True
-                    out.append(combined)
-                if not matched and kind == "left":
-                    out.append(row + null_row)
+                # a NULL key was never probed, so it finds no handles
+                inner = map(fetched.__getitem__, probed.get(key, ()))
+                out.extend(
+                    stitch(row, inner, residual, kind, null_row, params)
+                )
             if out:
                 charge("tuple_vec", len(out))
                 yield out
@@ -243,45 +226,24 @@ def index_nl_join(
     return run
 
 
-def hash_join(
-    left: Kernel,
-    right: Kernel,
-    left_key_fn: ExprFn,
-    right_key_fn: ExprFn,
-    kind: str,
-    residual: ExprFn | None,
-    null_row: tuple,
-) -> Kernel:
+def hash_join(left: Kernel, right: Kernel, node: HashJoin) -> Kernel:
     """Build on the right input, probe from the left, batch at a time."""
+    left_key_fn, right_key_fn = node.left_key_fn, node.right_key_fn
+    residual, kind, null_row = node.residual, node.kind, node.null_row
 
     def run(ctx: ExecContext) -> Iterator[list[tuple]]:
         params = ctx.params
-        build: dict[Any, list[tuple]] = {}
-        for batch in right(ctx):
-            charge_batch(len(batch))
-            for row in batch:
-                key = right_key_fn(row, params)
-                if key is not None:
-                    build.setdefault(key, []).append(row)
+        build = hash_build(_rows(right(ctx)), right_key_fn, params)
         for batch in left(ctx):
             charge_batch(len(batch))
             charge("hash_probe", len(batch))
             out: list[tuple] = []
             for row in batch:
-                key = left_key_fn(row, params)
-                matched = False
-                for right_row in (
-                    build.get(key, ()) if key is not None else ()
-                ):
-                    combined = row + right_row
-                    if residual is not None and not residual(
-                        combined, params
-                    ):
-                        continue
-                    matched = True
-                    out.append(combined)
-                if not matched and kind == "left":
-                    out.append(row + null_row)
+                # the build side holds no NULL key
+                inner = build.get(left_key_fn(row, params), ())
+                out.extend(
+                    stitch(row, inner, residual, kind, null_row, params)
+                )
             if out:
                 charge("tuple_vec", len(out))
                 yield out
@@ -289,31 +251,21 @@ def hash_join(
     return run
 
 
-def nl_join(
-    outer: Kernel,
-    inner: Kernel,
-    predicate: ExprFn | None,
-    kind: str,
-    null_row: tuple,
-) -> Kernel:
+def nl_join(outer: Kernel, inner: Kernel, node: NLJoin) -> Kernel:
     """Nested-loop fallback for non-equality conditions."""
+    predicate, kind, null_row = node.predicate, node.kind, node.null_row
 
     def run(ctx: ExecContext) -> Iterator[list[tuple]]:
         params = ctx.params
-        inner_rows = [row for batch in inner(ctx) for row in batch]
+        inner_rows = flatten(inner(ctx))
         for batch in outer(ctx):
             charge_batch(len(batch))
             charge("tuple_vec", len(batch) * len(inner_rows))
             out: list[tuple] = []
             for row in batch:
-                matched = False
-                for inner_row in inner_rows:
-                    combined = row + inner_row
-                    if predicate is None or predicate(combined, params):
-                        matched = True
-                        out.append(combined)
-                if not matched and kind == "left":
-                    out.append(row + null_row)
+                out.extend(
+                    stitch(row, inner_rows, predicate, kind, null_row, params)
+                )
             if out:
                 yield out
 
@@ -323,40 +275,23 @@ def nl_join(
 # --- aggregation -----------------------------------------------------------------
 
 
-def aggregate_rows(
-    source: Kernel,
-    group_fns: Sequence[ExprFn],
-    agg_specs: Sequence[tuple[str, ExprFn | None, bool]],
-    batch_size: int,
-) -> Kernel:
-    """Hash aggregation, semantics identical to the interpreted operator."""
+def aggregate_rows(source: Kernel, node: Aggregate, batch_size: int) -> Kernel:
+    """The operator's :func:`aggregate` over a batch stream."""
+    group_fns, agg_specs = node.group_fns, node.agg_specs
 
     def run(ctx: ExecContext) -> Iterator[list[tuple]]:
-        params = ctx.params
-        groups: dict[tuple, list[Accumulator]] = {}
-        for batch in source(ctx):
-            charge_batch(len(batch))
-            for row in batch:
-                key = tuple(fn(row, params) for fn in group_fns)
-                states = groups.get(key)
-                if states is None:
-                    states = new_accumulators(agg_specs)
-                    groups[key] = states
-                for state, (_, arg_fn, _) in zip(states, agg_specs):
-                    state.feed(
-                        arg_fn(row, params) if arg_fn is not None else 1
-                    )
-        if not groups and not group_fns:
-            states = new_accumulators(agg_specs)
-            yield [tuple(s.result() for s in states)]
-            return
-        rows = [
-            key + tuple(s.result() for s in states)
-            for key, states in groups.items()
-        ]
+        rows = aggregate(_rows(source(ctx)), group_fns, agg_specs, ctx.params)
         yield from batched(rows, batch_size)
 
     return run
+
+
+def _rows(batches: Iterator[list[tuple]]) -> Iterator[tuple]:
+    """The rows of a batch stream, charging each batch's dispatch as it
+    arrives."""
+    for batch in batches:
+        charge_batch(len(batch))
+        yield from batch
 
 
 # --- graph expand / property-gather kernels ----------------------------------------

@@ -12,17 +12,12 @@ outputs get small batches (don't over-compute under a LIMIT), large
 ones amortize dispatch up to the cap.
 
 Recursive CTEs compile too: the base, step, and body sub-plans each
-compile to kernel chains, and a specialized driver runs the semi-naive
-fixpoint over them — the shortest-path BFS runs every frontier
-expansion through the vectorized join kernels instead of the
-tuple-at-a-time interpreter.
+compile to kernel chains, and the plan's own semi-naive fixpoint runs
+over them — the shortest-path BFS runs every frontier expansion through
+the vectorized join kernels instead of the tuple-at-a-time interpreter.
 
-Operators the kernel library does not cover — any node added after this
-compiler — are *lifted*: their interpreted ``rows()`` iterator is
-wrapped into batches unchanged, charging exactly what the interpreter
-charges.  SQL compilation therefore never raises
-:class:`~repro.exec.errors.CompileError`; an exotic plan simply keeps
-its exotic parts interpreted inline.
+Every plan operator has a kernel, so SQL compilation never raises
+:class:`~repro.exec.errors.CompileError`.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 
 from repro.exec import kernels
-from repro.exec.batch import batched, flatten
+from repro.exec.batch import flatten
 from repro.exec.kernels import Kernel
 from repro.relational.sql.executor import (
     Aggregate,
@@ -48,14 +43,8 @@ from repro.relational.sql.executor import (
     SeqScan,
     SingleRow,
     Sort,
-    SqlRuntimeError,
-    VectorizedIndexNLJoin,
 )
-from repro.relational.sql.planner import (
-    MAX_RECURSION_ITERATIONS,
-    MAX_RECURSION_ROWS,
-    RecursiveCTEPlan,
-)
+from repro.relational.sql.planner import RecursiveCTEPlan
 from repro.stats import choose_batch_size
 
 CompiledQuery = Callable[[ExecContext], list[tuple]]
@@ -83,134 +72,47 @@ def _compile(node: PlanNode) -> Kernel:
     if isinstance(node, SeqScan):
         return kernels.seq_scan(node.table, size)
     if isinstance(node, IndexEqScan):
-        return kernels.index_eq_scan(
-            node.table, node.column, node.key_fn, node.needed, size
-        )
+        return kernels.index_eq_scan(node, size)
     if isinstance(node, MaterializedScan):
-        holder = node.holder
-        return kernels.materialized_scan(lambda: holder.rows, size)
+        return kernels.materialized_scan(node.holder, size)
     if isinstance(node, Filter):
         return kernels.filter_rows(_compile(node.child), node.predicate)
     if isinstance(node, Project):
         return kernels.project_rows(_compile(node.child), node.exprs)
-    if isinstance(node, IndexNLJoin):
-        return kernels.index_nl_join(
-            _compile(node.outer),
-            node.table,
-            node.inner_column,
-            node.outer_key_fn,
-            node.kind,
-            node.residual,
-            None,
-            node._null_row,
-        )
-    if isinstance(node, VectorizedIndexNLJoin):
-        return kernels.index_nl_join(
-            _compile(node.outer),
-            node.table,
-            node.inner_column,
-            node.outer_key_fn,
-            node.kind,
-            node.residual,
-            node.needed,
-            node._null_row,
-        )
+    if isinstance(node, IndexNLJoin):  # vectorized ones included
+        return kernels.index_nl_join(_compile(node.outer), node)
     if isinstance(node, HashJoin):
         return kernels.hash_join(
-            _compile(node.left),
-            _compile(node.right),
-            node.left_key_fn,
-            node.right_key_fn,
-            node.kind,
-            node.residual,
-            node._null_row,
+            _compile(node.left), _compile(node.right), node
         )
     if isinstance(node, NLJoin):
         return kernels.nl_join(
-            _compile(node.outer),
-            _compile(node.inner),
-            node.predicate,
-            node.kind,
-            node._null_row,
+            _compile(node.outer), _compile(node.inner), node
         )
     if isinstance(node, Aggregate):
-        return kernels.aggregate_rows(
-            _compile(node.child), node.group_fns, node.agg_specs, size
-        )
+        return kernels.aggregate_rows(_compile(node.child), node, size)
     if isinstance(node, Sort):
-        return kernels.sort_rows(
-            _compile(node.child), node.key_fns, node.descending, size
-        )
+        return kernels.sort_rows(_compile(node.child), node, size)
     if isinstance(node, Limit):
         return kernels.limit_rows(_compile(node.child), node.limit)
     if isinstance(node, Distinct):
         return kernels.distinct_rows(_compile(node.child))
     if isinstance(node, RecursiveCTEPlan):
-        return _recursive_cte(node, size)
-    return _lift(node, size)
+        return _recursive_cte(node)
+    raise TypeError(f"no kernel for {type(node).__name__}")
 
 
-def _recursive_cte(node: RecursiveCTEPlan, size: int) -> Kernel:
-    """Semi-naive fixpoint over compiled base / step / body kernels.
-
-    Matches :meth:`RecursiveCTEPlan.rows` exactly — same delta-only step
-    inputs, same global dedup under ``UNION`` (distinct), same
-    iteration/row guards — but every sub-plan runs as vectorized
-    kernels.  The step and body kernels read the CTE through the plan's
-    shared ``RowsHolder``s (their ``MaterializedScan`` leaves hold a
-    thunk), so flipping the holders between iterations re-targets the
-    compiled closures with no recompilation.
-    """
+def _recursive_cte(node: RecursiveCTEPlan) -> Kernel:
+    """The plan's :meth:`~RecursiveCTEPlan.fixpoint` over compiled
+    sub-plans.  Their ``MaterializedScan`` leaves read the plan's shared
+    ``RowsHolder``s through a thunk, so the fixpoint's holder flips
+    re-target the compiled closures with no recompilation."""
     base = _compile(node.base)
     step = _compile(node.step)
     body = _compile(node.body)
 
     def run(ctx: ExecContext) -> Iterator[list[tuple]]:
-        seen: set[tuple] = set()
-        all_rows: list[tuple] = []
-
-        def absorb(rows: list[tuple]) -> list[tuple]:
-            if not node.distinct:
-                all_rows.extend(rows)
-                return rows
-            fresh = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    fresh.append(row)
-            all_rows.extend(fresh)
-            return fresh
-
-        delta = absorb(flatten(base(ctx)))
-        iterations = 0
-        while delta:
-            iterations += 1
-            if iterations > MAX_RECURSION_ITERATIONS:
-                raise SqlRuntimeError(
-                    f"recursive CTE {node.name!r} exceeded "
-                    f"{MAX_RECURSION_ITERATIONS} iterations"
-                )
-            if len(all_rows) > MAX_RECURSION_ROWS:
-                raise SqlRuntimeError(
-                    f"recursive CTE {node.name!r} exceeded "
-                    f"{MAX_RECURSION_ROWS} rows"
-                )
-            node.working.rows = delta
-            delta = absorb(flatten(step(ctx)))
-        node.result.rows = all_rows
+        node.fixpoint(lambda: flatten(base(ctx)), lambda: flatten(step(ctx)))
         yield from body(ctx)
-
-    return run
-
-
-def _lift(node: PlanNode, size: int) -> Kernel:
-    """Wrap an uncompilable operator's interpreted iterator into batches.
-
-    The node charges its own interpreted costs as it runs; the wrapper
-    adds nothing, so lifting is never more expensive than interpreting.
-    """
-
-    def run(ctx: ExecContext) -> Iterator[list[tuple]]:
-        yield from batched(node.rows(ctx), size)
 
     return run

@@ -13,10 +13,16 @@ Pattern order (``order_mode``):
 * ``"boundness"`` (default) — most-bound-first heuristic;
 * ``"textual"`` — as written (the strawman the benchmark compares
   against).
+
+The order, the term binder, the triple join, the FILTER builder and
+the SELECT clause are defined here once; :mod:`repro.exec.sparqlc`
+wraps the same definitions in compiled-mode pricing.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
+from functools import partial
 from typing import Any
 
 from repro.cache import LRUCache
@@ -55,62 +61,72 @@ class SparqlExecutor:
     def estimate_cache(self) -> LRUCache:
         return self._estimate_memo
 
+    @property
+    def stats_order(self) -> bool:
+        """Whether patterns are ordered by statistics estimates."""
+        return self.order_mode == "stats" and self._stats is not None
+
     def run(
         self, query: ast.SparqlQuery, params: dict[str, Any] | None = None
     ) -> list[tuple]:
         params = params or {}
         rows: list[Row] = [{}]
-        patterns = list(query.patterns)
-        pending_filters = list(query.filters)
-        use_stats = self.order_mode == "stats" and self.stats is not None
-        while patterns:
-            # greedy join order, recomputed as variables bind; sorts are
-            # stable, so ties fall back to textual order
-            bound_vars = set(rows[0]) if rows else set()
+        pending = [
+            (compile_filter(flt.expr, _charge_node), filter_vars(flt.expr))
+            for flt in query.filters
+        ]
+        bound: set[str] = set()
+        for pattern, before, bound in self.order_patterns(
+            query.patterns, params
+        ):
+            matched, rows = join_pattern(self.store, pattern, before)(
+                rows, params
+            )
+            if matched:
+                charge("tuple_cpu", matched)
+            if not rows:
+                break
+            for predicate, needs in pending:
+                if needs <= bound:
+                    rows = [row for row in rows if predicate(row, params)]
+            pending = [
+                (predicate, needs)
+                for predicate, needs in pending
+                if not needs <= bound
+            ]
+        for predicate, _ in pending:
+            rows = [row for row in rows if predicate(row, params)]
+        return compile_select(query, bound, _charge_projected)(rows)
+
+    # -- join order ---------------------------------------------------------
+
+    def order_patterns(
+        self, patterns: Sequence[ast.TriplePattern], params: dict
+    ) -> Iterator[tuple[ast.TriplePattern, set[str], set[str]]]:
+        """The greedy join order as ``(pattern, bound before, bound
+        after)``, re-sorting the rest as variables bind (stable sorts:
+        ties keep textual order).  Every join binds all of its pattern's
+        variables in every row, so the order is data-independent.  Lazy:
+        a caller that stops at an empty join stops estimating too."""
+        remaining = list(patterns)
+        bound: set[str] = set()
+        while remaining:
             if self.order_mode != "textual":
-                if use_stats:
-                    patterns.sort(
+                if self.stats_order:
+                    remaining.sort(
                         key=lambda tp: self._estimated_matches(
-                            tp, bound_vars, params
+                            tp, bound, params
                         )
                     )
                 else:
-                    patterns.sort(
-                        key=lambda tp: -self._boundness(tp, bound_vars)
-                    )
-            pattern = patterns.pop(0)
-            rows = self._join(rows, pattern, params)
-            if not rows:
-                break
-            bound_now = set(rows[0])
-            still_pending = []
-            for flt in pending_filters:
-                if filter_vars(flt.expr) <= bound_now:
-                    rows = [
-                        row
-                        for row in rows
-                        if self._eval_filter(flt.expr, row, params)
-                    ]
-                else:
-                    still_pending.append(flt)
-            pending_filters = still_pending
-        for flt in pending_filters:
-            rows = [
-                row for row in rows if self._eval_filter(flt.expr, row, params)
-            ]
-        return self._project(rows, query)
-
-    # -- joins ------------------------------------------------------------------
+                    remaining.sort(key=lambda tp: -self._boundness(tp, bound))
+            pattern = remaining.pop(0)
+            before, bound = bound, bound | pattern_vars(pattern)
+            yield pattern, before, bound
 
     def _boundness(self, pattern: ast.TriplePattern, bound: set[str]) -> int:
-        score = 0
-        for term, weight in ((pattern.s, 4), (pattern.p, 1), (pattern.o, 2)):
-            if isinstance(term, ast.Var):
-                if term.name in bound:
-                    score += weight
-            else:
-                score += weight
-        return score
+        weighted = ((pattern.s, 4), (pattern.p, 1), (pattern.o, 2))
+        return sum(w for t, w in weighted if _is_bound(t, bound))
 
     def _estimated_matches(
         self,
@@ -120,8 +136,8 @@ class SparqlExecutor:
     ) -> float:
         """Estimated matching triples per candidate row (stats order)."""
         assert self.stats is not None
-        s_bound = self._is_bound(pattern.s, bound)
-        o_bound = self._is_bound(pattern.o, bound)
+        s_bound = _is_bound(pattern.s, bound)
+        o_bound = _is_bound(pattern.o, bound)
         predicate = None
         if not isinstance(pattern.p, ast.Var):
             if isinstance(pattern.p, ast.ParamTerm):
@@ -135,127 +151,227 @@ class SparqlExecutor:
             self._estimate_memo.put(key, estimate)
         return estimate  # type: ignore[no-any-return]
 
-    @staticmethod
-    def _is_bound(term: ast.Term, bound: set[str]) -> bool:
-        if isinstance(term, ast.Var):
-            return term.name in bound
-        return True
 
-    def _join(
-        self, rows: list[Row], pattern: ast.TriplePattern, params: dict
-    ) -> list[Row]:
-        out: list[Row] = []
-        for row in rows:
-            spo = [
-                self._resolve(term, row, params)
-                for term in (pattern.s, pattern.p, pattern.o)
-            ]
-            lookup = []
-            missing_term = False
-            for bound, value in spo:
-                if not bound:
-                    lookup.append(None)
-                    continue
-                term_id = self.store.lookup_term(value)
-                if term_id is None:
-                    missing_term = True
-                    break
-                lookup.append(term_id)
-            if missing_term:
-                continue
-            for s_id, p_id, o_id in self.store.match_ids(*lookup):
-                charge("tuple_cpu")
-                new_row = dict(row)
-                ok = True
-                for term, term_id in zip(
-                    (pattern.s, pattern.p, pattern.o), (s_id, p_id, o_id)
-                ):
-                    if isinstance(term, ast.Var):
-                        value = self.store.term(term_id)
-                        if term.name in new_row:
-                            if new_row[term.name] != value:
-                                ok = False
-                                break
-                        else:
-                            new_row[term.name] = value
-                if ok:
-                    out.append(new_row)
-        return out
+def _is_bound(term: ast.Term, bound: set[str]) -> bool:
+    return not isinstance(term, ast.Var) or term.name in bound
 
-    def _resolve(
-        self, term: ast.Term, row: Row, params: dict
-    ) -> tuple[bool, Any]:
-        """(is_bound, value) for a term in the current row context."""
-        if isinstance(term, ast.Var):
-            if term.name in row:
-                return True, row[term.name]
-            return False, None
-        if isinstance(term, ast.ParamTerm):
+
+#: the interpreter's price per FILTER node evaluated
+_charge_node = partial(charge, "value_cpu")
+
+
+def _charge_projected(projected: list[tuple], aggregate: bool) -> None:
+    """The interpreter's price per projected value (COUNT row included)."""
+    charge("value_cpu", sum(len(row) for row in projected))
+
+
+# -- charge-free definitions, shared with exec/sparqlc.py --------------------
+#
+# Each one means the same under both execution modes; the interpreter
+# above and the compiled stages wrap them in their own prices.
+
+#: (rows, params) -> (matched triples, extended rows)
+JoinFn = Callable[[list[Row], dict], tuple[int, list[Row]]]
+
+
+def pattern_vars(pattern: ast.TriplePattern) -> set[str]:
+    """The variables a triple pattern binds."""
+    return {
+        term.name
+        for term in (pattern.s, pattern.p, pattern.o)
+        if isinstance(term, ast.Var)
+    }
+
+
+def term_value(term: ast.Term) -> Callable[[Row, dict], Any]:
+    """The one term binder: ``term``'s value in a row under params.
+
+    A variable the row does not bind reads as None; a ``$param`` missing
+    from the params raises.
+    """
+    if isinstance(term, ast.Var):
+        name = term.name
+        return lambda row, params: row.get(name)
+    if isinstance(term, ast.ParamTerm):
+        name = term.name
+
+        def param_value(row: Row, params: dict) -> Any:
             try:
-                return True, params[term.name]
+                return params[name]
             except KeyError:
                 raise SparqlRuntimeError(
-                    f"missing parameter ${term.name}"
+                    f"missing parameter ${name}"
                 ) from None
-        if isinstance(term, ast.Iri):
-            return True, term.value
-        return True, term.value  # LiteralTerm
 
-    # -- filters -----------------------------------------------------------------
+        return param_value
+    if isinstance(term, (ast.Iri, ast.LiteralTerm)):
+        value = term.value
+        return lambda row, params: value
+    raise SparqlRuntimeError(f"unknown term {term!r}")
 
-    def _eval_filter(
-        self, expr: ast.FilterExpr, row: Row, params: dict
-    ) -> bool:
-        charge("value_cpu")
-        if isinstance(expr, ast.BoolOp):
-            left = self._eval_filter(expr.left, row, params)
-            if expr.op == "AND":
-                return left and self._eval_filter(expr.right, row, params)
-            return left or self._eval_filter(expr.right, row, params)
-        if isinstance(expr, ast.NotOp):
-            return not self._eval_filter(expr.operand, row, params)
-        if isinstance(expr, ast.Comparison):
-            _, left = self._resolve(expr.left, row, params)
-            _, right = self._resolve(expr.right, row, params)
-            if left is None or right is None:
-                return False
-            return {
-                "=": left == right,
-                "<>": left != right,
-                "<": left < right,
-                "<=": left <= right,
-                ">": left > right,
-                ">=": left >= right,
-            }[expr.op]
-        if isinstance(expr, ast.InFilter):
-            _, needle = self._resolve(expr.needle, row, params)
+
+def join_pattern(
+    store: TripleStore, pattern: ast.TriplePattern, bound: set[str]
+) -> JoinFn:
+    """The triple join: extend each row by every triple matching
+    ``pattern`` (an index nested-loop join; ``bound``: the variables
+    every incoming row binds).
+
+    Per row, every bound term is resolved before the first term
+    dictionary lookup, so a missing ``$param`` raises however the
+    lookups (s, p, o order, stopping at the first miss) would go.
+    Returns the number of triples matched — before the check that a
+    variable repeated in the pattern binds one value — and the rows.
+    """
+    terms = (pattern.s, pattern.p, pattern.o)
+    getters = [term_value(t) if _is_bound(t, bound) else None for t in terms]
+    var_positions = [
+        (position, term.name)
+        for position, term in enumerate(terms)
+        if isinstance(term, ast.Var)
+    ]
+
+    def join(rows: list[Row], params: dict) -> tuple[int, list[Row]]:
+        matched = 0
+        out: list[Row] = []
+        for row in rows:
             values = [
-                self._resolve(item, row, params)[1] for item in expr.items
+                None if get is None else get(row, params) for get in getters
             ]
-            found = needle in values
-            return not found if expr.negated else found
-        raise SparqlRuntimeError(f"unknown filter {expr!r}")
+            lookup: list[int | None] = []
+            for get, value in zip(getters, values):
+                if get is not None:
+                    value = store.lookup_term(value)
+                    if value is None:  # not in the store: matches nothing
+                        break
+                lookup.append(value)
+            else:
+                for ids in store.match_ids(*lookup):
+                    matched += 1
+                    new_row = dict(row)
+                    for position, name in var_positions:
+                        value = store.term(ids[position])
+                        if new_row.setdefault(name, value) != value:
+                            break
+                    else:
+                        out.append(new_row)
+        return matched, out
 
-    # -- projection ----------------------------------------------------------------
+    return join
 
-    def _project(self, rows: list[Row], query: ast.SparqlQuery) -> list[tuple]:
-        if query.star:
-            if not rows:
-                return []
-            names = sorted(rows[0])
-            projected = [tuple(row.get(n) for n in names) for row in rows]
-        elif any(item.count for item in query.items):
+
+def compile_filter(
+    expr: ast.FilterExpr, charge_node: Callable[[], None]
+) -> Callable[[Row, dict], bool]:
+    """The one FILTER definition: ``expr`` as a row predicate.
+
+    ``charge_node()`` is the caller's price for each node evaluated
+    (operands a connective short-circuits are not evaluated).  Unbound
+    variables read as None, and a comparison with None is false.
+    """
+    if isinstance(expr, ast.BoolOp):
+        left = compile_filter(expr.left, charge_node)
+        right = compile_filter(expr.right, charge_node)
+        if expr.op == "AND":
+
+            def conjunction(row: Row, params: dict) -> bool:
+                charge_node()
+                return left(row, params) and right(row, params)
+
+            return conjunction
+
+        def disjunction(row: Row, params: dict) -> bool:
+            charge_node()
+            return left(row, params) or right(row, params)
+
+        return disjunction
+    if isinstance(expr, ast.NotOp):
+        operand = compile_filter(expr.operand, charge_node)
+
+        def negation(row: Row, params: dict) -> bool:
+            charge_node()
+            return not operand(row, params)
+
+        return negation
+    if isinstance(expr, ast.Comparison):
+        left_fn = term_value(expr.left)
+        right_fn = term_value(expr.right)
+        op = expr.op
+
+        def comparison(row: Row, params: dict) -> bool:
+            charge_node()
+            lv, rv = left_fn(row, params), right_fn(row, params)
+            if lv is None or rv is None:
+                return False
+            # every operator is evaluated: operands of unorderable types
+            # raise TypeError whichever one the filter uses
+            return {
+                "=": lv == rv,
+                "<>": lv != rv,
+                "<": lv < rv,
+                "<=": lv <= rv,
+                ">": lv > rv,
+                ">=": lv >= rv,
+            }[op]
+
+        return comparison
+    if isinstance(expr, ast.InFilter):
+        needle_fn = term_value(expr.needle)
+        item_fns = [term_value(item) for item in expr.items]
+        negated = expr.negated
+
+        def membership(row: Row, params: dict) -> bool:
+            charge_node()
+            needle = needle_fn(row, params)
+            found = needle in [fn(row, params) for fn in item_fns]
+            return not found if negated else found
+
+        return membership
+    raise SparqlRuntimeError(f"unknown filter {expr!r}")
+
+
+def compile_select(
+    query: ast.SparqlQuery,
+    all_vars: set[str],
+    charge_projected: Callable[[list[tuple], bool], None],
+) -> Callable[[list[Row]], list[tuple]]:
+    """The SELECT clause: the COUNT row or each row's selected variables
+    (``*``: ``all_vars``, sorted), then DISTINCT -> ORDER BY -> LIMIT.
+
+    ``charge_projected(projected, aggregate)`` is the caller's price for
+    the projected rows (``aggregate``: the COUNT row); DISTINCT's
+    membership test folds into it.  A shape that can never run (see
+    :func:`order_columns`, :func:`count_row`) raises when this runs.
+    """
+    aggregate = any(item.count for item in query.items)
+    if query.star:
+        names = sorted(all_vars)
+    elif aggregate:
+        names = []
+    else:
+        names = [item.var.name for item in query.items]  # type: ignore[union-attr]
+
+    def select(rows: list[Row]) -> list[tuple]:
+        if query.star and not rows:
+            return []
+        if aggregate:
             projected = [count_row(rows, query)]
         else:
-            names = [item.var.name for item in query.items]  # type: ignore[union-attr]
-            projected = [
-                tuple(row.get(n) for n in names) for row in rows
-            ]
-        charge("value_cpu", sum(len(r) for r in projected))
-        return select_tail(projected, query, order_columns(query))
+            projected = [tuple(row.get(n) for n in names) for row in rows]
+        charge_projected(projected, aggregate)
+        order = order_columns(query)
+        if query.distinct:
+            projected = list(dict.fromkeys(projected))
+        for idx, descending in reversed(order):
+            projected.sort(
+                key=lambda r: (r[idx] is not None, r[idx]),
+                reverse=descending,
+            )
+        if query.limit is not None:
+            projected = projected[: query.limit]
+        return projected
 
-
-# -- charge-free pieces shared with the compiled path (exec/sparqlc.py) --------
+    return select
 
 
 def filter_vars(expr: ast.FilterExpr) -> set[str]:
@@ -311,25 +427,3 @@ def order_columns(query: ast.SparqlQuery) -> list[tuple[int, bool]]:
             )
         columns.append((names.index(order.var.name), order.descending))
     return columns
-
-
-def select_tail(
-    projected: list[tuple],
-    query: ast.SparqlQuery,
-    order: list[tuple[int, bool]],
-) -> list[tuple]:
-    """DISTINCT -> ORDER BY -> LIMIT over projected rows.
-
-    No ``hash_probe`` for DISTINCT: membership folds into the per-value
-    projection charge, in both execution modes.
-    """
-    if query.distinct:
-        projected = list(dict.fromkeys(projected))
-    for idx, descending in reversed(order):
-        projected.sort(
-            key=lambda r: (r[idx] is not None, r[idx]),
-            reverse=descending,
-        )
-    if query.limit is not None:
-        projected = projected[: query.limit]
-    return projected

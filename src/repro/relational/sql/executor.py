@@ -11,7 +11,8 @@ connector, so it does not distort cross-system comparisons.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import islice
 from typing import Any
 
 from repro.lang.expr import Accumulator
@@ -318,64 +319,8 @@ class Project(PlanNode):
 
 
 class IndexNLJoin(PlanNode):
-    """For each outer row, probe the inner table's index."""
-
-    def __init__(
-        self,
-        outer: PlanNode,
-        table: Table,
-        binding: str,
-        inner_column: str,
-        outer_key_fn: ExprFn,
-        kind: str = "inner",
-        residual: ExprFn | None = None,
-    ) -> None:
-        self.outer = outer
-        self.table = table
-        self.binding = binding
-        self.inner_column = inner_column
-        self.outer_key_fn = outer_key_fn
-        self.kind = kind
-        self.residual = residual
-        self.schema = outer.schema.concat(Schema.for_table(table, binding))
-        self._null_row = (None,) * len(table.column_names)
-
-    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        params = ctx.params
-        for outer_row in self.outer.rows(ctx):
-            key = self.outer_key_fn(outer_row, params)
-            matched = False
-            if key is not None:
-                for handle in self.table.lookup(self.inner_column, key):
-                    charge("tuple_cpu")
-                    combined = outer_row + self.table.fetch(handle)
-                    if self.residual is not None and not self.residual(
-                        combined, params
-                    ):
-                        continue
-                    matched = True
-                    yield combined
-            if not matched and self.kind == "left":
-                yield outer_row + self._null_row
-
-    def _describe(self) -> str:
-        return (
-            f"IndexNLJoin[{self.kind}]({self.table.name} as {self.binding} "
-            f"on {self.inner_column})"
-        )
-
-    def _children(self) -> list[PlanNode]:
-        return [self.outer]
-
-
-class VectorizedIndexNLJoin(PlanNode):
-    """Index nested-loop join with vectorized inner fetches.
-
-    Used when the inner table is columnar (the Virtuoso engine): the outer
-    input is drained, all matching inner handles are collected, and the
-    needed columns are fetched in one batch per column — amortizing
-    positional access, at the price of a per-batch setup cost.
-    """
+    """For each outer row, probe the inner table's index (``needed``:
+    the inner columns a batch fetch reads, None for all)."""
 
     def __init__(
         self,
@@ -397,7 +342,46 @@ class VectorizedIndexNLJoin(PlanNode):
         self.residual = residual
         self.needed = needed
         self.schema = outer.schema.concat(Schema.for_table(table, binding))
-        self._null_row = (None,) * len(table.column_names)
+        self.null_row = (None,) * len(table.column_names)
+
+    def rows(self, ctx: ExecContext) -> Iterator[tuple]:
+        params = ctx.params
+        for outer_row in self.outer.rows(ctx):
+            yield from stitch(
+                outer_row,
+                self._fetched(self.outer_key_fn(outer_row, params)),
+                self.residual,
+                self.kind,
+                self.null_row,
+                params,
+            )
+
+    def _fetched(self, key: Any) -> Iterator[tuple]:
+        """The inner rows under ``key``, each fetched and charged only
+        when the join pulls it (a LIMIT above stops the fetches)."""
+        if key is not None:
+            for handle in self.table.lookup(self.inner_column, key):
+                charge("tuple_cpu")
+                yield self.table.fetch(handle)
+
+    def _describe(self) -> str:
+        return (
+            f"{type(self).__name__}[{self.kind}]({self.table.name} as "
+            f"{self.binding} on {self.inner_column})"
+        )
+
+    def _children(self) -> list[PlanNode]:
+        return [self.outer]
+
+
+class VectorizedIndexNLJoin(IndexNLJoin):
+    """Index nested-loop join with vectorized inner fetches.
+
+    Used when the inner table is columnar (the Virtuoso engine): the outer
+    input is drained, all matching inner handles are collected, and the
+    needed columns are fetched in one batch per column — amortizing
+    positional access, at the price of a per-batch setup cost.
+    """
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
         params = ctx.params
@@ -415,30 +399,16 @@ class VectorizedIndexNLJoin(PlanNode):
             all_handles.extend(handles)
         fetched = self.table.fetch_batch(all_handles, self.needed)
         charge("tuple_vec", len(fetched))
-        cursor = 0
+        inner = iter(fetched)
         for outer_row, handles in zip(outer_rows, per_outer):
-            matched = False
-            for _ in handles:
-                inner_row = fetched[cursor]
-                cursor += 1
-                combined = outer_row + inner_row
-                if self.residual is not None and not self.residual(
-                    combined, params
-                ):
-                    continue
-                matched = True
-                yield combined
-            if not matched and self.kind == "left":
-                yield outer_row + self._null_row
-
-    def _describe(self) -> str:
-        return (
-            f"VectorizedIndexNLJoin[{self.kind}]({self.table.name} as "
-            f"{self.binding} on {self.inner_column})"
-        )
-
-    def _children(self) -> list[PlanNode]:
-        return [self.outer]
+            yield from stitch(
+                outer_row,
+                islice(inner, len(handles)),
+                self.residual,
+                self.kind,
+                self.null_row,
+                params,
+            )
 
 
 class HashJoin(PlanNode):
@@ -460,31 +430,24 @@ class HashJoin(PlanNode):
         self.kind = kind
         self.residual = residual
         self.schema = left.schema.concat(right.schema)
-        self._null_row = (None,) * len(right.schema)
+        self.null_row = (None,) * len(right.schema)
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
         params = ctx.params
-        build: dict[Any, list[tuple]] = {}
-        for row in self.right.rows(ctx):
-            charge("tuple_cpu")
-            key = self.right_key_fn(row, params)
-            if key is not None:
-                build.setdefault(key, []).append(row)
+        build = hash_build(
+            _charged(self.right.rows(ctx)), self.right_key_fn, params
+        )
         for left_row in self.left.rows(ctx):
             charge("hash_probe")
             key = self.left_key_fn(left_row, params)
-            matched = False
-            for right_row in build.get(key, ()) if key is not None else ():
-                charge("tuple_cpu")
-                combined = left_row + right_row
-                if self.residual is not None and not self.residual(
-                    combined, params
-                ):
-                    continue
-                matched = True
-                yield combined
-            if not matched and self.kind == "left":
-                yield left_row + self._null_row
+            yield from stitch(
+                left_row,
+                _charged(build.get(key, ())),
+                self.residual,
+                self.kind,
+                self.null_row,
+                params,
+            )
 
     def _children(self) -> list[PlanNode]:
         return [self.left, self.right]
@@ -505,21 +468,20 @@ class NLJoin(PlanNode):
         self.predicate = predicate
         self.kind = kind
         self.schema = outer.schema.concat(inner.schema)
-        self._null_row = (None,) * len(inner.schema)
+        self.null_row = (None,) * len(inner.schema)
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
         params = ctx.params
         inner_rows = list(self.inner.rows(ctx))
         for outer_row in self.outer.rows(ctx):
-            matched = False
-            for inner_row in inner_rows:
-                charge("tuple_cpu")
-                combined = outer_row + inner_row
-                if self.predicate is None or self.predicate(combined, params):
-                    matched = True
-                    yield combined
-            if not matched and self.kind == "left":
-                yield outer_row + self._null_row
+            yield from stitch(
+                outer_row,
+                _charged(inner_rows),
+                self.predicate,
+                self.kind,
+                self.null_row,
+                params,
+            )
 
     def _children(self) -> list[PlanNode]:
         return [self.outer, self.inner]
@@ -546,40 +508,15 @@ class Aggregate(PlanNode):
         self.schema = Schema([(None, n) for n in out_names])
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
-        params = ctx.params
-        groups: dict[tuple, list[Accumulator]] = {}
-        saw_any = False
-        for row in self.child.rows(ctx):
-            charge("tuple_cpu")
-            saw_any = True
-            key = tuple(fn(row, params) for fn in self.group_fns)
-            states = groups.get(key)
-            if states is None:
-                states = new_accumulators(self.agg_specs)
-                groups[key] = states
-            for state, (_, arg_fn, _) in zip(states, self.agg_specs):
-                state.feed(
-                    arg_fn(row, params) if arg_fn is not None else 1
-                )
-        if not groups and not self.group_fns and not saw_any:
-            # global aggregate over empty input still yields one row
-            states = new_accumulators(self.agg_specs)
-            yield tuple(s.result() for s in states)
-            return
-        for key, states in groups.items():
-            yield key + tuple(s.result() for s in states)
+        yield from aggregate(
+            _charged(self.child.rows(ctx)),
+            self.group_fns,
+            self.agg_specs,
+            ctx.params,
+        )
 
     def _children(self) -> list[PlanNode]:
         return [self.child]
-
-
-def new_accumulators(
-    agg_specs: Sequence[tuple[str, ExprFn | None, bool]],
-) -> list[Accumulator]:
-    return [
-        Accumulator(name, distinct, SqlRuntimeError)
-        for name, _, distinct in agg_specs
-    ]
 
 
 class Sort(PlanNode):
@@ -598,23 +535,11 @@ class Sort(PlanNode):
         params = ctx.params
         materialized = list(self.child.rows(ctx))
         charge("tuple_cpu", len(materialized))
-
-        # stable multi-key sort: apply keys right-to-left; NULLs sort first
-        for key_fn, desc in reversed(list(zip(self.key_fns, self.descending))):
-            materialized.sort(
-                key=lambda row: sort_key(key_fn(row, params)),
-                reverse=desc,
-            )
+        multi_key_sort(materialized, self.key_fns, self.descending, params)
         yield from materialized
 
     def _children(self) -> list[PlanNode]:
         return [self.child]
-
-
-def sort_key(value: Any) -> tuple:
-    # bool < int comparisons are fine; strings never mix with numbers in a
-    # single column, so tagging by NULL-ness suffices
-    return (value is not None, value)
 
 
 class Limit(PlanNode):
@@ -680,3 +605,112 @@ class MaterializedScan(PlanNode):
 
     def _describe(self) -> str:
         return f"MaterializedScan({self.binding})"
+
+
+# --- charge-free operator definitions, shared with exec/kernels.py ----------
+#
+# Each physical operator means the same under both execution modes; only
+# the price differs.  The interpreted operators above and the vectorized
+# kernels wrap these definitions in their own charges: per candidate /
+# per row (``tuple_cpu``) here, per batch (``vector_setup`` +
+# ``tuple_vec``) there.
+
+
+def stitch(
+    row: tuple,
+    candidates: Iterable[tuple],
+    residual: ExprFn | None,
+    kind: str,
+    null_row: tuple,
+    params: tuple,
+) -> Iterator[tuple]:
+    """Join one outer ``row`` with its candidate inner rows.
+
+    Yields ``row`` extended by each candidate that passes ``residual``
+    (every one when it is None) and, for a ``"left"`` join where none
+    does, ``row`` padded with ``null_row``.  Lazy: candidates are pulled
+    one at a time, so a generator of them can charge and fetch per
+    candidate and stop when the consumer does.
+    """
+    matched = False
+    for candidate in candidates:
+        combined = row + candidate
+        if residual is None or residual(combined, params):
+            matched = True
+            yield combined
+    if not matched and kind == "left":
+        yield row + null_row
+
+
+def hash_build(
+    rows: Iterable[tuple], key_fn: ExprFn, params: tuple
+) -> dict[Any, list[tuple]]:
+    """A hash join's build side: rows by key, NULL keys dropped."""
+    build: dict[Any, list[tuple]] = {}
+    for row in rows:
+        key = key_fn(row, params)
+        if key is not None:
+            build.setdefault(key, []).append(row)
+    return build
+
+
+def aggregate(
+    rows: Iterable[tuple],
+    group_fns: Sequence[ExprFn],
+    agg_specs: Sequence[tuple[str, ExprFn | None, bool]],
+    params: tuple,
+) -> list[tuple]:
+    """Hash aggregation: one row per group in first-seen order, group
+    values then aggregate values.  A global aggregate (no group keys)
+    over no rows still yields one row."""
+    groups: dict[tuple, list[Accumulator]] = {}
+    for row in rows:
+        key = tuple(fn(row, params) for fn in group_fns)
+        states = groups.get(key)
+        if states is None:
+            states = groups[key] = _accumulators(agg_specs)
+        for state, (_, arg_fn, _) in zip(states, agg_specs):
+            state.feed(arg_fn(row, params) if arg_fn is not None else 1)
+    if not groups and not group_fns:
+        groups[()] = _accumulators(agg_specs)
+    return [
+        key + tuple(state.result() for state in states)
+        for key, states in groups.items()
+    ]
+
+
+def _accumulators(
+    agg_specs: Sequence[tuple[str, ExprFn | None, bool]],
+) -> list[Accumulator]:
+    return [
+        Accumulator(name, distinct, SqlRuntimeError)
+        for name, _, distinct in agg_specs
+    ]
+
+
+def multi_key_sort(
+    rows: list[tuple],
+    key_fns: Sequence[ExprFn],
+    descending: Sequence[bool],
+    params: tuple,
+) -> None:
+    """Stable multi-key sort in place: one pass per key, right to left,
+    NULLs first."""
+    for key_fn, desc in reversed(list(zip(key_fns, descending))):
+        rows.sort(
+            key=lambda row: _null_first(key_fn(row, params)), reverse=desc
+        )
+
+
+def _null_first(value: Any) -> tuple:
+    # bool < int comparisons are fine; strings never mix with numbers in a
+    # single column, so tagging by NULL-ness suffices
+    return (value is not None, value)
+
+
+def _charged(rows: Iterable[tuple]) -> Iterator[tuple]:
+    """``rows``, charging the interpreter's ``tuple_cpu`` as each is
+    pulled."""
+    for row in rows:
+        charge("tuple_cpu")
+        yield row

@@ -758,7 +758,7 @@ class Planner:
             )
         if isinstance(node, MaterializedScan):
             return 64.0  # CTE working set: unknowable statically
-        if isinstance(node, (IndexNLJoin, VectorizedIndexNLJoin)):
+        if isinstance(node, IndexNLJoin):  # vectorized ones included
             outer = node.outer.est_rows or 1.0
             per_probe = self._table_rows(node.table) * Selectivity.equality(
                 self._distinct(node.table, node.inner_column)
@@ -929,6 +929,23 @@ class RecursiveCTEPlan(PlanNode):
         self.schema = body.schema
 
     def rows(self, ctx: ExecContext) -> Iterator[tuple]:
+        self.fixpoint(
+            lambda: list(self.base.rows(ctx)),
+            lambda: list(self.step.rows(ctx)),
+        )
+        yield from self.body.rows(ctx)
+
+    def fixpoint(
+        self,
+        run_base: Callable[[], list[tuple]],
+        run_step: Callable[[], list[tuple]],
+    ) -> None:
+        """Evaluate the CTE into ``result``: the semi-naive loop.
+
+        ``run_base()`` and ``run_step()`` run the two sub-plans the
+        caller's way (interpreted iterators or compiled kernels); the
+        step reads the previous iteration's delta through ``working``.
+        """
         seen: set[tuple] = set()
         all_rows: list[tuple] = []
 
@@ -944,7 +961,7 @@ class RecursiveCTEPlan(PlanNode):
             all_rows.extend(fresh)
             return fresh
 
-        delta = absorb(list(self.base.rows(ctx)))
+        delta = absorb(run_base())
         iterations = 0
         while delta:
             iterations += 1
@@ -959,9 +976,8 @@ class RecursiveCTEPlan(PlanNode):
                     f"{MAX_RECURSION_ROWS} rows"
                 )
             self.working.rows = delta
-            delta = absorb(list(self.step.rows(ctx)))
+            delta = absorb(run_step())
         self.result.rows = all_rows
-        yield from self.body.rows(ctx)
 
     def _children(self) -> list[PlanNode]:
         return [self.base, self.step, self.body]

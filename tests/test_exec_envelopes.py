@@ -3,16 +3,19 @@
 The interpreted and compiled paths share their operator definitions;
 what differs is the envelope around them: ``step_eval`` per traverser
 vs ``vector_setup`` + ``tuple_vec`` per batch (Gremlin), ``cypher_row``
-per row vs one dispatch per 1024-row chunk (Cypher RETURN).  These
-tests pin the *full* ledger of fixed queries over fixed small graphs in
-both modes, so a pricing slip shows here and not only in the
-trajectory benchmark.
+per row vs one dispatch per 1024-row chunk (Cypher RETURN),
+``tuple_cpu`` per candidate vs per-batch dispatch (SQL joins, SPARQL
+triple joins).  These tests pin the *full* ledger of fixed queries over
+fixed small databases in both modes, cold and warm, so a pricing slip
+shows here and not only in the trajectory benchmark.
 """
 
 import pytest
 
 from repro.graphdb import GraphDatabase
 from repro.options import EngineOptions
+from repro.rdf import RdfDatabase
+from repro.relational import Database
 from repro.simclock import meter
 from repro.tinkerpop import Graph, GremlinServer, P, TinkerGraphProvider
 
@@ -208,7 +211,13 @@ def test_return_over_zero_rows_charges_no_row_work(mode):
     assert "tuple_vec" not in charged
 
 
-@pytest.mark.parametrize("key", ["neo4j-cypher", "neo4j-gremlin"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        "neo4j-cypher", "neo4j-gremlin", "postgres-sql", "virtuoso-sql",
+        "virtuoso-sparql",
+    ],
+)
 def test_interpreted_reads_never_enter_repro_exec(key):
     """Nothing the interpreted path runs may live under repro/exec/
     (the trajectory smoke asserts the same over whole workloads)."""
@@ -257,3 +266,537 @@ def test_interpreted_reads_never_enter_repro_exec(key):
     finally:
         sys.setprofile(None)
     assert not exec_frames
+
+
+def relational_db(storage, mode):
+    """t(id, parent, v) with an index on parent, u(id, tid, v): 12 rows
+    each; every t row with parent p is a child of t row p."""
+    db = Database(storage, options=EngineOptions(execution_mode=mode))
+    db.execute(
+        "CREATE TABLE t (id BIGINT PRIMARY KEY, parent BIGINT, v INT)"
+    )
+    db.execute("CREATE INDEX ON t (parent)")
+    db.execute("CREATE TABLE u (id BIGINT PRIMARY KEY, tid BIGINT, v INT)")
+    for i in range(12):
+        db.execute("INSERT INTO t VALUES (?, ?, ?)", (i, i // 3, i % 5))
+        db.execute(
+            "INSERT INTO u VALUES (?, ?, ?)", (i, (i * 5) % 7, i % 4)
+        )
+    return db
+
+
+SQL_STATEMENTS = {
+    "index-join-left": (
+        "SELECT a.id, b.id FROM t a LEFT JOIN t b "
+        "ON b.parent = a.id AND b.v > 3 ORDER BY a.id, b.id"
+    ),
+    "index-join-limit": (
+        "SELECT a.id, b.id FROM t a JOIN t b ON b.parent = a.id LIMIT 2"
+    ),
+    "hash-join": (
+        "SELECT a.id, b.id FROM t a JOIN u b ON b.tid = a.v "
+        "ORDER BY a.id, b.id"
+    ),
+    "hash-join-left": (
+        "SELECT a.id, b.id FROM t a LEFT JOIN u b "
+        "ON b.tid = a.v AND b.v > 1 ORDER BY a.id, b.id"
+    ),
+    "nl-join": (
+        "SELECT a.id, b.id FROM t a JOIN t b ON b.id < a.id "
+        "WHERE a.id < 4 ORDER BY a.id, b.id"
+    ),
+    "nl-join-left": (
+        "SELECT a.id, b.id FROM t a LEFT JOIN t b ON b.id < a.id "
+        "WHERE a.id < 4 ORDER BY a.id, b.id"
+    ),
+    "group-by": "SELECT v, count(*), max(id) FROM t GROUP BY v ORDER BY v",
+    "group-by-empty": (
+        "SELECT v, count(*) FROM t WHERE id > 1000 GROUP BY v"
+    ),
+    "global-aggregate-empty": (
+        "SELECT count(*), max(v) FROM t WHERE id > 1000"
+    ),
+    "distinct-desc-limit": "SELECT DISTINCT v FROM t ORDER BY v DESC LIMIT 2",
+    "limit-zero": "SELECT id FROM t LIMIT 0",
+    "recursive-reach": (
+        "WITH RECURSIVE r (x) AS (SELECT id FROM t WHERE id = 1 "
+        "UNION SELECT c.id FROM r JOIN t c ON c.parent = r.x) "
+        "SELECT x FROM r ORDER BY x"
+    ),
+    "param-lookup": "SELECT v FROM t WHERE id = ?",
+}
+
+SQL_PARAMS = {"param-lookup": (7,)}
+
+SQL_ROWS = {
+    "distinct-desc-limit": [(4,), (3,)],
+    "global-aggregate-empty": [(0, None)],
+    "group-by": [(0, 3, 10), (1, 3, 11), (2, 2, 7), (3, 2, 8), (4, 2, 9)],
+    "group-by-empty": [],
+    "hash-join": [
+        (0, 0), (0, 7), (1, 3), (1, 10), (2, 6), (3, 2), (3, 9), (4, 5),
+        (5, 0), (5, 7), (6, 3), (6, 10), (7, 6), (8, 2), (8, 9), (9, 5),
+        (10, 0), (10, 7), (11, 3), (11, 10),
+    ],
+    "hash-join-left": [
+        (0, 7), (1, 3), (1, 10), (2, 6), (3, 2), (4, None), (5, 7), (6, 3),
+        (6, 10), (7, 6), (8, 2), (9, None), (10, 7), (11, 3), (11, 10),
+    ],
+    "index-join-left": [
+        (0, None), (1, 4), (2, None), (3, 9), (4, None), (5, None), (6, None),
+        (7, None), (8, None), (9, None), (10, None), (11, None),
+    ],
+    "index-join-limit": [(0, 0), (0, 1)],
+    "limit-zero": [],
+    "nl-join": [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)],
+    "nl-join-left": [
+        (0, None), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
+    ],
+    "param-lookup": [(2,)],
+    "recursive-reach": [(1,), (3,), (4,), (5,), (9,), (10,), (11,)],
+}
+
+SQL_WARM = {
+    ("column", "compiled", "distinct-desc-limit"): {
+        "column_seek": 3, "column_value": 36, "compiled_exec": 1,
+        "hash_probe": 12, "sql_exec": 1, "sql_row": 2, "ts_alloc": 1,
+        "tuple_vec": 36, "vector_setup": 4,
+    },
+    ("column", "compiled", "global-aggregate-empty"): {
+        "column_seek": 3, "column_value": 36, "compiled_exec": 1,
+        "sql_exec": 1, "sql_row": 1, "ts_alloc": 1, "tuple_vec": 25,
+        "vector_setup": 3,
+    },
+    ("column", "compiled", "group-by"): {
+        "column_seek": 3, "column_value": 36, "compiled_exec": 1,
+        "sql_exec": 1, "sql_row": 5, "ts_alloc": 1, "tuple_vec": 34,
+        "vector_setup": 4,
+    },
+    ("column", "compiled", "group-by-empty"): {
+        "column_seek": 3, "column_value": 36, "compiled_exec": 1,
+        "sql_exec": 1, "sql_row": 0, "ts_alloc": 1, "tuple_vec": 24,
+        "vector_setup": 2,
+    },
+    ("column", "compiled", "hash-join"): {
+        "column_seek": 6, "column_value": 72, "compiled_exec": 1,
+        "hash_probe": 12, "sql_exec": 1, "sql_row": 20, "ts_alloc": 1,
+        "tuple_vec": 108, "vector_setup": 6,
+    },
+    ("column", "compiled", "hash-join-left"): {
+        "column_seek": 6, "column_value": 72, "compiled_exec": 1,
+        "hash_probe": 12, "sql_exec": 1, "sql_row": 15, "ts_alloc": 1,
+        "tuple_vec": 93, "vector_setup": 6,
+    },
+    ("column", "compiled", "index-join-left"): {
+        "column_seek": 6, "column_value": 72, "compiled_exec": 1,
+        "index_node": 12, "index_probe": 12, "sql_exec": 1, "sql_row": 12,
+        "ts_alloc": 1, "tuple_vec": 60, "vector_setup": 5,
+    },
+    ("column", "compiled", "index-join-limit"): {
+        "column_seek": 5, "column_value": 60, "compiled_exec": 1,
+        "index_node": 12, "index_probe": 12, "sql_exec": 1, "sql_row": 2,
+        "ts_alloc": 1, "tuple_vec": 48, "vector_setup": 4,
+    },
+    ("column", "compiled", "limit-zero"): {
+        "compiled_exec": 1, "sql_exec": 1, "sql_row": 0, "ts_alloc": 1,
+    },
+    ("column", "compiled", "nl-join"): {
+        "column_seek": 6, "column_value": 72, "compiled_exec": 1,
+        "sql_exec": 1, "sql_row": 6, "ts_alloc": 1, "tuple_vec": 100,
+        "vector_setup": 6,
+    },
+    ("column", "compiled", "nl-join-left"): {
+        "column_seek": 6, "column_value": 72, "compiled_exec": 1,
+        "sql_exec": 1, "sql_row": 7, "ts_alloc": 1, "tuple_vec": 102,
+        "vector_setup": 6,
+    },
+    ("column", "compiled", "param-lookup"): {
+        "column_seek": 2, "column_value": 2, "compiled_exec": 1,
+        "hash_probe": 1, "sql_exec": 1, "sql_row": 1, "ts_alloc": 1,
+        "tuple_vec": 2, "vector_setup": 3,
+    },
+    ("column", "compiled", "recursive-reach"): {
+        "column_seek": 5, "column_value": 13, "compiled_exec": 1,
+        "hash_probe": 1, "index_node": 7, "index_probe": 7, "sql_exec": 1,
+        "sql_row": 7, "ts_alloc": 1, "tuple_vec": 49, "vector_setup": 16,
+    },
+    ("column", "interpreted", "distinct-desc-limit"): {
+        "column_seek": 3, "column_value": 36, "hash_probe": 3, "sql_exec": 1,
+        "sql_row": 2, "ts_alloc": 1, "tuple_cpu": 27,
+    },
+    ("column", "interpreted", "global-aggregate-empty"): {
+        "column_seek": 3, "column_value": 36, "sql_exec": 1, "sql_row": 1,
+        "ts_alloc": 1, "tuple_cpu": 25,
+    },
+    ("column", "interpreted", "group-by"): {
+        "column_seek": 3, "column_value": 36, "sql_exec": 1, "sql_row": 5,
+        "ts_alloc": 1, "tuple_cpu": 34,
+    },
+    ("column", "interpreted", "group-by-empty"): {
+        "column_seek": 3, "column_value": 36, "sql_exec": 1, "sql_row": 0,
+        "ts_alloc": 1, "tuple_cpu": 24,
+    },
+    ("column", "interpreted", "hash-join"): {
+        "column_seek": 6, "column_value": 72, "hash_probe": 12, "sql_exec": 1,
+        "sql_row": 20, "ts_alloc": 1, "tuple_cpu": 96,
+    },
+    ("column", "interpreted", "hash-join-left"): {
+        "column_seek": 6, "column_value": 72, "hash_probe": 12, "sql_exec": 1,
+        "sql_row": 15, "ts_alloc": 1, "tuple_cpu": 86,
+    },
+    ("column", "interpreted", "index-join-left"): {
+        "column_seek": 6, "column_value": 72, "index_node": 12,
+        "index_probe": 12, "sql_exec": 1, "sql_row": 12, "ts_alloc": 1,
+        "tuple_cpu": 36, "tuple_vec": 12, "vector_setup": 1,
+    },
+    ("column", "interpreted", "index-join-limit"): {
+        "column_seek": 5, "column_value": 60, "index_node": 12,
+        "index_probe": 12, "sql_exec": 1, "sql_row": 2, "ts_alloc": 1,
+        "tuple_cpu": 14, "tuple_vec": 12, "vector_setup": 1,
+    },
+    ("column", "interpreted", "limit-zero"): {
+        "sql_exec": 1, "sql_row": 0, "ts_alloc": 1,
+    },
+    ("column", "interpreted", "nl-join"): {
+        "column_seek": 6, "column_value": 72, "sql_exec": 1, "sql_row": 6,
+        "ts_alloc": 1, "tuple_cpu": 96,
+    },
+    ("column", "interpreted", "nl-join-left"): {
+        "column_seek": 6, "column_value": 72, "sql_exec": 1, "sql_row": 7,
+        "ts_alloc": 1, "tuple_cpu": 98,
+    },
+    ("column", "interpreted", "param-lookup"): {
+        "column_seek": 2, "column_value": 2, "hash_probe": 1, "sql_exec": 1,
+        "sql_row": 1, "ts_alloc": 1, "tuple_cpu": 2, "vector_setup": 1,
+    },
+    ("column", "interpreted", "recursive-reach"): {
+        "column_seek": 5, "column_value": 13, "hash_probe": 1, "index_node": 7,
+        "index_probe": 7, "sql_exec": 1, "sql_row": 7, "ts_alloc": 1,
+        "tuple_cpu": 36, "tuple_vec": 6, "vector_setup": 3,
+    },
+    ("row", "compiled", "distinct-desc-limit"): {
+        "buffer_hit": 1, "compiled_exec": 1, "hash_probe": 12, "sql_exec": 1,
+        "sql_row": 2, "ts_alloc": 1, "tuple_cpu": 12, "tuple_vec": 36,
+        "value_cpu": 36, "vector_setup": 4,
+    },
+    ("row", "compiled", "global-aggregate-empty"): {
+        "buffer_hit": 1, "compiled_exec": 1, "sql_exec": 1, "sql_row": 1,
+        "ts_alloc": 1, "tuple_cpu": 12, "tuple_vec": 25, "value_cpu": 36,
+        "vector_setup": 3,
+    },
+    ("row", "compiled", "group-by"): {
+        "buffer_hit": 1, "compiled_exec": 1, "sql_exec": 1, "sql_row": 5,
+        "ts_alloc": 1, "tuple_cpu": 12, "tuple_vec": 34, "value_cpu": 36,
+        "vector_setup": 4,
+    },
+    ("row", "compiled", "group-by-empty"): {
+        "buffer_hit": 1, "compiled_exec": 1, "sql_exec": 1, "sql_row": 0,
+        "ts_alloc": 1, "tuple_cpu": 12, "tuple_vec": 24, "value_cpu": 36,
+        "vector_setup": 2,
+    },
+    ("row", "compiled", "hash-join"): {
+        "buffer_hit": 2, "compiled_exec": 1, "hash_probe": 12, "sql_exec": 1,
+        "sql_row": 20, "ts_alloc": 1, "tuple_cpu": 24, "tuple_vec": 108,
+        "value_cpu": 72, "vector_setup": 6,
+    },
+    ("row", "compiled", "hash-join-left"): {
+        "buffer_hit": 2, "compiled_exec": 1, "hash_probe": 12, "sql_exec": 1,
+        "sql_row": 15, "ts_alloc": 1, "tuple_cpu": 24, "tuple_vec": 93,
+        "value_cpu": 72, "vector_setup": 6,
+    },
+    ("row", "compiled", "index-join-left"): {
+        "buffer_hit": 13, "compiled_exec": 1, "index_node": 12,
+        "index_probe": 12, "sql_exec": 1, "sql_row": 12, "ts_alloc": 1,
+        "tuple_cpu": 24, "tuple_vec": 60, "value_cpu": 72, "vector_setup": 4,
+    },
+    ("row", "compiled", "index-join-limit"): {
+        "buffer_hit": 13, "compiled_exec": 1, "index_node": 12,
+        "index_probe": 12, "sql_exec": 1, "sql_row": 2, "ts_alloc": 1,
+        "tuple_cpu": 24, "tuple_vec": 48, "value_cpu": 72, "vector_setup": 3,
+    },
+    ("row", "compiled", "limit-zero"): {
+        "compiled_exec": 1, "sql_exec": 1, "sql_row": 0, "ts_alloc": 1,
+    },
+    ("row", "compiled", "nl-join"): {
+        "buffer_hit": 2, "compiled_exec": 1, "sql_exec": 1, "sql_row": 6,
+        "ts_alloc": 1, "tuple_cpu": 24, "tuple_vec": 100, "value_cpu": 72,
+        "vector_setup": 6,
+    },
+    ("row", "compiled", "nl-join-left"): {
+        "buffer_hit": 2, "compiled_exec": 1, "sql_exec": 1, "sql_row": 7,
+        "ts_alloc": 1, "tuple_cpu": 24, "tuple_vec": 102, "value_cpu": 72,
+        "vector_setup": 6,
+    },
+    ("row", "compiled", "param-lookup"): {
+        "buffer_hit": 1, "compiled_exec": 1, "hash_probe": 1, "sql_exec": 1,
+        "sql_row": 1, "ts_alloc": 1, "tuple_cpu": 1, "tuple_vec": 2,
+        "value_cpu": 3, "vector_setup": 2,
+    },
+    ("row", "compiled", "recursive-reach"): {
+        "buffer_hit": 7, "compiled_exec": 1, "hash_probe": 1, "index_node": 7,
+        "index_probe": 7, "sql_exec": 1, "sql_row": 7, "ts_alloc": 1,
+        "tuple_cpu": 7, "tuple_vec": 49, "value_cpu": 21, "vector_setup": 13,
+    },
+    ("row", "interpreted", "distinct-desc-limit"): {
+        "buffer_hit": 1, "hash_probe": 3, "sql_exec": 1, "sql_row": 2,
+        "ts_alloc": 1, "tuple_cpu": 39, "value_cpu": 36,
+    },
+    ("row", "interpreted", "global-aggregate-empty"): {
+        "buffer_hit": 1, "sql_exec": 1, "sql_row": 1, "ts_alloc": 1,
+        "tuple_cpu": 37, "value_cpu": 36,
+    },
+    ("row", "interpreted", "group-by"): {
+        "buffer_hit": 1, "sql_exec": 1, "sql_row": 5, "ts_alloc": 1,
+        "tuple_cpu": 46, "value_cpu": 36,
+    },
+    ("row", "interpreted", "group-by-empty"): {
+        "buffer_hit": 1, "sql_exec": 1, "sql_row": 0, "ts_alloc": 1,
+        "tuple_cpu": 36, "value_cpu": 36,
+    },
+    ("row", "interpreted", "hash-join"): {
+        "buffer_hit": 2, "hash_probe": 12, "sql_exec": 1, "sql_row": 20,
+        "ts_alloc": 1, "tuple_cpu": 120, "value_cpu": 72,
+    },
+    ("row", "interpreted", "hash-join-left"): {
+        "buffer_hit": 2, "hash_probe": 12, "sql_exec": 1, "sql_row": 15,
+        "ts_alloc": 1, "tuple_cpu": 110, "value_cpu": 72,
+    },
+    ("row", "interpreted", "index-join-left"): {
+        "buffer_hit": 13, "index_node": 12, "index_probe": 12, "sql_exec": 1,
+        "sql_row": 12, "ts_alloc": 1, "tuple_cpu": 72, "value_cpu": 72,
+    },
+    ("row", "interpreted", "index-join-limit"): {
+        "buffer_hit": 3, "index_node": 1, "index_probe": 1, "sql_exec": 1,
+        "sql_row": 2, "ts_alloc": 1, "tuple_cpu": 8, "value_cpu": 9,
+    },
+    ("row", "interpreted", "limit-zero"): {
+        "sql_exec": 1, "sql_row": 0, "ts_alloc": 1,
+    },
+    ("row", "interpreted", "nl-join"): {
+        "buffer_hit": 2, "sql_exec": 1, "sql_row": 6, "ts_alloc": 1,
+        "tuple_cpu": 120, "value_cpu": 72,
+    },
+    ("row", "interpreted", "nl-join-left"): {
+        "buffer_hit": 2, "sql_exec": 1, "sql_row": 7, "ts_alloc": 1,
+        "tuple_cpu": 122, "value_cpu": 72,
+    },
+    ("row", "interpreted", "param-lookup"): {
+        "buffer_hit": 1, "hash_probe": 1, "sql_exec": 1, "sql_row": 1,
+        "ts_alloc": 1, "tuple_cpu": 3, "value_cpu": 3,
+    },
+    ("row", "interpreted", "recursive-reach"): {
+        "buffer_hit": 7, "hash_probe": 1, "index_node": 7, "index_probe": 7,
+        "sql_exec": 1, "sql_row": 7, "ts_alloc": 1, "tuple_cpu": 49,
+        "value_cpu": 21,
+    },
+}
+
+#: what a first execution pays on top of a warm one
+SQL_COLD_EXTRA = {
+    "interpreted": {"sql_parse": 1, "sql_plan": 1},
+    "compiled": {"sql_parse": 1, "sql_plan": 1, "closure_compile": 1},
+}
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (storage, mode)
+        for storage in ("row", "column")
+        for mode in ("interpreted", "compiled")
+    ],
+    ids="-".join,
+)
+def relational(request):
+    storage, mode = request.param
+    return storage, mode, relational_db(storage, mode)
+
+
+@pytest.mark.parametrize("statement", sorted(SQL_STATEMENTS))
+def test_sql_ledger_is_pinned(relational, statement):
+    storage, mode, db = relational
+    warm = SQL_WARM[storage, mode, statement]
+    cold = {**warm, **SQL_COLD_EXTRA[mode]}
+    for expected in (cold, warm):
+        with meter() as ledger:
+            rows = db.execute(
+                SQL_STATEMENTS[statement], SQL_PARAMS.get(statement, ())
+            )
+        assert rows == SQL_ROWS[statement]
+        assert ledger.snapshot() == expected
+
+
+def rdf_db(mode, analyzed):
+    """6 people (type, id, age, name) and 6 knows edges: 30 triples."""
+    db = RdfDatabase(options=EngineOptions(execution_mode=mode))
+    names = ["Alice", "Bob", "Carol", "Dan", "Eve", "Finn"]
+    triples = []
+    for i, name in enumerate(names, start=1):
+        iri = f"sn:p{i}"
+        triples += [
+            (iri, "rdf:type", "snb:Person"),
+            (iri, "snb:id", i),
+            (iri, "snb:age", 20 + (i * 7) % 15),
+            (iri, "snb:firstName", name),
+        ]
+    for a, b in ((1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 6)):
+        triples.append((f"sn:p{a}", "snb:knows", f"sn:p{b}"))
+    db.insert_triples(triples)
+    if analyzed:
+        db.analyze()
+    return db
+
+
+SPARQL_QUERIES = {
+    "filter-mix": (
+        "SELECT ?n ?a WHERE { ?p snb:firstName ?n . ?p snb:age ?a "
+        "FILTER (?a > 22 && ?a < 34 || !(?n IN ('Bob', 'Eve'))) }"
+    ),
+    "count": "SELECT (COUNT(*) AS ?c) WHERE { ?p snb:knows ?q }",
+    "distinct-order-limit": (
+        "SELECT DISTINCT ?y WHERE { ?p snb:knows ?q . ?q snb:age ?y } "
+        "ORDER BY DESC(?y) LIMIT 3"
+    ),
+    "param-predicate": (
+        "SELECT ?q WHERE { ?p snb:id $a . ?p $p ?q } ORDER BY ?q"
+    ),
+    "star-not-in": (
+        "SELECT * WHERE { ?p snb:firstName ?n . ?p snb:age ?a "
+        "FILTER (?n NOT IN ('Alice', 'Carol')) }"
+    ),
+}
+
+SPARQL_PARAMS = {"param-predicate": {"a": 1, "p": "snb:knows"}}
+
+SPARQL_ROWS = {
+    "count": [(6,)],
+    "distinct-order-limit": [(34,), (33,), (32,)],
+    "filter-mix": [
+        ("Alice", 27), ("Carol", 26), ("Dan", 33), ("Eve", 25), ("Finn", 32),
+    ],
+    "param-predicate": [("sn:p2",), ("sn:p4",)],
+    "star-not-in": [
+        (34, "Bob", "sn:p2"), (33, "Dan", "sn:p4"), (25, "Eve", "sn:p5"),
+        (32, "Finn", "sn:p6"),
+    ],
+}
+
+SPARQL_WARM = {
+    ("compiled", False, "count"): {
+        "compiled_exec": 1, "hash_probe": 1, "index_node": 1, "index_probe": 1,
+        "ts_alloc": 1, "tuple_vec": 6, "value_cpu": 18, "vector_setup": 1,
+    },
+    ("compiled", False, "distinct-order-limit"): {
+        "compiled_exec": 1, "hash_probe": 13, "index_node": 7,
+        "index_probe": 7, "ts_alloc": 1, "tuple_vec": 18, "value_cpu": 36,
+        "vector_setup": 3,
+    },
+    ("compiled", False, "filter-mix"): {
+        "compiled_exec": 1, "hash_probe": 13, "index_node": 7,
+        "index_probe": 7, "ts_alloc": 1, "tuple_vec": 22, "value_cpu": 36,
+        "vector_setup": 4,
+    },
+    ("compiled", False, "param-predicate"): {
+        "compiled_exec": 1, "hash_probe": 4, "index_node": 2, "index_probe": 2,
+        "ts_alloc": 1, "tuple_vec": 5, "value_cpu": 8, "vector_setup": 3,
+    },
+    ("compiled", False, "star-not-in"): {
+        "compiled_exec": 1, "hash_probe": 9, "index_node": 5, "index_probe": 5,
+        "ts_alloc": 1, "tuple_vec": 18, "value_cpu": 30, "vector_setup": 4,
+    },
+    ("compiled", True, "count"): {
+        "compiled_exec": 1, "hash_probe": 1, "index_node": 1, "index_probe": 1,
+        "ts_alloc": 1, "tuple_vec": 6, "value_cpu": 18, "vector_setup": 1,
+    },
+    ("compiled", True, "distinct-order-limit"): {
+        "compiled_exec": 1, "hash_probe": 13, "index_node": 7,
+        "index_probe": 7, "ts_alloc": 1, "tuple_vec": 18, "value_cpu": 36,
+        "vector_setup": 3,
+    },
+    ("compiled", True, "filter-mix"): {
+        "compiled_exec": 1, "hash_probe": 13, "index_node": 7,
+        "index_probe": 7, "ts_alloc": 1, "tuple_vec": 22, "value_cpu": 36,
+        "vector_setup": 4,
+    },
+    ("compiled", True, "param-predicate"): {
+        "hash_probe": 4, "index_node": 2, "index_probe": 2, "sql_exec": 1,
+        "ts_alloc": 1, "tuple_cpu": 3, "value_cpu": 10,
+    },
+    ("compiled", True, "star-not-in"): {
+        "compiled_exec": 1, "hash_probe": 9, "index_node": 5, "index_probe": 5,
+        "ts_alloc": 1, "tuple_vec": 18, "value_cpu": 30, "vector_setup": 4,
+    },
+    ("interpreted", False, "count"): {
+        "hash_probe": 1, "index_node": 1, "index_probe": 1, "sql_exec": 1,
+        "ts_alloc": 1, "tuple_cpu": 6, "value_cpu": 19,
+    },
+    ("interpreted", False, "distinct-order-limit"): {
+        "hash_probe": 13, "index_node": 7, "index_probe": 7, "sql_exec": 1,
+        "ts_alloc": 1, "tuple_cpu": 12, "value_cpu": 42,
+    },
+    ("interpreted", False, "filter-mix"): {
+        "hash_probe": 13, "index_node": 7, "index_probe": 7, "sql_exec": 1,
+        "ts_alloc": 1, "tuple_cpu": 12, "value_cpu": 72,
+    },
+    ("interpreted", False, "param-predicate"): {
+        "hash_probe": 4, "index_node": 2, "index_probe": 2, "sql_exec": 1,
+        "ts_alloc": 1, "tuple_cpu": 3, "value_cpu": 10,
+    },
+    ("interpreted", False, "star-not-in"): {
+        "hash_probe": 9, "index_node": 5, "index_probe": 5, "sql_exec": 1,
+        "ts_alloc": 1, "tuple_cpu": 10, "value_cpu": 48,
+    },
+    ("interpreted", True, "count"): {
+        "hash_probe": 1, "index_node": 1, "index_probe": 1, "sql_exec": 1,
+        "ts_alloc": 1, "tuple_cpu": 6, "value_cpu": 19,
+    },
+    ("interpreted", True, "distinct-order-limit"): {
+        "hash_probe": 13, "index_node": 7, "index_probe": 7, "sql_exec": 1,
+        "ts_alloc": 1, "tuple_cpu": 12, "value_cpu": 42,
+    },
+    ("interpreted", True, "filter-mix"): {
+        "hash_probe": 13, "index_node": 7, "index_probe": 7, "sql_exec": 1,
+        "ts_alloc": 1, "tuple_cpu": 12, "value_cpu": 72,
+    },
+    ("interpreted", True, "param-predicate"): {
+        "hash_probe": 4, "index_node": 2, "index_probe": 2, "sql_exec": 1,
+        "ts_alloc": 1, "tuple_cpu": 3, "value_cpu": 10,
+    },
+    ("interpreted", True, "star-not-in"): {
+        "hash_probe": 9, "index_node": 5, "index_probe": 5, "sql_exec": 1,
+        "ts_alloc": 1, "tuple_cpu": 10, "value_cpu": 48,
+    },
+}
+
+SPARQL_COLD_EXTRA = {
+    "interpreted": {"sparql_parse": 1, "sparql_translate": 1},
+    "compiled": {
+        "sparql_parse": 1, "sparql_translate": 1, "closure_compile": 1,
+    },
+}
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (mode, analyzed)
+        for mode in ("interpreted", "compiled")
+        for analyzed in (False, True)
+    ],
+    ids=lambda p: f"{p[0]}-{'stats' if p[1] else 'boundness'}",
+)
+def rdf(request):
+    mode, analyzed = request.param
+    return mode, analyzed, rdf_db(mode, analyzed)
+
+
+@pytest.mark.parametrize("query", sorted(SPARQL_QUERIES))
+def test_sparql_ledger_is_pinned(rdf, query):
+    mode, analyzed, db = rdf
+    warm = SPARQL_WARM[mode, analyzed, query]
+    cold = {**warm, **SPARQL_COLD_EXTRA[mode]}
+    for expected in (cold, warm):
+        with meter() as ledger:
+            rows = db.execute(SPARQL_QUERIES[query], SPARQL_PARAMS.get(query))
+        assert rows == SPARQL_ROWS[query]
+        assert ledger.snapshot() == expected
