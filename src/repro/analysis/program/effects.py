@@ -54,6 +54,7 @@ from repro.analysis.program.summaries import (
     MUTATION_CHARGES,
     MUTATOR_ATTRS,
     FunctionSummary,
+    class_cache_attrs,
 )
 
 #: read-side VersionStore methods: calling any of these (on the class's
@@ -184,7 +185,6 @@ def collect_store_classes(
         store_attrs: set[str] = set()
         callbacks: set[str] = set()
         container_defs: set[str] = set()
-        cache_attrs: set[str] = set()
         mutated: set[str] = set()
         for member in members:
             for attr, callback in member.version_store_defs.items():
@@ -192,16 +192,13 @@ def collect_store_classes(
                 if callback is not None:
                     callbacks.add(callback)
             container_defs |= member.container_defs
-            cache_attrs |= set(member.cache_defs)
             mutated |= member.self_mutations
             for attr, calls in member.attr_calls.items():
                 if calls & MUTATOR_ATTRS:
                     mutated.add(attr)
         if not store_attrs:
             continue
-        cache_attrs |= {
-            a for a in container_defs if a.endswith("_cache")
-        }
+        cache_attrs = class_cache_attrs(members, container_defs)
         index_attrs = {
             a
             for a in container_defs | mutated
@@ -489,8 +486,9 @@ def pass_ungated_cache(
                 for attr in cf.cache_attrs
                 if member.attr_calls.get(attr, set()) & CACHE_OP_NAMES
             }
+            # fills and hits only: an eviction is always safe
             ops |= (
-                member.attr_subscript_loads | member.self_mutations
+                member.attr_subscript_loads | member.cache_writes
             ) & cf.cache_attrs
             if ops and member.ref not in gated:
                 touched = ", ".join(sorted(ops))

@@ -19,11 +19,14 @@ QA803     blocking I/O (WAL fsync, Gremlin submit, checkpoint) is
 QA804     a storage-mutation function emits no sanitizer trace event.
           Mutation means: a record/page-level ``charge``, or mutating
           the same ``self`` attributes a traced sibling method of the
-          class mutates.  This keeps PR 5's runtime hooks from rotting
-          silently as the engines grow.
+          class mutates, its cache attributes excepted.  This keeps
+          the sanitizer's runtime hooks from rotting silently as the
+          engines grow.
 QA805     a cache attribute is written (``put``/``store``) but no code
           path in its class ever registers an invalidation
-          (``bump_epoch``/``invalidate*``/``clear``).
+          (``bump_epoch``/``invalidate*``/``clear``).  A dict memo
+          named ``*_cache`` counts too: filled by ``memo[k] = v``,
+          invalidated by ``pop``/``clear``.
 ========  ============================================================
 
 The MVCC-effect passes QA806–QA810 live in
@@ -47,6 +50,7 @@ from repro.analysis.program.summaries import (
     MUTATION_CHARGES,
     RELEASE_NAMES,
     FunctionSummary,
+    class_cache_attrs,
 )
 
 #: modules implementing the locking mechanism itself: their internal
@@ -505,6 +509,9 @@ def pass_trace_coverage(program: Program) -> list[Diagnostic]:
         for member in members:
             if member.trace_write:
                 traced_attrs |= member.self_mutations
+        # a traced writer that also evicts a cache does not make every
+        # fill of that cache a storage write
+        traced_attrs -= class_cache_attrs(members, traced_attrs)
         for member in members:
             if member.trace_write or member.info.name == "__init__":
                 continue
@@ -546,6 +553,8 @@ def pass_cache_invalidation(program: Program) -> list[Diagnostic]:
         key = (summary.info.module, cls)
         for attr, cache_cls in summary.cache_defs.items():
             defs[(*key, attr)] = cache_cls
+        for attr in summary.memo_defs:
+            defs[(*key, attr)] = "dict"
         for attr in summary.cache_writes:
             writes.setdefault(key, set()).add(attr)
             first_writer.setdefault((*key, attr), summary.ref)
@@ -565,7 +574,7 @@ def pass_cache_invalidation(program: Program) -> list[Diagnostic]:
                 "QA805",
                 f"{module}:{cls}.{attr} ({cache_cls}) is written by "
                 f"{writer} but no code path in {cls} ever registers "
-                f"an invalidation (bump_epoch/invalidate*/clear); "
+                f"an invalidation (bump_epoch/invalidate*/clear/pop); "
                 f"stale entries will outlive the truth they cache",
                 _location(f"{module}:{cls}.{attr}"),
             )

@@ -16,6 +16,7 @@ write to ``self._cache``.
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.analysis.program.callgraph import CallGraph, FunctionInfo
@@ -53,13 +54,15 @@ MUTATOR_ATTRS = {
 #: cache classes whose writes QA805 audits
 CACHE_CLASSES = {"LRUCache", "EpochKeyedCache", "DependencyTrackingCache"}
 
-#: operations that count as invalidating a cache attribute
+#: operations that count as invalidating a cache attribute (``pop``
+#: evicts one entry of a dict memo)
 INVALIDATION_ATTRS = {
     "bump_epoch",
     "clear",
     "invalidate",
     "invalidate_all",
     "invalidate_members",
+    "pop",
 }
 
 #: ``charge(...)`` kinds that mark a record/page-level storage mutation
@@ -115,9 +118,12 @@ class FunctionSummary:
     returns_names: set[str] = field(default_factory=set)
     #: self attr -> cache class name, for `self.x = LRUCache(...)`
     cache_defs: dict[str, str] = field(default_factory=dict)
-    #: self attrs written through .put()/.store()
+    #: host memos: self attrs named ``*_cache`` initialized to ``{}``,
+    #: annotated or not — QA805 audits them as it does cache_defs
+    memo_defs: set[str] = field(default_factory=set)
+    #: self attrs written through .put()/.store() or a subscript store
     cache_writes: set[str] = field(default_factory=set)
-    #: self attrs invalidated (bump_epoch/invalidate*/clear)
+    #: self attrs invalidated (bump_epoch/invalidate*/clear/pop)
     cache_invalidations: set[str] = field(default_factory=set)
     #: self attr -> on_reclaim callback attr, for
     #: ``self.x = VersionStore(..., on_reclaim=self._cb)`` (None when
@@ -148,6 +154,16 @@ def summarize(graph: CallGraph) -> dict[str, FunctionSummary]:
     return {
         info.ref: _summarize_function(info) for info in graph.functions
     }
+
+
+def class_cache_attrs(
+    members: Iterable[FunctionSummary], candidates: Iterable[str]
+) -> set[str]:
+    """The cache attrs of the class ``members`` make up: its typed cache
+    defs, plus those of ``candidates`` named ``*_cache``.  Filling or
+    evicting a cache derives state; it does not write storage."""
+    typed = {attr for member in members for attr in member.cache_defs}
+    return typed | {a for a in candidates if a.endswith("_cache")}
 
 
 def _summarize_function(info: FunctionInfo) -> FunctionSummary:
@@ -266,12 +282,13 @@ class _Walker:
                 root = _self_attr_root(node.value)
                 if root is not None:
                     self.root_aliases[target.id] = root
-            else:
+            elif isinstance(target, ast.Subscript):
                 attr = _self_attr_root(target)
-                if attr is not None and isinstance(
-                    target, (ast.Subscript,)
-                ):
+                if attr is not None:
                     self.summary.self_mutations.add(attr)
+                filled = self._receiver_attr(target.value)
+                if filled is not None:
+                    self.summary.cache_writes.add(filled)
             self._record_cache_def(target, node.value)
             self._record_storage_def(target, node.value)
         else:
@@ -284,18 +301,19 @@ class _Walker:
     def _record_cache_def(
         self, target: ast.expr, value: ast.expr
     ) -> None:
-        if not isinstance(value, ast.Call):
+        attr = _self_attr_of(target)
+        if attr is None:
             return
         cls = _callee_name(value)
-        if cls not in CACHE_CLASSES:
-            return
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
+        if cls in CACHE_CLASSES:
             assert cls is not None
-            self.summary.cache_defs[target.attr] = cls
+            self.summary.cache_defs[attr] = cls
+        elif (
+            attr.endswith("_cache")
+            and isinstance(value, ast.Dict)
+            and not value.keys
+        ):
+            self.summary.memo_defs.add(attr)
 
     def _record_storage_def(
         self, target: ast.expr, value: ast.expr
@@ -460,18 +478,19 @@ class _Walker:
     def _record_cache_op(self, node: ast.Call, name: str) -> None:
         if not isinstance(node.func, ast.Attribute):
             return
-        receiver = node.func.value
-        attr: str | None = None
-        if isinstance(receiver, ast.Name):
-            attr = self.aliases.get(receiver.id)
-        else:
-            attr = _self_attr_of(receiver)
+        attr = self._receiver_attr(node.func.value)
         if attr is None:
             return
         if name in ("put", "store"):
             self.summary.cache_writes.add(attr)
         elif name in INVALIDATION_ATTRS:
             self.summary.cache_invalidations.add(attr)
+
+    def _receiver_attr(self, receiver: ast.expr) -> str | None:
+        """``self.X`` or a local alias of it -> ``"X"``."""
+        if isinstance(receiver, ast.Name):
+            return self.aliases.get(receiver.id)
+        return _self_attr_of(receiver)
 
 
 def _callee_name(call: ast.expr) -> str | None:

@@ -72,6 +72,16 @@ Audit of derived-state sites (staleness hazards)
   For such a database ``cache_stats()`` counts host-memo hits — work
   the Python process skipped — not charges the simulated server saved;
   the ledger still shows one ``sql_parse`` per statement executed.
+* Row-storage ``Table._row_cache`` (``relational/table.py``) — the
+  decoded latest committed row per RID, a *host memo* like the one
+  above: a hit replays the page access (``HeapFile.touch``) and the
+  ``tuple_cpu`` / ``value_cpu`` charges of the fetch it stands for.  It
+  derives from the record's bytes alone, so it is invalidated
+  per-entry by the only two paths that rewrite them, ``update`` and
+  ``_remove_physical`` (QA805 fires if neither evicts); a deferred
+  delete keeps the bytes and the entry.  Snapshot reads apply ``mvcc.read`` on top, as for a fresh
+  fetch.  No ``cache_stats()`` row: no configuration's ledger depends
+  on it.
 * Cypher ``_stmt_cache`` — the cached object bundles parse *and* plan;
   plans depend on indexes + stats, so the whole cache is **epoch**,
   bumped by ``create_index`` / ``analyze`` (previously never

@@ -22,10 +22,10 @@ from repro.sanitizer import runtime
 from repro.simclock.ledger import charge
 from repro.storage.btree import BPlusTree
 from repro.storage.buffer import BufferPool
-from repro.storage.codec import ColumnType, RowCodec
+from repro.storage.codec import ColumnType, Row, RowCodec
 from repro.storage.column import ColumnTable
 from repro.storage.hashindex import HashIndex
-from repro.storage.heap import HeapFile
+from repro.storage.heap import RID, HeapFile
 from repro.storage.mvcc import VersionStore
 from repro.storage.wal import WriteAheadLog
 from repro.txn import oracle
@@ -87,6 +87,9 @@ class Table:
         if storage == "row":
             self._codec = RowCodec([t for _, t in columns])
             self._heap = HeapFile(pool, name)  # type: ignore[arg-type]
+            #: host memo of decoded heap records, latest committed row
+            #: per RID; a hit replays the fetch's charges (``_fetch_raw``)
+            self._row_cache: dict[RID, Row] = {}
         else:
             self._cols = ColumnTable(name, columns)
 
@@ -177,6 +180,7 @@ class Table:
             new_row[self.column_position(column)] = value
         self.mvcc.record_update(handle, old_row)
         if self.storage == "row":
+            self._row_cache.pop(handle, None)
             new_handle = self._heap.update(
                 handle, self._codec.encode(tuple(new_row))
             )
@@ -231,6 +235,7 @@ class Table:
 
     def _remove_physical(self, handle: Any, row: tuple) -> None:
         if self.storage == "row":
+            self._row_cache.pop(handle, None)
             self._heap.delete(handle)
         else:
             self._cols.delete(handle)
@@ -246,10 +251,25 @@ class Table:
     # -- read path ---------------------------------------------------------------
 
     def _fetch_raw(self, handle: Any) -> tuple:
-        """The latest committed row, ignoring any snapshot (write paths)."""
-        if self.storage == "row":
-            return self._codec.decode(self._heap.fetch(handle))
-        return self._cols.read_row(handle)
+        """The latest committed row, ignoring any snapshot (write paths).
+
+        Row storage decodes each heap record once: a memo hit skips the
+        slot read and the decode but still makes the page access and
+        pays ``tuple_cpu`` and ``value_cpu`` as a fresh fetch would.
+        ``update`` and ``_remove_physical`` are the only writers of a
+        stored record, and both drop its entry first; a deferred delete
+        leaves the record, and so its entry, in place.
+        """
+        if self.storage != "row":
+            return self._cols.read_row(handle)
+        row = self._row_cache.get(handle)
+        if row is None:
+            row = self._codec.decode(self._heap.fetch(handle))
+            self._row_cache[handle] = row
+        else:
+            self._heap.touch(handle)
+            self._codec.charge_decode()
+        return row
 
     def fetch(self, handle: Any) -> tuple:
         row = self._fetch_raw(handle)

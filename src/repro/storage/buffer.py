@@ -17,6 +17,10 @@ from collections import OrderedDict
 from repro.simclock.ledger import charge
 from repro.storage.pages import PAGE_SIZE, SlottedPage
 
+#: the image of every allocated, never-written page: immutable, so all
+#: such pages share it, and :meth:`BufferPool.get` copies it into a frame
+_ZERO_PAGE = bytes(PAGE_SIZE)
+
 
 class DiskManager:
     """Page-granular persistent storage (simulated)."""
@@ -29,7 +33,7 @@ class DiskManager:
         """Allocate a fresh zeroed page; returns its page id."""
         page_id = self._next_page_id
         self._next_page_id += 1
-        self._pages[page_id] = bytes(PAGE_SIZE)
+        self._pages[page_id] = _ZERO_PAGE
         return page_id
 
     def read(self, page_id: int) -> bytes:

@@ -78,8 +78,12 @@ class RowCodec:
                 parts.append(payload)
         return b"".join(parts)
 
-    def decode(self, data: bytes) -> Row:
+    def charge_decode(self) -> None:
+        """The simulated cost of decoding one record: per-value CPU."""
         charge("value_cpu", len(self.types))
+
+    def decode(self, data: bytes) -> Row:
+        self.charge_decode()
         values: list[Value] = []
         pos = 0
         for ctype in self.types:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from repro.simclock.ledger import charge
 from repro.storage.buffer import BufferPool
-from repro.storage.pages import PAGE_SIZE
+from repro.storage.pages import PAGE_SIZE, SlottedPage
 
 
 class RID(NamedTuple):
@@ -76,10 +76,15 @@ class HeapFile:
 
     # -- read path ---------------------------------------------------------------
 
-    def fetch(self, rid: RID) -> bytes:
-        page = self.pool.get_page(rid.page_id)
+    def touch(self, rid: RID) -> bytearray:
+        """The storage calls of one fetch: the page access and its
+        ``tuple_cpu``; returns the page frame."""
+        frame = self.pool.get(rid.page_id)
         charge("tuple_cpu")
-        return page.read(rid.slot)
+        return frame
+
+    def fetch(self, rid: RID) -> bytes:
+        return SlottedPage(self.touch(rid)).read(rid.slot)
 
     def scan(self) -> Iterator[tuple[RID, bytes]]:
         """Full scan in physical order."""

@@ -1,15 +1,19 @@
-"""A non-caching ``Database`` remembers what it prepared and replays the
-charges: the ledger and the answers must be those of a fresh prepare.
+"""The host memos replay what they skip: the ledger and the answers must
+be those of a run that redoes the work.
 
 ``Database(cache_statements=False)`` (the Sqlg configuration) models a
 server that re-parses, re-plans and re-compiles every statement.  The
 host keeps each text's parse tree, plan and closure anyway and, on a
 hit, only *charges* ``sql_parse`` / ``sql_plan`` / ``closure_compile``.
+A row-storage ``Table`` keeps each decoded heap record and, on a hit,
+still makes the page access and charges ``tuple_cpu`` / ``value_cpu``.
 These tests pin the invariant by running everything twice — once
-normally, once with every memo swapped for a mapping that never hits, so
-each statement really is prepared from scratch — and requiring equal
-per-operation ledgers and answers.
+normally, once with a memo swapped for a mapping that never hits, so
+the work really is redone — and requiring equal per-operation ledgers
+and answers.
 """
+
+from contextlib import contextmanager
 
 import pytest
 
@@ -18,16 +22,19 @@ from repro.core.benchmark import WorkloadParams
 from repro.relational import Database
 from repro.relational import engine as engine_module
 from repro.relational.sql.planner import Planner
+from repro.relational.table import Table
 from repro.simclock.ledger import meter
 from repro.snb import GeneratorConfig, generate
 from repro.sqlg import SqlgProvider
+from repro.storage.codec import RowCodec
 from tests.test_exec_differential import _catalog, _normalize
 
 CONFIG = GeneratorConfig(scale_factor=3, scale_divisor=8000, seed=13)
 
 
 class _NeverHit:
-    """Stands in for any of a Database's memos and remembers nothing."""
+    """Stands in for any host memo — a Database's statement memos or a
+    Table's row memo — and remembers nothing."""
 
     epoch = 0
 
@@ -39,7 +46,10 @@ class _NeverHit:
     def put(self, key, value):
         pass
 
-    store = put
+    store = __setitem__ = put
+
+    def pop(self, key, default=None):
+        return default
 
     def bump_epoch(self):
         pass
@@ -51,6 +61,28 @@ def _forget_everything(db):
     ):
         assert hasattr(db, memo)
         setattr(db, memo, _NeverHit())
+
+
+@contextmanager
+def row_memos(*, forget):
+    """Counts the heap records decoded in the block; with ``forget``, the
+    row memos of tables built in the block never hit."""
+    decoded = {"n": 0}
+    real_init, real_decode = Table.__init__, RowCodec.decode
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        if forget and self.storage == "row":
+            self._row_cache = _NeverHit()
+
+    def counting_decode(self, data):
+        decoded["n"] += 1
+        return real_decode(self, data)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Table, "__init__", init)
+        patch.setattr(RowCodec, "decode", counting_decode)
+        yield decoded
 
 
 @pytest.fixture(scope="module")
@@ -69,62 +101,96 @@ def _metered(label, call):
     return label, _normalize(answer), ledger.snapshot()
 
 
-def _sqlg_trace(dataset, params, mode, monkeypatch, *, memo):
+def _trace(system, dataset, params, mode, monkeypatch, *, forget):
     """load, every read, 256 update events, every read again — one
     ``(label, answer, ledger)`` triple per operation, each operation
-    under its own ``meter()``."""
+    under its own ``meter()``.  ``forget`` names the memo stubbed to
+    never hit: ``"statements"`` (the Database's), ``"rows"`` (every
+    Table's) or None.  Returns the trace, the Database and the number
+    of records decoded."""
     # the edge-id counter is class-wide: same edge ids in both runs
     monkeypatch.setattr(SqlgProvider, "_next_eid", 0)
-    connector = make_connector("sqlg")
-    db = connector.provider.db
-    db.options.execution_mode = mode
-    if not memo:
-        _forget_everything(db)
-    reads = _catalog(params)
-    assert len({op for op, _args in reads}) == 13
+    with row_memos(forget=forget == "rows") as decoded:
+        connector = make_connector(system)
+        db = connector.provider.db if system == "sqlg" else connector.db
+        db.options.execution_mode = mode
+        if forget == "statements":
+            _forget_everything(db)
+        reads = _catalog(params)
+        assert len({op for op, _args in reads}) == 13
 
-    def read_pass(tag):
-        ops = [
-            _metered(
-                (tag, op, args), lambda: getattr(connector, op)(*args)
-            )
-            for op, args in reads
-        ]
-        # the catalog probes indexes only, whose estimates do not move
-        # with table size; label scans are what springs the drift trap
-        # (posts grow 127 -> 140 here: est_rows crosses a batch size)
-        provider = connector.provider
-        ops += [
-            _metered(
-                (tag, "scan", label), lambda: list(provider.vertices(label))
-            )
-            for label in ("person", "forum", "post", "comment")
-        ]
-        return ops
+        def read_pass(tag):
+            ops = [
+                _metered(
+                    (tag, op, args), lambda: getattr(connector, op)(*args)
+                )
+                for op, args in reads
+            ]
+            if system != "sqlg":
+                return ops
+            # the catalog probes indexes only, whose estimates do not
+            # move with table size; label scans are what springs the
+            # drift trap (posts grow 127 -> 140 here: est_rows crosses
+            # a batch size)
+            provider = connector.provider
+            ops += [
+                _metered(
+                    (tag, "scan", label),
+                    lambda: list(provider.vertices(label)),
+                )
+                for label in ("person", "forum", "post", "comment")
+            ]
+            return ops
 
-    trace = [_metered("load", lambda: connector.load(dataset))]
-    trace += read_pass("before")
-    for i, event in enumerate(dataset.updates[:256]):
-        trace.append(
-            _metered(("update", i), lambda: connector.apply_update(event))
-        )
-    trace += read_pass("after")
-    return trace, db
+        trace = [_metered("load", lambda: connector.load(dataset))]
+        trace += read_pass("before")
+        for i, event in enumerate(dataset.updates[:256]):
+            trace.append(
+                _metered(
+                    ("update", i), lambda: connector.apply_update(event)
+                )
+            )
+        trace += read_pass("after")
+    return trace, db, decoded["n"]
+
+
+def _assert_twins(system, memo, dataset, params, mode, monkeypatch):
+    """Trace ``system`` as is and with ``memo`` stubbed; equal op by op.
+    Returns the first run's Database and both runs' decode counts."""
+    kept, db, decoded = _trace(
+        system, dataset, params, mode, monkeypatch, forget=None
+    )
+    fresh, _, decoded_fresh = _trace(
+        system, dataset, params, mode, monkeypatch, forget=memo
+    )
+    assert len(kept) == len(fresh) > 256
+    for got, expected in zip(kept, fresh):
+        assert got == expected, got[0]
+    return db, decoded, decoded_fresh
 
 
 @pytest.mark.parametrize("mode", ["interpreted", "compiled"])
 def test_sqlg_ledgers_match_a_database_that_remembers_nothing(
     dataset, params, mode, monkeypatch
 ):
-    replayed, db = _sqlg_trace(dataset, params, mode, monkeypatch, memo=True)
-    fresh, _ = _sqlg_trace(dataset, params, mode, monkeypatch, memo=False)
-    assert len(replayed) == len(fresh) > 256
-    for got, expected in zip(replayed, fresh):
-        assert got == expected, got[0]
+    db, _, _ = _assert_twins(
+        "sqlg", "statements", dataset, params, mode, monkeypatch
+    )
     # the comparison is only worth something if the memo was in play
     hits = {s.name: s.hits for s in db.cache_stats()}
     assert hits["sql-statements"] > 1000
     assert hits["sql-plans"] > 100
+
+
+@pytest.mark.parametrize("mode", ["interpreted", "compiled"])
+@pytest.mark.parametrize("system", ["postgres-sql", "sqlg"])
+def test_row_ledgers_match_tables_that_remember_nothing(
+    system, dataset, params, mode, monkeypatch
+):
+    _, decoded, decoded_fresh = _assert_twins(
+        system, "rows", dataset, params, mode, monkeypatch
+    )
+    assert decoded < decoded_fresh
 
 
 # -- the drift trap: live cardinalities feed est_rows and batch sizes ------

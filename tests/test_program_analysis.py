@@ -248,6 +248,24 @@ class Store:
             runtime.TRACE.write(("row", key))
 '''
 
+# a traced writer evicts the memo a plain reader fills: the fill derives
+# state and writes no storage, as long as the attr is named a cache
+QA804_MEMO = '''
+class Store:
+    def update(self, key, value):
+        self._row_cache.pop(key, None)
+        self._rows[key] = value
+        if runtime.TRACE is not None:
+            runtime.TRACE.write(("row", key))
+
+    def fetch(self, key):
+        row = self._row_cache.get(key)
+        if row is None:
+            row = self._rows[key]
+            self._row_cache[key] = row
+        return row
+'''
+
 
 class TestTraceCoveragePass:
     def test_untraced_sibling_mutation(self):
@@ -270,6 +288,23 @@ class TestTraceCoveragePass:
             )
             == []
         )
+
+    def test_cache_fill_beside_a_traced_eviction_is_silent(self):
+        assert (
+            analyze_program_sources(
+                {"fixture.py": QA804_MEMO}, passes={"QA804"}
+            )
+            == []
+        )
+
+    def test_same_fill_under_a_non_cache_name_fires(self):
+        source = QA804_MEMO.replace("_row_cache", "_row_seen")
+        diags = analyze_program_sources(
+            {"fixture.py": source}, passes={"QA804"}
+        )
+        assert codes(diags) == ["QA804"]
+        assert "fetch" in diags[0].location.operation
+        assert "_row_seen" in diags[0].message
 
 
 # -- QA805: cache invalidation coverage ----------------------------------
@@ -306,6 +341,26 @@ class Engine:
         return value
 '''
 
+# a plain dict memo, annotated as ``Table._row_cache`` is: filled on a
+# miss, evicted by the writer
+QA805_MEMO = '''
+class Table:
+    def __init__(self):
+        self._rows = {}
+        self._row_cache: dict[int, tuple] = {}
+
+    def update(self, key, row):
+        self._row_cache.pop(key, None)
+        self._rows[key] = row
+
+    def fetch(self, key):
+        row = self._row_cache.get(key)
+        if row is None:
+            row = decode(self._rows[key])
+            self._row_cache[key] = row
+        return row
+'''
+
 
 class TestCacheInvalidationPass:
     def test_store_without_epoch_bump(self):
@@ -328,6 +383,40 @@ class TestCacheInvalidationPass:
             {"fixture.py": QA805_ALIAS}, passes={"QA805"}
         )
         assert codes(diags) == ["QA805"]
+
+    def test_annotated_dict_memo_without_eviction(self):
+        source = QA805_MEMO.replace(
+            "        self._row_cache.pop(key, None)\n", ""
+        )
+        diags = analyze_program_sources(
+            {"fixture.py": source}, passes={"QA805"}
+        )
+        assert codes(diags) == ["QA805"]
+        assert "_row_cache" in diags[0].location.operation
+        assert "(dict)" in diags[0].message
+
+    @pytest.mark.parametrize(
+        "evict", ["self._row_cache.pop(key, None)", "self._row_cache.clear()"]
+    )
+    def test_dict_memo_eviction_anywhere_in_class(self, evict):
+        source = QA805_MEMO.replace("self._row_cache.pop(key, None)", evict)
+        assert (
+            analyze_program_sources(
+                {"fixture.py": source}, passes={"QA805"}
+            )
+            == []
+        )
+
+    def test_memo_is_a_cache_only_by_name(self):
+        source = QA805_MEMO.replace(
+            "        self._row_cache.pop(key, None)\n", ""
+        ).replace("_row_cache", "_row_seen")
+        assert (
+            analyze_program_sources(
+                {"fixture.py": source}, passes={"QA805"}
+            )
+            == []
+        )
 
 
 # -- the real tree -------------------------------------------------------
@@ -388,6 +477,31 @@ class TestRealTree:
             assert invalidated, (
                 f"{module}:{cls} has no closure-cache invalidation path"
             )
+
+    def test_qa805_sees_the_row_memo(self):
+        """``Table._row_cache`` is a plain dict: QA805 must still see it
+        defined, filled and evicted, so dropping its evictions fires."""
+        from repro.analysis.program import build_program
+        from repro.analysis.program.callgraph import default_sources
+
+        program = build_program(default_sources())
+        members = [
+            summary
+            for summary in program.summaries.values()
+            if (summary.info.module, summary.info.class_name)
+            == ("repro.relational.table", "Table")
+        ]
+        assert any("_row_cache" in m.memo_defs for m in members)
+        filled = {
+            m.info.name for m in members if "_row_cache" in m.cache_writes
+        }
+        evicted = {
+            m.info.name
+            for m in members
+            if "_row_cache" in m.cache_invalidations
+        }
+        assert filled == {"_fetch_raw"}
+        assert evicted == {"update", "_remove_physical"}
 
 
 # -- CLI: gate + JSON schema ---------------------------------------------

@@ -199,6 +199,7 @@ class Engine:
 
     def insert(self, key, value):
         self.mvcc.stamp(key)
+        self._row_cache.pop(key, None)  # an eviction needs no gate
         self._rows[key] = value
 
     def fetch(self, key):

@@ -27,6 +27,20 @@ class TestDiskManager:
         disk.write(pid, image)
         assert disk.read(pid) == image
 
+    def test_fresh_pages_share_one_zero_image(self):
+        disk = DiskManager()
+        a, b = disk.allocate(), disk.allocate()
+        assert disk.read(a) is disk.read(b)
+        assert disk.read(b) == bytes(PAGE_SIZE)
+        disk.write(a, bytes([7]) * PAGE_SIZE)
+        assert disk.read(a) == bytes([7]) * PAGE_SIZE
+        assert disk.read(b) == bytes(PAGE_SIZE)
+        # a frame loaded from the shared image is a private copy
+        pool = BufferPool(disk, capacity=4)
+        pool.get(b)[0] = 9
+        assert disk.read(b) == bytes(PAGE_SIZE)
+        assert disk.read(disk.allocate()) == bytes(PAGE_SIZE)
+
     def test_write_wrong_size_rejected(self):
         disk = DiskManager()
         pid = disk.allocate()
