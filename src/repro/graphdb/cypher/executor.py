@@ -509,13 +509,18 @@ class CypherExecutor:
                         for nid in self.store.lookup(label, key, value)
                         if self._node_matches(nid, node, row, params)
                     ]
-        if node.labels:
-            source = self.store.nodes_with_label(node.labels[0])
-        else:
-            source = self.store.all_nodes()
-        return [
-            nid for nid in source if self._node_matches(nid, node, row, params)
-        ]
+        # the scan and _node_matches' checks as one store loop; the
+        # property expressions still run per candidate ({id: a.id}
+        # charges a node_prop each time)
+        wanted = [(key, self._fn(expr)) for key, expr in node.props]
+
+        def match(props: dict) -> bool:
+            for key, value in wanted:
+                if props.get(key) != value(row, params):
+                    return False
+            return True
+
+        return self.store.match_nodes(node.labels, match if wanted else None)
 
     def _node_matches(
         self, node_id: int, pattern: ast.NodePattern, row: dict, params: dict

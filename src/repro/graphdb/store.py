@@ -14,8 +14,9 @@ hop — no index involved.  Property access charges ``value_cpu`` per value.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.cache import CacheStats, DependencyTrackingCache
@@ -27,6 +28,12 @@ from repro.storage.mvcc import VersionStore
 from repro.txn import oracle
 
 NO_REL = -1
+
+#: the node read path's prices, named once: the per-node accessors charge
+#: them a record (or a property map) at a time, :meth:`GraphStore.match_nodes`
+#: once per scan with its totals
+_charge_records = partial(charge, "record_read")
+_charge_values = partial(charge, "value_cpu")
 
 
 class Direction(enum.Enum):
@@ -253,22 +260,22 @@ class GraphStore:
         return record
 
     def node_labels(self, node_id: int) -> tuple[str, ...]:
-        charge("record_read")
+        _charge_records()
         return self._node(node_id).labels
 
     def node_props(self, node_id: int) -> dict[str, Any]:
         record = self._node(node_id)
-        charge("record_read")
+        _charge_records()
         if runtime.TRACE is not None:
             runtime.TRACE.read(("node", node_id))
         props = self.mvcc.read(node_id, record.props)
-        charge("value_cpu", len(props))
+        _charge_values(len(props))
         return dict(props)
 
     def node_prop(self, node_id: int, key: str) -> Any:
         record = self._node(node_id)
-        charge("record_read")
-        charge("value_cpu")
+        _charge_records()
+        _charge_values()
         if runtime.TRACE is not None:
             runtime.TRACE.read(("node", node_id))
         return self.mvcc.read(node_id, record.props).get(key)
@@ -453,7 +460,7 @@ class GraphStore:
         """
         charge("index_probe")
         for node_id in sorted(self._label_index.get(label, ())):
-            charge("record_read")
+            _charge_records()
             if self.mvcc.visible(node_id):
                 yield node_id
 
@@ -463,9 +470,85 @@ class GraphStore:
 
     def all_nodes(self) -> Iterator[int]:
         for node_id, record in enumerate(self._nodes):
-            charge("record_read")
+            _charge_records()
             if not record.deleted and self.mvcc.visible(node_id):
                 yield node_id
+
+    def match_nodes(
+        self,
+        labels: Sequence[str] = (),
+        match: Callable[[dict[str, Any]], bool] | None = None,
+    ) -> list[int]:
+        """The ids of ``nodes_with_label(labels[0])`` (``all_nodes()``
+        when ``labels`` is empty) that carry every label in ``labels``
+        and, when ``match`` is given, whose property map satisfies it.
+
+        One loop priced as the per-node calls it replaces: the scan,
+        then ``node_labels`` when ``labels``, then ``node_props`` and
+        ``match`` when ``match``.  Under a view ``mvcc.visible`` runs as
+        often as those calls run it, so ``version_check`` and
+        ``version_walk`` are unchanged; with no view it charges nothing
+        and runs once per id.  The sanitizer sees one read per property
+        map.  Only the ``record_read``/``value_cpu`` units are summed,
+        and charged once in a ``finally``: a ``match`` that raises
+        leaves what the per-node calls had charged by then.  Each
+        counter still enters the ledger where the per-node calls would
+        have put it first (a zero-unit charge), because a ledger prices
+        its counters in insertion order.
+        """
+        records = self._nodes
+        visible = self.mvcc.visible
+        recheck = oracle.CURRENT is not None
+        if labels:
+            charge("index_probe")
+            scan: Sequence[int] = sorted(self._label_index.get(labels[0], ()))
+        else:
+            scan = range(len(records))
+        # every id in labels[0]'s index carries labels[0]
+        others = labels[1:]
+        if scan:
+            _charge_records(0)  # the first read precedes any version_check
+        reads = values = 0
+        props_read = False
+        found: list[int] = []
+        try:
+            for node_id in scan:
+                reads += 1
+                record = records[node_id]
+                # only all_nodes() meets deleted records: the label
+                # index drops them
+                if record.deleted or not visible(node_id):
+                    continue
+                if labels:
+                    reads += 1
+                    if recheck:
+                        visible(node_id)
+                    if others and not all(
+                        name in record.labels for name in others
+                    ):
+                        continue
+                if match is not None:
+                    if recheck:
+                        visible(node_id)
+                    reads += 1
+                    if runtime.TRACE is not None:
+                        runtime.TRACE.read(("node", node_id))
+                    props = self.mvcc.read(node_id, record.props)
+                    if not props_read:
+                        # where node_props first charged value_cpu:
+                        # before any later node's version_walk
+                        props_read = True
+                        _charge_values(0)
+                    values += len(props)
+                    if not match(props):
+                        continue
+                found.append(node_id)
+        finally:
+            if reads:
+                _charge_records(reads)
+            if props_read:
+                _charge_values(values)
+        return found
 
     # -- stats -----------------------------------------------------------------------
 

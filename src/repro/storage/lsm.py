@@ -8,12 +8,20 @@ Titan-C's slow point lookups in Tables 2–3.
 
 Keys and values are ``bytes``.  Deletes write tombstones; size-tiered
 compaction merges all SSTables once their count exceeds a threshold.
+
+Two host-side structures keep the Python work proportional to what an
+operation touches; neither changes a charge.  The memtable keeps its
+keys in order once a range scan has asked for them, so a scan bisects
+to its range instead of walking the whole memtable (a Cassandra memtable
+is a sorted skip list for the same reason).  A bloom filter's bits live
+in a ``bytearray``, so building an SSTable's filter is linear in its
+size.
 """
 
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections.abc import Iterator
 
 from repro.simclock.ledger import charge
@@ -29,7 +37,9 @@ class BloomFilter:
     def __init__(self, expected_items: int, bits_per_item: int = 10) -> None:
         self.size = max(64, expected_items * bits_per_item)
         self.num_hashes = 5
-        self._bits = 0
+        # position ``pos`` is bit ``pos & 7`` of byte ``pos >> 3``; a
+        # mutable buffer, because ``|=`` on an int copies the whole filter
+        self._bits = bytearray((self.size + 7) // 8)
 
     def _positions(self, key: bytes) -> Iterator[int]:
         h1 = zlib.crc32(key)
@@ -38,12 +48,16 @@ class BloomFilter:
             yield (h1 + i * h2) % self.size
 
     def add(self, key: bytes) -> None:
+        bits = self._bits
         for pos in self._positions(key):
-            self._bits |= 1 << pos
+            bits[pos >> 3] |= 1 << (pos & 7)
 
     def might_contain(self, key: bytes) -> bool:
         charge("lsm_bloom_check")
-        return all(self._bits >> pos & 1 for pos in self._positions(key))
+        bits = self._bits
+        return all(
+            bits[pos >> 3] >> (pos & 7) & 1 for pos in self._positions(key)
+        )
 
 
 class SSTable:
@@ -97,6 +111,10 @@ class LSMTree:
         self.memtable_limit = memtable_limit
         self.max_sstables = max_sstables
         self._memtable: dict[bytes, object] = {}
+        # the memtable's keys in order, built by the first range scan
+        # after a flush and kept sorted by the writes from then on
+        # (None until then, so loads that never scan never pay for it)
+        self._memkeys: list[bytes] | None = None
         self._sstables: list[SSTable] = []  # newest first
         self.flush_count = 0
         self.compaction_count = 0
@@ -106,16 +124,17 @@ class LSMTree:
     def put(self, key: bytes, value: bytes) -> None:
         if not isinstance(key, bytes) or not isinstance(value, bytes):
             raise TypeError("LSM keys and values must be bytes")
-        charge("lsm_memtable_op")
-        charge("wal_append")
-        self._memtable[key] = value
-        if len(self._memtable) >= self.memtable_limit:
-            self._flush()
+        self._write(key, value)
 
     def delete(self, key: bytes) -> None:
+        self._write(key, _TOMBSTONE)
+
+    def _write(self, key: bytes, value: object) -> None:
         charge("lsm_memtable_op")
         charge("wal_append")
-        self._memtable[key] = _TOMBSTONE
+        if self._memkeys is not None and key not in self._memtable:
+            insort(self._memkeys, key)
+        self._memtable[key] = value
         if len(self._memtable) >= self.memtable_limit:
             self._flush()
 
@@ -125,6 +144,7 @@ class LSMTree:
             charge("lsm_compaction_item")
         self._sstables.insert(0, SSTable(entries))
         self._memtable = {}
+        self._memkeys = None
         self.flush_count += 1
         if len(self._sstables) > self.max_sstables:
             self._compact()
@@ -173,9 +193,13 @@ class LSMTree:
                     break
                 candidates[key] = value
         charge("lsm_memtable_op")
-        for key, value in self._memtable.items():
-            if lo <= key < hi_exclusive:
-                candidates[key] = value
+        keys = self._memkeys
+        if keys is None:
+            keys = self._memkeys = sorted(self._memtable)
+        memtable = self._memtable
+        start = bisect_left(keys, lo)
+        for key in keys[start : bisect_left(keys, hi_exclusive, start)]:
+            candidates[key] = memtable[key]
         for key in sorted(candidates):
             value = candidates[key]
             if value is not _TOMBSTONE:
