@@ -14,8 +14,9 @@ an operation touches the same schema elements.  This package checks that
   per-dialect walkers.
 * :mod:`repro.analysis.consistency` — the cross-dialect pass comparing
   canonical schema footprints per connector operation.
-* :mod:`repro.analysis.lockorder`   — the lock-acquisition-order pass
-  over the transaction layer's call sites.
+* :mod:`repro.analysis.program`     — the whole-program passes over the
+  engine source (``repro lint --program``): lock order and sorted
+  acquisition, release discipline, trace coverage, MVCC effects.
 * :mod:`repro.analysis.linter`      — orchestration (``repro lint`` and
   the connectors' prepare-time validation).
 """
@@ -39,7 +40,6 @@ from repro.analysis.consistency import (
     check_consistency,
     check_insert_consistency,
 )
-from repro.analysis.lockorder import analyze_lock_order
 from repro.analysis.linter import (
     ensure_catalog_valid,
     lint_all,
@@ -58,7 +58,6 @@ __all__ = [
     "SourceLocation",
     "analyze_cypher",
     "analyze_gremlin",
-    "analyze_lock_order",
     "analyze_sparql",
     "analyze_sql",
     "check_consistency",

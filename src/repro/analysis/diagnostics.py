@@ -20,8 +20,10 @@ QA401    cross-dialect schema-footprint mismatch for one operation
 QA402    operation missing from a dialect's catalog
 QA403    undeclared insert-footprint delta (a dialect's insert touches
          concepts beyond the common core without a declared intent)
-QA501    lock-order cycle across call sites
-QA502    multi-lock acquisition out of sorted resource order
+QA501    lock-order cycle between two overlapping transactions
+         (runtime only; its static counterpart is QA801)
+QA502    multi-lock acquisition out of sorted resource order (static,
+         per function under ``lint --program``; and at runtime)
 QA601    unsynchronized shared access (two workers touch one resource
          with disjoint locksets and no happens-before edge; covers
          write/write and unprotected read/write pairs — snapshot-mode
@@ -68,11 +70,11 @@ QA810    side effect inside ``repro.exec.*``: compiled batch kernels
          mutation charges, or storage/cache write verbs)
 =======  ==============================================================
 
-QA1xx-QA5xx are *static* passes over the query catalogs
-(:mod:`repro.analysis`); QA5xx are additionally re-emitted at runtime
-and QA6xx/QA7xx are produced only by the dynamic sanitizer
-(:mod:`repro.sanitizer`), which observes real executions.  QA8xx are
-*whole-program* static passes over the engine source itself
+QA1xx-QA4xx are *static* passes over the query catalogs
+(:mod:`repro.analysis`).  QA501 and QA6xx/QA7xx are produced only by
+the dynamic sanitizer (:mod:`repro.sanitizer`), which observes real
+executions; QA502 is emitted both by it and statically.  QA502 and
+QA8xx are *whole-program* static passes over the engine source itself
 (:mod:`repro.analysis.program`): they prove on every path what the
 sanitizer can only sample on traced histories.
 """

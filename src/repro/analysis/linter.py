@@ -11,8 +11,7 @@ Three consumers:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from pathlib import Path
+from collections.abc import Mapping
 
 from repro.analysis.consistency import (
     check_consistency,
@@ -25,7 +24,6 @@ from repro.analysis.diagnostics import (
     errors,
 )
 from repro.analysis.gremlin import analyze_gremlin
-from repro.analysis.lockorder import analyze_lock_order
 from repro.analysis.schema import SchemaCatalog, default_catalog
 from repro.analysis.sparql import analyze_sparql
 from repro.analysis.sql import analyze_sql
@@ -104,12 +102,11 @@ def connector_catalogs() -> dict[str, Mapping[str, object]]:
     }
 
 
-def lint_all(
-    catalog: SchemaCatalog | None = None,
-    lock_paths: Iterable[str | Path] | None = None,
-) -> list[Diagnostic]:
-    """Every pass: per-dialect walkers, cross-dialect consistency, and
-    the lock-order analysis.  Returns diagnostics of all severities."""
+def lint_all(catalog: SchemaCatalog | None = None) -> list[Diagnostic]:
+    """Every catalog pass: per-dialect walkers and cross-dialect
+    consistency.  Returns diagnostics of all severities.  The checks
+    over the engine source itself (lock order among them) are the
+    whole-program passes of :mod:`repro.analysis.program`."""
     catalog = catalog or default_catalog()
     diagnostics: list[Diagnostic] = []
     per_dialect: dict[str, dict[str, AnalysisResult]] = {}
@@ -120,5 +117,4 @@ def lint_all(
             diagnostics.extend(result.diagnostics)
     diagnostics.extend(check_consistency(per_dialect, catalog))
     diagnostics.extend(check_insert_consistency(per_dialect, catalog))
-    diagnostics.extend(analyze_lock_order(lock_paths))
     return diagnostics

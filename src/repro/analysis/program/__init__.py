@@ -10,7 +10,9 @@ a module-level call graph:
 * :mod:`~repro.analysis.program.summaries` — per-function facts: lock
   acquisition sequences, release discipline, blocking-I/O sites, trace
   emission, and cache writes/invalidations.
-* :mod:`~repro.analysis.program.passes` — the QA801–QA805 passes.
+* :mod:`~repro.analysis.program.passes` — the QA502 and QA801–QA805
+  passes, and :class:`Program` with the one fixpoint driver every
+  interprocedural fact is computed by.
 * :mod:`~repro.analysis.program.effects` — the interprocedural
   MVCC-effect passes QA806–QA810 (snapshot visibility, version
   stamping, staleness-gated caches, watermark reclaim, read-only

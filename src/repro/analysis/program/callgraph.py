@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 #: the engine packages the whole-program passes cover
@@ -44,8 +44,6 @@ class FunctionInfo:
     name: str  # bare name, e.g. "commit"
     class_name: str | None
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    #: bare names of every call made in the body, in source order
-    calls: list[str] = field(default_factory=list)
 
     @property
     def ref(self) -> str:
@@ -73,25 +71,32 @@ class CallGraph:
 def default_sources() -> dict[str, str]:
     """module name -> source text for the in-scope engine packages."""
     root = Path(__file__).resolve().parents[2]  # .../src/repro
-    sources: dict[str, str] = {}
-    for package in SCOPE_PACKAGES:
-        for path in sorted((root / package).rglob("*.py")):
-            rel = path.relative_to(root.parent)
-            module = ".".join(rel.with_suffix("").parts)
-            if module.endswith(".__init__"):
-                module = module[: -len(".__init__")]
-            sources[module] = path.read_text(encoding="utf-8")
-    return sources
+    return sources_from_paths(
+        path
+        for package in SCOPE_PACKAGES
+        for path in sorted((root / package).rglob("*.py"))
+    )
 
 
 def sources_from_paths(paths: Iterable[str | Path]) -> dict[str, str]:
     """Explicit file list -> source mapping (for ``--paths`` / tests)."""
-    sources: dict[str, str] = {}
-    for path in paths:
-        p = Path(path)
-        module = ".".join(p.with_suffix("").parts).lstrip(".")
-        sources[module] = p.read_text(encoding="utf-8")
-    return sources
+    return {
+        module_name(Path(path)): Path(path).read_text(encoding="utf-8")
+        for path in paths
+    }
+
+
+def module_name(path: Path) -> str:
+    """The dotted import name of a source file: its stem, prefixed by
+    every enclosing directory that is a package (has ``__init__.py``),
+    however the path was spelled."""
+    path = path.resolve()
+    parts = [] if path.stem == "__init__" else [path.stem]
+    parent = path.parent
+    while (parent / "__init__.py").is_file():
+        parts.append(parent.name)
+        parent = parent.parent
+    return ".".join(reversed(parts))
 
 
 def module_name_for_key(key: str) -> str:
@@ -133,50 +138,15 @@ def _collect(
                 qual = f"{parent_qual}.{qual}"
             if class_name is not None:
                 qual = f"{class_name}.{qual}"
-            info = FunctionInfo(
-                module=module,
-                qualname=qual,
-                name=child.name,
-                class_name=class_name,
-                node=child,
+            out.append(
+                FunctionInfo(
+                    module=module,
+                    qualname=qual,
+                    name=child.name,
+                    class_name=class_name,
+                    node=child,
+                )
             )
-            info.calls = _call_names(child)
-            out.append(info)
             # nested defs become their own FunctionInfo entries
             _collect(module, child, class_name, qual, out)
 
-
-def _call_names(function: ast.AST) -> list[str]:
-    """Bare callee names in ``function``, skipping nested defs.
-
-    Lambdas are treated as part of the enclosing function: an undo
-    closure registered with ``txn.on_abort(lambda: ...)`` may run while
-    the transaction's locks are still held, so its calls belong to the
-    caller's behavior.
-    """
-    names: list[str] = []
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-            ):
-                continue
-            if isinstance(child, ast.Call):
-                name = _callee_name(child)
-                if name is not None:
-                    names.append(name)
-            visit(child)
-
-    visit(function)
-    return names
-
-
-def _callee_name(call: ast.Call) -> str | None:
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None

@@ -17,10 +17,11 @@ point in a small effect lattice over its storage objects —
 * reclaim: OUTSIDE < INSIDE the ``on_reclaim`` watermark closure.
 
 Facts are seeded per function from the syntactic summaries and
-propagated *up* the call graph to fixpoint (a caller inherits its
-callees' consultations), so a helper can carry the discipline for the
-methods that use it.  Each pass then reports members stuck at the
-lattice bottom.
+propagated *up* the call graph to fixpoint by
+:meth:`~repro.analysis.program.passes.Program.reaching` (a caller
+inherits its callees' consultations), so a helper can carry the
+discipline for the methods that use it.  Each pass then reports
+members stuck at the lattice bottom.
 
 ========  ============================================================
 QA806     snapshot-bypassing raw read on a versioned store: a pure
@@ -48,8 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.diagnostics import Diagnostic, SourceLocation, make
-from repro.analysis.program.passes import Program
+from repro.analysis.diagnostics import Diagnostic, make
+from repro.analysis.program.passes import Program, location
 from repro.analysis.program.summaries import (
     MUTATION_CHARGES,
     MUTATOR_ATTRS,
@@ -173,15 +174,8 @@ def collect_store_classes(
     program: Program,
 ) -> dict[tuple[str, str], StoreClassFacts]:
     """Facts for every class that owns a VersionStore."""
-    by_class: dict[tuple[str, str], list[FunctionSummary]] = {}
-    for summary in program.summaries.values():
-        cls = summary.info.class_name
-        if cls is not None:
-            by_class.setdefault(
-                (summary.info.module, cls), []
-            ).append(summary)
     out: dict[tuple[str, str], StoreClassFacts] = {}
-    for (module, cls), members in by_class.items():
+    for (module, cls), members in program.classes.items():
         store_attrs: set[str] = set()
         callbacks: set[str] = set()
         container_defs: set[str] = set()
@@ -246,33 +240,6 @@ def _reclaim_closure(
     return closure
 
 
-def _reachable(program: Program, seeds: set[str]) -> set[str]:
-    """Functions that are in ``seeds`` or call into the set (fixpoint).
-
-    Monotone over the finite function set, so the worklist terminates
-    even on recursive call graphs — each iteration only ever *adds*
-    refs, and the loop stops on the first unchanged sweep.
-    """
-    result = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for ref, summary in program.summaries.items():
-            if ref in result:
-                continue
-            for event in summary.events:
-                if event.kind != "call":
-                    continue
-                if any(
-                    callee.ref in result
-                    for callee in program.resolve(event.callee or "")
-                ):
-                    result.add(ref)
-                    changed = True
-                    break
-    return result
-
-
 def _store_method_calls(
     summary: FunctionSummary, facts: StoreClassFacts
 ) -> set[str]:
@@ -281,6 +248,27 @@ def _store_method_calls(
     for attr in facts.store_attrs:
         calls |= summary.attr_calls.get(attr, set())
     return calls
+
+
+def _store_callers(
+    facts: dict[tuple[str, str], StoreClassFacts], methods: set[str]
+) -> set[str]:
+    """Store-class members that call one of ``methods`` on the store."""
+    return {
+        member.ref
+        for cf in facts.values()
+        for member in cf.members
+        if _store_method_calls(member, cf) & methods
+    }
+
+
+def _calling(program: Program, names: set[str]) -> set[str]:
+    """Functions that call one of ``names`` directly."""
+    return {
+        ref
+        for ref, summary in program.summaries.items()
+        if any(e.kind == "call" and e.callee in names for e in summary.events)
+    }
 
 
 def _is_writer(
@@ -298,16 +286,9 @@ def _is_writer(
     )
 
 
-def _location(ref: str) -> SourceLocation:
-    return SourceLocation("python", ref)
-
-
 def run_effect_passes(
-    program: Program, selected: set[str] | None = None
+    program: Program, wanted: set[str]
 ) -> list[Diagnostic]:
-    wanted = (
-        set(EFFECT_PASS_NAMES) if selected is None else selected
-    )
     if not wanted & set(EFFECT_PASS_NAMES):
         return []
     facts = collect_store_classes(program)
@@ -339,26 +320,10 @@ def _is_lookup_name(name: str) -> bool:
 def pass_snapshot_bypass(
     program: Program, facts: dict[tuple[str, str], StoreClassFacts]
 ) -> list[Diagnostic]:
-    version_checked = _reachable(
-        program,
-        {
-            member.ref
-            for cf in facts.values()
-            for member in cf.members
-            if _store_method_calls(member, cf) & VERSION_READ_METHODS
-        },
+    version_checked = program.reaching(
+        _store_callers(facts, VERSION_READ_METHODS)
     )
-    index_fixed = _reachable(
-        program,
-        {
-            ref
-            for ref, summary in program.summaries.items()
-            if any(
-                e.kind == "call" and e.callee == "stale_keys"
-                for e in summary.events
-            )
-        },
-    )
+    index_fixed = program.reaching(_calling(program, {"stale_keys"}))
     out: list[Diagnostic] = []
     for cf in facts.values():
         for member in cf.members:
@@ -383,7 +348,7 @@ def pass_snapshot_bypass(
                         f"surface rows it must not) — re-check stale "
                         f"keys against the snapshot-visible value, or "
                         f"fall back to a scan",
-                        _location(member.ref),
+                        location(member.ref),
                     )
                 )
                 continue
@@ -407,7 +372,7 @@ def pass_snapshot_bypass(
                         f"snapshot reader would observe "
                         f"latest-committed state instead of its own "
                         f"view",
-                        _location(member.ref),
+                        location(member.ref),
                     )
                 )
     return out
@@ -419,14 +384,8 @@ def pass_snapshot_bypass(
 def pass_unversioned_mutation(
     program: Program, facts: dict[tuple[str, str], StoreClassFacts]
 ) -> list[Diagnostic]:
-    stamped = _reachable(
-        program,
-        {
-            member.ref
-            for cf in facts.values()
-            for member in cf.members
-            if _store_method_calls(member, cf) & VERSION_WRITE_METHODS
-        },
+    stamped = program.reaching(
+        _store_callers(facts, VERSION_WRITE_METHODS)
     )
     out: list[Diagnostic] = []
     for cf in facts.values():
@@ -453,7 +412,7 @@ def pass_unversioned_mutation(
                         f"active snapshots would see the new value "
                         f"mid-transaction instead of their own "
                         f"version",
-                        _location(member.ref),
+                        location(member.ref),
                     )
                 )
     return out
@@ -465,17 +424,7 @@ def pass_unversioned_mutation(
 def pass_ungated_cache(
     program: Program, facts: dict[tuple[str, str], StoreClassFacts]
 ) -> list[Diagnostic]:
-    gated = _reachable(
-        program,
-        {
-            ref
-            for ref, summary in program.summaries.items()
-            if any(
-                e.kind == "call" and e.callee in STALE_GATE_NAMES
-                for e in summary.events
-            )
-        },
-    )
+    gated = program.reaching(_calling(program, STALE_GATE_NAMES))
     out: list[Diagnostic] = []
     for cf in facts.values():
         for member in cf.members:
@@ -501,7 +450,7 @@ def pass_ungated_cache(
                         f"mvcc.stale()); a stale snapshot could be "
                         f"served — or poison — entries derived from "
                         f"state newer than its read timestamp",
-                        _location(member.ref),
+                        location(member.ref),
                     )
                 )
     return out
@@ -513,14 +462,8 @@ def pass_ungated_cache(
 def pass_reclaim_discipline(
     program: Program, facts: dict[tuple[str, str], StoreClassFacts]
 ) -> list[Diagnostic]:
-    consults = _reachable(
-        program,
-        {
-            member.ref
-            for cf in facts.values()
-            for member in cf.members
-            if _store_method_calls(member, cf) & DELETE_CONSULT_METHODS
-        },
+    consults = program.reaching(
+        _store_callers(facts, DELETE_CONSULT_METHODS)
     )
     out: list[Diagnostic] = []
     for cf in facts.values():
@@ -554,7 +497,7 @@ def pass_reclaim_discipline(
                         f"outside the GC watermark discipline this "
                         f"removes data an active snapshot may still "
                         f"need",
-                        _location(member.ref),
+                        location(member.ref),
                     )
                 )
     return out
@@ -604,7 +547,7 @@ def pass_exec_effects(program: Program) -> list[Diagnostic]:
                     f"{EXEC_MODULE_PREFIX}.* must be read-only batch "
                     f"kernels — move the effect behind the engine "
                     f"write path",
-                    _location(ref),
+                    location(ref),
                 )
             )
     return out

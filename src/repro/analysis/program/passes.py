@@ -1,10 +1,16 @@
-"""The QA8xx interprocedural passes over function summaries.
+"""The QA502 and QA801–QA805 interprocedural passes over summaries.
 
 ========  ============================================================
+QA502     a function's distinct lock tokens are not acquired in sorted
+          order (re-acquiring an earlier token is a re-entrant no-op,
+          not a second acquisition).  Sorted acquisition is the
+          convention that keeps the global order graph acyclic by
+          construction; ``LockManager.acquire_many`` implements it.
 QA801     lock-order inversion: per-function acquisition sequences are
           composed across the call graph; a strongly connected
           component in the global resource-order graph is a potential
-          AB/BA deadlock no single function exhibits on its own.
+          AB/BA deadlock, whether one function or a call chain
+          exhibits it.
 QA802     a lock or transaction is acquired on a path with no
           dominating release: no enclosing releasing context manager,
           and no try handler/finally that aborts or releases.
@@ -31,7 +37,9 @@ QA805     a cache attribute is written (``put``/``store``) but no code
 
 The MVCC-effect passes QA806–QA810 live in
 :mod:`repro.analysis.program.effects` and run through the same
-:func:`run_passes` entry point.
+:func:`run_passes` entry point.  Every interprocedural fact — lock
+tokens, ownership transfer, reachable I/O, the effect lattices — comes
+from one fixpoint driver, :meth:`Program.propagate`.
 
 Every pass emits on the shared :class:`~repro.analysis.diagnostics.
 Diagnostic` model with ``dialect="python"`` and
@@ -42,13 +50,16 @@ baseline file.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterable, Mapping
+from functools import cached_property
+from typing import TypeVar
 
 from repro.analysis.diagnostics import Diagnostic, SourceLocation, make
-from repro.analysis.lockorder import _sccs
 from repro.analysis.program.callgraph import CallGraph
 from repro.analysis.program.summaries import (
     MUTATION_CHARGES,
     RELEASE_NAMES,
+    Event,
     FunctionSummary,
     class_cache_attrs,
 )
@@ -59,6 +70,7 @@ from repro.analysis.program.summaries import (
 FRAMEWORK_MODULES = {"repro.txn.locks", "repro.txn.manager"}
 
 PASS_NAMES = (
+    "QA502",
     "QA801",
     "QA802",
     "QA803",
@@ -71,6 +83,8 @@ PASS_NAMES = (
     "QA810",
 )
 
+T = TypeVar("T")
+
 
 class Program:
     """The call graph plus every function summary, shared by passes."""
@@ -80,19 +94,84 @@ class Program:
     ) -> None:
         self.graph = graph
         self.summaries = summaries
-        self._transfer: set[str] | None = None
-        self._lock_transitive: set[str] | None = None
 
     def resolve(self, name: str) -> list[FunctionSummary]:
-        return [
-            self.summaries[info.ref]
-            for info in self.graph.resolve(name)
-            if info.ref in self.summaries
-        ]
+        return [self.summaries[i.ref] for i in self.graph.resolve(name)]
+
+    @cached_property
+    def classes(self) -> dict[tuple[str, str], list[FunctionSummary]]:
+        """(module, class) -> the summaries of its methods."""
+        out: dict[tuple[str, str], list[FunctionSummary]] = {}
+        for summary in self.summaries.values():
+            info = summary.info
+            if info.class_name is not None:
+                out.setdefault((info.module, info.class_name), []).append(
+                    summary
+                )
+        return out
+
+    @cached_property
+    def callers(self) -> dict[str, list[tuple[FunctionSummary, Event]]]:
+        """callee ref -> (caller, call event) for every resolved call."""
+        out: dict[str, list[tuple[FunctionSummary, Event]]] = {}
+        for summary in self.summaries.values():
+            for event in summary.events:
+                if event.kind != "call":
+                    continue
+                for callee in self.resolve(event.callee or ""):
+                    out.setdefault(callee.ref, []).append((summary, event))
+        return out
+
+    # -- the one fixpoint driver -----------------------------------------
+
+    def propagate(
+        self,
+        seeds: Mapping[str, set[T]],
+        skip: Callable[[FunctionSummary], bool] | None = None,
+        edge: Callable[[FunctionSummary, Event], bool] | None = None,
+    ) -> dict[str, set[T]]:
+        """Push each function's facts up the call graph to a fixpoint.
+
+        A caller inherits every fact of each callee it reaches through
+        a call event ``edge`` accepts (all calls by default); ``skip``
+        functions neither hold nor pass on facts.  Sets only grow over
+        a finite function set, so the worklist terminates on recursive
+        graphs too.  Returns ref -> facts for every function with any.
+        """
+        facts = {
+            ref: set(seed)
+            for ref, seed in seeds.items()
+            if seed and not (skip and skip(self.summaries[ref]))
+        }
+        work = list(facts)
+        while work:
+            callee = work.pop()
+            inherited = facts[callee]
+            for caller, event in self.callers.get(callee, ()):
+                if skip and skip(caller):
+                    continue
+                if edge and not edge(caller, event):
+                    continue
+                held = facts.setdefault(caller.ref, set())
+                if not inherited <= held:
+                    held |= inherited
+                    work.append(caller.ref)
+        return facts
+
+    def reaching(
+        self,
+        seeds: Iterable[str],
+        edge: Callable[[FunctionSummary, Event], bool] | None = None,
+    ) -> set[str]:
+        """``seeds`` plus every function that calls into them."""
+        return set(
+            self.propagate({ref: {True} for ref in seeds}, edge=edge)
+        )
 
     # -- shared interprocedural facts ------------------------------------
 
-    def transfer_functions(self) -> set[str]:
+    @cached_property
+    def transfer(self) -> set[str]:
         """Functions that hand an acquired resource to their caller.
 
         Either the function returns a name bound from ``begin()`` (or
@@ -100,74 +179,26 @@ class Program:
         on behalf of an externally managed transaction (the acquire's
         txn-id argument is rooted at ``self.``).
         """
-        if self._transfer is not None:
-            return self._transfer
-        transfer: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for ref, summary in self.summaries.items():
-                if ref in transfer:
-                    continue
-                if self._transfers(summary, transfer):
-                    transfer.add(ref)
-                    changed = True
-        self._transfer = transfer
-        return transfer
+        return self.reaching(
+            (
+                ref
+                for ref, summary in self.summaries.items()
+                if _transfers_directly(summary)
+            ),
+            edge=lambda caller, event: event.bound in caller.returns_names,
+        )
 
-    def _transfers(
-        self, summary: FunctionSummary, transfer: set[str]
-    ) -> bool:
-        bound: set[str] = set()
-        for event in summary.events:
-            if event.kind == "acquire":
-                if (
-                    event.detail == "lock"
-                    and event.txn_arg is not None
-                    and event.txn_arg.startswith("self.")
-                ):
-                    return True  # delegated: owner lives elsewhere
-                if event.bound is not None:
-                    bound.add(event.bound)
-            elif event.kind == "call" and event.bound is not None:
-                if any(
-                    callee.ref in transfer
-                    and callee.ref != summary.ref
-                    for callee in self.resolve(event.callee or "")
-                ):
-                    bound.add(event.bound)
-        return bool(bound & summary.returns_names)
 
-    def lock_transitive(self) -> set[str]:
-        """Functions that (transitively) perform a lock acquisition."""
-        if self._lock_transitive is not None:
-            return self._lock_transitive
-        result = {
-            ref
-            for ref, summary in self.summaries.items()
-            if any(
-                e.kind == "acquire" and e.detail == "lock"
-                for e in summary.events
-            )
-        }
-        changed = True
-        while changed:
-            changed = False
-            for ref, summary in self.summaries.items():
-                if ref in result:
-                    continue
-                for event in summary.events:
-                    if event.kind != "call":
-                        continue
-                    if any(
-                        callee.ref in result
-                        for callee in self.resolve(event.callee or "")
-                    ):
-                        result.add(ref)
-                        changed = True
-                        break
-        self._lock_transitive = result
-        return result
+def _transfers_directly(summary: FunctionSummary) -> bool:
+    return any(
+        event.bound in summary.returns_names
+        # delegated: the owning transaction lives elsewhere
+        or (
+            event.detail == "lock"
+            and (event.txn_arg or "").startswith("self.")
+        )
+        for event in summary.acquire_events()
+    )
 
 
 def run_passes(
@@ -176,17 +207,20 @@ def run_passes(
     """Run the chosen passes (all of ``PASS_NAMES`` by default), sorted
     stably."""
     wanted = set(PASS_NAMES) if selected is None else selected
-    diagnostics: list[Diagnostic] = []
-    if "QA801" in wanted:
-        diagnostics += pass_lock_order(program)
-    if "QA802" in wanted:
-        diagnostics += pass_release_discipline(program)
-    if "QA803" in wanted:
-        diagnostics += pass_blocking_io(program)
-    if "QA804" in wanted:
-        diagnostics += pass_trace_coverage(program)
-    if "QA805" in wanted:
-        diagnostics += pass_cache_invalidation(program)
+    passes = {
+        "QA502": pass_sorted_acquisition,
+        "QA801": pass_lock_order,
+        "QA802": pass_release_discipline,
+        "QA803": pass_blocking_io,
+        "QA804": pass_trace_coverage,
+        "QA805": pass_cache_invalidation,
+    }
+    diagnostics = [
+        diagnostic
+        for code, run in passes.items()
+        if code in wanted
+        for diagnostic in run(program)
+    ]
     # imported here: effects.py uses Program, defined in this module
     from repro.analysis.program.effects import run_effect_passes
 
@@ -197,83 +231,81 @@ def run_passes(
     return diagnostics
 
 
-def _location(ref: str) -> SourceLocation:
+def location(ref: str) -> SourceLocation:
     return SourceLocation("python", ref)
+
+
+def _is_framework(summary: FunctionSummary) -> bool:
+    return summary.info.module in FRAMEWORK_MODULES
+
+
+# -- QA502: sorted acquisition within one function -----------------------
+
+
+def pass_sorted_acquisition(program: Program) -> list[Diagnostic]:
+    out: list[Diagnostic] = []
+    for ref, summary in program.summaries.items():
+        if _is_framework(summary):
+            continue
+        first_seen = list(
+            dict.fromkeys(
+                e.token
+                for e in summary.acquire_events()
+                if e.token is not None
+            )
+        )
+        if first_seen == sorted(first_seen):
+            continue
+        out.append(
+            make(
+                "QA502",
+                f"{ref} acquires lock resources {first_seen} out of "
+                f"sorted order; unsorted multi-lock paths can deadlock "
+                f"against sorted ones (use LockManager.acquire_many)",
+                location(ref),
+            )
+        )
+    return out
 
 
 # -- QA801: composed lock order ------------------------------------------
 
 
 def pass_lock_order(program: Program) -> list[Diagnostic]:
-    tokens_all: dict[str, set[str]] = {}
-    pairs: dict[str, set[tuple[str, str]]] = {}
-    summaries = {
-        ref: s
-        for ref, s in program.summaries.items()
-        if s.info.module not in FRAMEWORK_MODULES
-    }
-    for ref in summaries:
-        tokens_all[ref] = set()
-        pairs[ref] = set()
+    tokens = program.propagate(
+        {
+            ref: {
+                e.token
+                for e in summary.acquire_events()
+                if e.token is not None
+            }
+            for ref, summary in program.summaries.items()
+        },
+        skip=_is_framework,
+    )
 
-    def resolve(name: str) -> list[str]:
-        return [
-            s.ref for s in program.resolve(name) if s.ref in summaries
-        ]
-
-    changed = True
-    while changed:
-        changed = False
-        for ref, summary in summaries.items():
-            held: set[str] = set()
-            new_tokens: set[str] = set()
-            new_pairs: set[tuple[str, str]] = set()
-            for event in summary.events:
-                if event.kind == "acquire" and event.token is not None:
-                    token = event.token
-                    new_pairs |= {
-                        (h, token) for h in held if h != token
-                    }
-                    held.add(token)
-                    new_tokens.add(token)
-                elif event.kind == "call":
-                    for callee_ref in resolve(event.callee or ""):
-                        callee_tokens = tokens_all[callee_ref]
-                        new_pairs |= pairs[callee_ref]
-                        new_pairs |= {
-                            (h, t)
-                            for h in held
-                            for t in callee_tokens
-                            if h != t
-                        }
-                        held |= callee_tokens
-                        new_tokens |= callee_tokens
-            if not new_pairs <= pairs[ref] or not (
-                new_tokens <= tokens_all[ref]
-            ):
-                pairs[ref] |= new_pairs
-                tokens_all[ref] |= new_tokens
-                changed = True
-
-    # second walk: attribute each edge to the functions that create it
+    # attribute each order edge to the functions that create it
     edges: dict[tuple[str, str], set[str]] = {}
-    for ref, summary in summaries.items():
-        held = set()
+    for ref, summary in program.summaries.items():
+        if _is_framework(summary):
+            continue
+        held: set[str] = set()
         for event in summary.events:
             if event.kind == "acquire" and event.token is not None:
-                for h in held:
-                    if h != event.token:
-                        edges.setdefault((h, event.token), set()).add(
-                            ref
-                        )
-                held.add(event.token)
+                batches: list[Iterable[str]] = [(event.token,)]
             elif event.kind == "call":
-                for callee_ref in resolve(event.callee or ""):
-                    for h in held:
-                        for t in tokens_all[callee_ref]:
-                            if h != t:
-                                edges.setdefault((h, t), set()).add(ref)
-                    held |= tokens_all[callee_ref]
+                batches = [
+                    tokens.get(callee.ref, ())
+                    for callee in program.resolve(event.callee or "")
+                ]
+            else:
+                continue
+            for acquired in batches:
+                for h in held:
+                    for t in acquired:
+                        if h != t:
+                            edges.setdefault((h, t), set()).add(ref)
+                held.update(acquired)
 
     graph: dict[str, set[str]] = {}
     for earlier, later in edges:
@@ -298,20 +330,71 @@ def pass_lock_order(program: Program) -> list[Diagnostic]:
                 f"lock resources {members} are acquired in "
                 f"conflicting orders across call chains; witnesses: "
                 f"{witnesses}",
-                _location(witnesses[0] if witnesses else "?"),
+                location(witnesses[0] if witnesses else "?"),
             )
         )
     return out
+
+
+def _sccs(graph: Mapping[str, set[str]]) -> list[set[str]]:
+    """Tarjan's strongly connected components, iteratively."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    counter = [0]
+    components: list[set[str]] = []
+
+    for root in graph:
+        if root in index:
+            continue
+        work: list[tuple[str, Iterable[str]]] = [
+            (root, iter(graph[root]))
+        ]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, successors = work[-1]
+            advanced = False
+            for succ in successors:
+                if succ not in index:
+                    index[succ] = low[succ] = counter[0]
+                    counter[0] += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(graph[succ])))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                component: set[str] = set()
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.add(member)
+                    if member == node:
+                        break
+                components.append(component)
+    return components
 
 
 # -- QA802: release discipline -------------------------------------------
 
 
 def pass_release_discipline(program: Program) -> list[Diagnostic]:
-    transfer = program.transfer_functions()
+    transfer = program.transfer
     out: list[Diagnostic] = []
     for ref, summary in program.summaries.items():
-        if summary.info.module in FRAMEWORK_MODULES:
+        if _is_framework(summary):
             continue
         unsafe: list[str] = []
         for event in summary.events:
@@ -322,12 +405,10 @@ def pass_release_discipline(program: Program) -> list[Diagnostic]:
                     f"{event.detail} acquisition at line {event.line}"
                 )
             elif event.kind == "call":
-                holders = [
-                    callee.ref
+                if any(
+                    callee.ref in transfer and callee.ref != ref
                     for callee in program.resolve(event.callee or "")
-                    if callee.ref in transfer and callee.ref != ref
-                ]
-                if holders:
+                ):
                     unsafe.append(
                         f"call to {event.callee} (acquires on the "
                         f"caller's behalf) at line {event.line}"
@@ -346,7 +427,7 @@ def pass_release_discipline(program: Program) -> list[Diagnostic]:
                 f"exception leaks the lock/transaction — wrap in "
                 f"try/except with abort()/release_all(), or use a "
                 f"releasing context manager",
-                _location(ref),
+                location(ref),
             )
         )
     return out
@@ -357,9 +438,13 @@ def pass_release_discipline(program: Program) -> list[Diagnostic]:
 
 def pass_blocking_io(program: Program) -> list[Diagnostic]:
     reach = _io_reachability(program)
-    transfer = program.transfer_functions()
-    lock_transitive = program.lock_transitive()
-    lock_transfer = transfer & lock_transitive
+    # transfer functions that (transitively) acquire a lock: calling
+    # one starts a held region in the caller
+    lock_transfer = program.transfer & program.reaching(
+        ref
+        for ref, summary in program.summaries.items()
+        if any(e.detail == "lock" for e in summary.acquire_events())
+    )
     out: list[Diagnostic] = []
     for ref, summary in program.summaries.items():
         held = False
@@ -372,9 +457,7 @@ def pass_blocking_io(program: Program) -> list[Diagnostic]:
                 if callee in RELEASE_NAMES:
                     held = False
                     continue
-                callee_refs = [
-                    s.ref for s in program.resolve(callee)
-                ]
+                callee_refs = [s.ref for s in program.resolve(callee)]
                 if held:
                     for callee_ref in callee_refs:
                         for kind in sorted(reach.get(callee_ref, ())):
@@ -390,7 +473,7 @@ def pass_blocking_io(program: Program) -> list[Diagnostic]:
                                     f"{ref} holds a lock while "
                                     f"{kind} is reachable via "
                                     f"{' -> '.join(path)}",
-                                    _location(ref),
+                                    location(ref),
                                 )
                             )
                 if any(r in lock_transfer for r in callee_refs):
@@ -404,7 +487,7 @@ def pass_blocking_io(program: Program) -> list[Diagnostic]:
                             f"{ref} performs blocking "
                             f"{event.detail} at line {event.line} "
                             f"while holding a lock",
-                            _location(ref),
+                            location(ref),
                         )
                     )
     return out
@@ -417,36 +500,17 @@ def _io_reachability(program: Program) -> dict[str, set[str]]:
     release_all): the fsync inside the commit protocol ends the held
     region rather than extending it.
     """
-    reach: dict[str, set[str]] = {
-        ref: {
-            e.detail
-            for e in summary.events
-            if e.kind == "io" and e.detail is not None
-        }
-        for ref, summary in program.summaries.items()
-        if summary.info.name not in RELEASE_NAMES
-    }
-    for ref in program.summaries:
-        reach.setdefault(ref, set())
-    changed = True
-    while changed:
-        changed = False
-        for ref, summary in program.summaries.items():
-            if summary.info.name in RELEASE_NAMES:
-                continue
-            acc = reach[ref]
-            before = len(acc)
-            for event in summary.events:
-                if event.kind != "call":
-                    continue
-                callee = event.callee or ""
-                if callee in RELEASE_NAMES:
-                    continue
-                for callee_summary in program.resolve(callee):
-                    acc |= reach.get(callee_summary.ref, set())
-            if len(acc) != before:
-                changed = True
-    return reach
+    return program.propagate(
+        {
+            ref: {
+                e.detail
+                for e in summary.events
+                if e.kind == "io" and e.detail is not None
+            }
+            for ref, summary in program.summaries.items()
+        },
+        skip=lambda summary: summary.info.name in RELEASE_NAMES,
+    )
 
 
 def _io_path(
@@ -492,19 +556,12 @@ def _io_path(
 
 
 def pass_trace_coverage(program: Program) -> list[Diagnostic]:
-    by_class: dict[
-        tuple[str, str], list[FunctionSummary]
-    ] = {}
-    out: list[Diagnostic] = []
-    for summary in program.summaries.values():
-        cls = summary.info.class_name
-        if cls is not None:
-            by_class.setdefault(
-                (summary.info.module, cls), []
-            ).append(summary)
-        elif _charges_mutation(summary):
-            out.append(_qa804(summary, via="charge"))
-    for members in by_class.values():
+    out = [
+        _qa804(summary, via="charge")
+        for summary in program.summaries.values()
+        if summary.info.class_name is None and _charges_mutation(summary)
+    ]
+    for members in program.classes.values():
         traced_attrs: set[str] = set()
         for member in members:
             if member.trace_write:
@@ -534,7 +591,7 @@ def _qa804(summary: FunctionSummary, via: str) -> Diagnostic:
         f"runtime.TRACE.write event; the dynamic sanitizer cannot see "
         f"these writes — add the trace hook or baseline it as a "
         f"sub-record primitive",
-        _location(summary.ref),
+        location(summary.ref),
     )
 
 
@@ -542,41 +599,29 @@ def _qa804(summary: FunctionSummary, via: str) -> Diagnostic:
 
 
 def pass_cache_invalidation(program: Program) -> list[Diagnostic]:
-    defs: dict[tuple[str, str, str], str] = {}
-    writes: dict[tuple[str, str], set[str]] = {}
-    invalidations: dict[tuple[str, str], set[str]] = {}
-    first_writer: dict[tuple[str, str, str], str] = {}
-    for summary in program.summaries.values():
-        cls = summary.info.class_name
-        if cls is None:
-            continue
-        key = (summary.info.module, cls)
-        for attr, cache_cls in summary.cache_defs.items():
-            defs[(*key, attr)] = cache_cls
-        for attr in summary.memo_defs:
-            defs[(*key, attr)] = "dict"
-        for attr in summary.cache_writes:
-            writes.setdefault(key, set()).add(attr)
-            first_writer.setdefault((*key, attr), summary.ref)
-        invalidations.setdefault(key, set()).update(
-            summary.cache_invalidations
-        )
     out: list[Diagnostic] = []
-    for (module, cls, attr), cache_cls in sorted(defs.items()):
-        key = (module, cls)
-        if attr not in writes.get(key, set()):
-            continue
-        if attr in invalidations.get(key, set()):
-            continue
-        writer = first_writer.get((module, cls, attr), "?")
-        out.append(
-            make(
-                "QA805",
-                f"{module}:{cls}.{attr} ({cache_cls}) is written by "
-                f"{writer} but no code path in {cls} ever registers "
-                f"an invalidation (bump_epoch/invalidate*/clear/pop); "
-                f"stale entries will outlive the truth they cache",
-                _location(f"{module}:{cls}.{attr}"),
+    for (module, cls), members in program.classes.items():
+        defs: dict[str, str] = {}
+        first_writer: dict[str, str] = {}
+        invalidated: set[str] = set()
+        for member in members:
+            defs.update(member.cache_defs)
+            defs.update(dict.fromkeys(member.memo_defs, "dict"))
+            for attr in member.cache_writes:
+                first_writer.setdefault(attr, member.ref)
+            invalidated |= member.cache_invalidations
+        for attr, cache_cls in defs.items():
+            if attr not in first_writer or attr in invalidated:
+                continue
+            out.append(
+                make(
+                    "QA805",
+                    f"{module}:{cls}.{attr} ({cache_cls}) is written by "
+                    f"{first_writer[attr]} but no code path in {cls} "
+                    f"ever registers an invalidation (bump_epoch/"
+                    f"invalidate*/clear/pop); stale entries will outlive "
+                    f"the truth they cache",
+                    location(f"{module}:{cls}.{attr}"),
+                )
             )
-        )
     return out

@@ -505,7 +505,7 @@ def _callee_name(call: ast.expr) -> str | None:
 
 
 def _resource_token(call: ast.Call) -> str | None:
-    """The lock-resource expression, mirroring the QA501 pass.
+    """The lock-resource expression QA502 and QA801 order (textually).
 
     ``acquire(txn_id, resource, mode)`` -> the second argument;
     ``acquire_many`` bundles sort internally and contribute no single

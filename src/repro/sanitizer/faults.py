@@ -206,8 +206,9 @@ def _unsorted_locks(db: Database) -> None:
     # shared locks on synthetic resources: the two transactions overlap
     # and close an order cycle without ever conflicting, and the aborts
     # release everything so QA602 stays silent.  The order is data-
-    # driven: the *static* QA501 pass must not flag this deliberate
-    # fault — only the runtime detector observing the trace should.
+    # driven: the *static* QA801/QA502 passes must not flag this
+    # deliberate fault — only the runtime detector observing the trace
+    # should.
     locks = db.txns.locks
     ordered = [("sanitize", "a"), ("sanitize", "b")]
     t1 = db.txns.begin()

@@ -2,8 +2,8 @@
 
 Three layers, per the analyzer's contract:
 
-* each QA801-QA805 pass catches its seeded-violation fixture and stays
-  silent on the repaired twin of the same code;
+* each QA502 and QA801-QA805 pass catches its seeded-violation fixture
+  and stays silent on the repaired twin of the same code;
 * the real engine tree is clean under the committed baseline, and the
   baseline carries no stale entries;
 * the ``--format json`` schema and the CLI gate (exit 1 on any
@@ -11,10 +11,10 @@ Three layers, per the analyzer's contract:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.lockorder import analyze_lock_order_sources
 from repro.analysis.program import (
     DEFAULT_BASELINE_PATH,
     analyze_program,
@@ -77,9 +77,108 @@ class TestLockOrderPass:
 
     def test_intra_function_pass_cannot_see_it(self):
         # the seeded inversion spans a call: each function acquires one
-        # lock, so the per-function QA501 pass has nothing to order —
+        # lock, so the per-function QA502 pass has nothing to order —
         # only the composed summaries close the cycle
-        assert analyze_lock_order_sources({"fixture.py": QA801_BAD}) == []
+        assert (
+            analyze_program_sources(
+                {"fixture.py": QA801_BAD}, passes={"QA502"}
+            )
+            == []
+        )
+
+
+X = "LockMode.EXCLUSIVE"
+
+
+def lock_sequences(**functions):
+    """One module of free functions, each acquiring its resources on
+    ``m`` in the given order."""
+    return "".join(
+        f"def {name}(m, t):\n"
+        + "".join(f"    m.acquire(t, '{r}', {X})\n" for r in resources)
+        for name, resources in functions.items()
+    )
+
+
+class TestSingleFunctionLockOrder:
+    """Inversions with no call in between are QA801 cycles as well."""
+
+    def test_two_way_cycle(self):
+        diags = analyze_program_sources({
+            "a.py": lock_sequences(path_one="AB"),
+            "b.py": lock_sequences(path_two="BA"),
+        }, passes={"QA801"})
+        assert codes(diags) == ["QA801"]
+        message = diags[0].message
+        assert "a:path_one" in message and "b:path_two" in message
+        assert "'A'" in message and "'B'" in message
+
+    def test_three_way_cycle(self):
+        diags = analyze_program_sources(
+            {"c.py": lock_sequences(f1="AB", f2="BC", f3="CA")},
+            passes={"QA801"},
+        )
+        assert codes(diags) == ["QA801"]
+        message = diags[0].message
+        assert all(f"'{r}'" in message for r in "ABC")
+        assert all(f"c:{f}" in message for f in ("f1", "f2", "f3"))
+
+    def test_consistent_order_is_clean(self):
+        assert analyze_program_sources(
+            {"d.py": lock_sequences(f1="AB", f2="AC")}, passes={"QA801"}
+        ) == []
+
+    def test_try_acquire_cannot_deadlock(self):
+        source = (
+            "def f1(m, t):\n"
+            f"    m.acquire(t, 'A', {X})\n"
+            f"    m.try_acquire(t, 'B', {X})\n"
+            "def f2(m, t):\n"
+            f"    m.acquire(t, 'B', {X})\n"
+            f"    m.try_acquire(t, 'A', {X})\n"
+        )
+        assert analyze_program_sources(
+            {"e.py": source}, passes={"QA801"}
+        ) == []
+
+    def test_reacquiring_the_same_resource_is_not_a_cycle(self):
+        assert analyze_program_sources(
+            {"f.py": lock_sequences(f1="AA")}, passes={"QA801"}
+        ) == []
+
+
+# -- QA502: sorted acquisition within one function -----------------------
+
+
+class TestSortedAcquisitionPass:
+    def test_unsorted_pair_in_one_function_warns(self):
+        diags = analyze_program_sources(
+            {"g.py": lock_sequences(backwards="BA")}, passes={"QA502"}
+        )
+        assert codes(diags) == ["QA502"]
+        assert diags[0].location.operation == "g:backwards"
+        assert "acquire_many" in diags[0].message
+
+    def test_sorted_acquisition_is_clean(self):
+        assert analyze_program_sources(
+            {"h.py": lock_sequences(forwards="ABC")}, passes={"QA502"}
+        ) == []
+
+    def test_single_lock_is_clean(self):
+        assert analyze_program_sources(
+            {"i.py": lock_sequences(single="Z")}, passes={"QA502"}
+        ) == []
+
+    def test_reacquisition_does_not_count_as_unsorted(self):
+        # A .. B .. A: the trailing A is a re-entrant no-op, not a
+        # second (out-of-order) acquisition.
+        assert analyze_program_sources(
+            {"j.py": lock_sequences(reentrant="ABA")}, passes={"QA502"}
+        ) == []
+
+    def test_qa801_selection_excludes_it(self):
+        source = {"g.py": lock_sequences(backwards="BA")}
+        assert analyze_program_sources(source, passes={"QA801"}) == []
 
 
 # -- QA802: release discipline -------------------------------------------
@@ -441,6 +540,14 @@ class TestRealTree:
         assert raw, "justified findings exist (they are baselined)"
         assert all(d.code.startswith("QA8") for d in raw)
 
+    def test_the_package_has_no_conflicting_lock_orders(self):
+        raw = analyze_program(baseline=None, passes={"QA801"})
+        assert raw == [], [str(d) for d in raw]
+
+    def test_the_package_acquires_multi_locks_in_sorted_order(self):
+        raw = analyze_program(baseline=None, passes={"QA502"})
+        assert raw == [], [str(d) for d in raw]
+
     def test_qa805_sees_the_compiled_closure_caches(self):
         """Every dialect engine owns an epoch-keyed compiled-closure
         cache, written on compile and invalidated in lockstep with the
@@ -563,6 +670,51 @@ class TestCli:
             assert row["dialect"] == "python"
             assert row["severity"] == "error"
             assert row["code"].startswith("QA8")
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_paths_name_modules_as_the_tree_does(
+        self, absolute, monkeypatch, capsys
+    ):
+        # a baselined finding analyzed through --paths must still match
+        # its baseline entry, however the path is spelled
+        import repro
+
+        root = Path(repro.__file__).resolve().parents[2]
+        monkeypatch.chdir(root)
+        path = Path("src/repro/relational/table.py")
+        exit_code = main([
+            "lint", "--program",
+            "--paths", str(root / path if absolute else path),
+            "--baseline", "--diff",
+        ])
+        out = capsys.readouterr().out
+        assert exit_code == 0, out
+        assert "0 new diagnostic(s)" in out
+
+    def test_paths_inside_a_package_reach_package_rules(
+        self, tmp_path, empty_baseline, capsys
+    ):
+        # QA810 applies to modules named repro.exec.*: a file under a
+        # package tree is named from its package, not from the path
+        package = tmp_path / "repro" / "exec"
+        package.mkdir(parents=True)
+        (tmp_path / "repro" / "__init__.py").write_text("")
+        (package / "__init__.py").write_text("")
+        kernel = package / "k.py"
+        kernel.write_text(
+            "def kernel(cache, key, rows):\n"
+            "    cache.put(key, rows)\n"
+            "    return rows\n"
+        )
+        exit_code = main([
+            "lint", "--program",
+            "--paths", str(kernel),
+            "--baseline", empty_baseline,
+        ])
+        out = capsys.readouterr().out
+        assert exit_code == 1
+        assert "QA810" in out
+        assert "repro.exec.k:kernel" in out
 
     def test_custom_baseline_suppresses(
         self, tmp_path, capsys

@@ -10,7 +10,6 @@ so the two views can never drift apart silently.
 
 import pytest
 
-from repro.analysis.lockorder import analyze_lock_order_sources
 from repro.analysis.program import analyze_program_sources
 from repro.relational.engine import Database
 from repro.sanitizer import runtime
@@ -82,9 +81,8 @@ class TestUnsortedLocks:
 
     def test_call_split_twin_needs_the_interprocedural_pass(self, db):
         # same trace, but each second acquire hidden behind a helper:
-        # the per-function QA501/QA502 pass sees one acquire per
-        # function and goes silent; only summary composition closes
-        # the AB/BA cycle
+        # every function acquires one lock, so no single function
+        # orders two; only summary composition closes the AB/BA cycle
         events = _traced(db, "unsorted-locks")
         by_txn = _acquire_lines(events, indent="")
         functions = []
@@ -98,7 +96,6 @@ class TestUnsortedLocks:
                 f"    {second}"
             )
         source = "\n\n".join(functions) + "\n"
-        assert analyze_lock_order_sources({"twin.py": source}) == []
         diags = analyze_program_sources(
             {"twin.py": source}, passes={"QA801"}
         )
