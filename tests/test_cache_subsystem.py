@@ -11,12 +11,13 @@ from repro.cache import (
     LRUCache,
 )
 from repro.graphdb import Direction, GraphDatabase, GraphStore
+from repro.graphdb.tinkerpop_adapter import Neo4jProvider
 from repro.options import EngineOptions
 from repro.rdf import RdfDatabase
 from repro.relational import Database
 from repro.simclock import meter
 from repro.storage.wal import WriteAheadLog
-from repro.tinkerpop import Graph, GremlinServer, TinkerGraphProvider
+from repro.tinkerpop import Graph, GremlinServer
 
 
 class TestLRUCache:
@@ -339,7 +340,7 @@ class TestGremlinScriptCache:
     # the legacy script cache is an interpreted-mode concern: compiled
     # mode subsumes it with the closure cache (tested below)
     def _server(self):
-        provider = TinkerGraphProvider()
+        provider = Neo4jProvider()
         Graph(provider).traversal().addV("person").property(
             "id", 1
         ).iterate()
@@ -379,7 +380,7 @@ class TestGremlinScriptCache:
 
 class TestGremlinClosureCache:
     def _server(self):
-        provider = TinkerGraphProvider()
+        provider = Neo4jProvider()
         Graph(provider).traversal().addV("person").property(
             "id", 1
         ).iterate()

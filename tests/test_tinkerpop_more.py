@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.tinkerpop import Graph, P, TinkerGraphProvider, anon
+from repro.graphdb.tinkerpop_adapter import Neo4jProvider
+from repro.tinkerpop import Graph, P, anon
 from repro.tinkerpop.structure import Edge, Vertex
 from repro.tinkerpop.traversal import TraversalError
 
 
 @pytest.fixture()
 def g():
-    provider = TinkerGraphProvider()
-    provider.create_index("airport", "code")
+    provider = Neo4jProvider()
+    provider.store.create_index("airport", "code")
     g = Graph(provider).traversal()
     airports = {}
     for code, country in [
