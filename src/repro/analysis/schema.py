@@ -309,14 +309,6 @@ class SchemaCatalog:
                 return declared
         return None
 
-    def all_property_keys(self) -> frozenset[str]:
-        keys: set[str] = set()
-        for props in self.entities.values():
-            keys.update(props)
-        for rel in self.relationships.values():
-            keys.update(rel.props)
-        return frozenset(keys)
-
     # -- footprint helpers -----------------------------------------------------
 
     def close_footprint(self, concepts: set[str]) -> frozenset[str]:

@@ -2,18 +2,19 @@
 
 * :mod:`repro.driver.workload`  — the interactive query mix of Section 4.3
   (short reads + the two-hop complex query).
-* :mod:`repro.driver.scheduler` — dependency-tracked update scheduling
-  (LDBC's execution-time dependency windows).
 * :mod:`repro.driver.loader`    — data-ingestion harnesses for Table 4 and
   Appendix A (1..16 concurrent loaders over the discrete-event simulator).
 * :mod:`repro.driver.executor`  — the real-time interactive workload
   runner of Figure 3: N simulated readers + one writer consuming the
   Kafka update stream, with per-system contention models (Gremlin Server
   worker pool, Titan-B writer serialization, Neo4j checkpoint stalls).
+
+The generator emits the update stream in dependency-safe order and the
+Kafka producer publishes it in that order, so the single writer applies
+events as it consumes them: no LDBC-style dependency scheduler is needed.
 """
 
 from repro.driver.workload import QueryMix, ReadOp
-from repro.driver.scheduler import DependencyScheduler
 from repro.driver.loader import LoadReport, concurrent_load, sequential_load
 from repro.driver.executor import (
     InteractiveConfig,
@@ -24,7 +25,6 @@ from repro.driver.executor import (
 __all__ = [
     "QueryMix",
     "ReadOp",
-    "DependencyScheduler",
     "LoadReport",
     "sequential_load",
     "concurrent_load",

@@ -92,9 +92,6 @@ class GraphStore:
             capacity, name=f"{self.name}-neighborhood"
         )
 
-    def disable_neighborhood_cache(self) -> None:
-        self._neighborhood_cache = None
-
     def cache_stats(self) -> list[CacheStats]:
         if self._neighborhood_cache is None:
             return []

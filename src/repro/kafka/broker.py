@@ -50,9 +50,6 @@ class Broker:
             raise ValueError(f"topic {name!r} already exists")
         self._topics[name] = _Topic(name, partitions)
 
-    def has_topic(self, name: str) -> bool:
-        return name in self._topics
-
     def partition_count(self, topic: str) -> int:
         return len(self._topic(topic).partitions)
 

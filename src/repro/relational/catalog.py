@@ -48,20 +48,11 @@ class Catalog:
         self._tables[key] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        try:
-            del self._tables[name.lower()]
-        except KeyError:
-            raise KeyError(f"no table {name!r}") from None
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name.lower()]
         except KeyError:
             raise KeyError(f"no table {name!r}") from None
-
-    def has_table(self, name: str) -> bool:
-        return name.lower() in self._tables
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)

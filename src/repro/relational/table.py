@@ -120,9 +120,6 @@ class Table:
     def has_index(self, column: str) -> bool:
         return column in self._indexes
 
-    def index_supports_range(self, column: str) -> bool:
-        return isinstance(self._indexes.get(column), BPlusTree)
-
     def create_index(self, column: str, method: str = "btree") -> None:
         """Build a secondary index over existing rows."""
         if column in self._indexes:
@@ -310,22 +307,6 @@ class Table:
             rows.append(tuple(row))
         return rows
 
-    def fetch_values_batch(
-        self, handles: Sequence[Any], columns: Sequence[str]
-    ) -> list[tuple]:
-        """Projection fetch for a whole batch of handles.
-
-        Columnar storage reads each requested column once for the whole
-        batch (one ``vector_setup``); row storage decodes per record,
-        exactly like :meth:`fetch_values`.
-        """
-        if self.storage == "row" or not handles:
-            return [self.fetch_values(h, columns) for h in handles]
-        if any(self.mvcc.stale(h) for h in handles):
-            return [self.fetch_values(h, columns) for h in handles]
-        charge("vector_setup")
-        return self._cols.read_batch(list(handles), list(columns))
-
     def lookup_batch(
         self, column: str, values: Sequence[Any]
     ) -> dict[Any, list[Any]]:
@@ -438,10 +419,6 @@ class Table:
         # rough index footprint: 16 bytes/entry
         index_bytes = sum(16 * len(i) for i in self._indexes.values())
         return base + index_bytes
-
-    def charge_row(self) -> None:
-        """Executor hook: per-row cost at the storage boundary."""
-        charge("tuple_cpu")
 
 
 def _wal_record(op: str, table: str, payload: list) -> bytes:

@@ -6,13 +6,14 @@ harness are *simulated*: engines charge named cost counters (page reads,
 round trips, serialized items, ...) to the active :class:`Ledger`, and a
 :class:`CostModel` converts the counters into simulated microseconds.
 
-Concurrent experiments (Figure 3 throughput, Appendix A concurrent loading)
-run on the :class:`Simulator`, a small generator-based discrete-event
-simulator with FIFO :class:`Resource` queues used to model contention
-(worker pools, write latches, checkpoint stalls).
+Sequential harnesses (the latency tables, Table 4 loading) sum ledger
+costs directly.  Concurrent experiments (Figure 3 throughput, Appendix A
+concurrent loading) run on the :class:`Simulator`, a small
+generator-based discrete-event simulator with FIFO :class:`Resource`
+queues used to model contention (worker pools, write latches,
+checkpoint stalls); it owns the only simulated clock.
 """
 
-from repro.simclock.clock import SimClock
 from repro.simclock.costmodel import DEFAULT_WEIGHTS, CostModel
 from repro.simclock.events import (
     Acquire,
@@ -26,7 +27,6 @@ from repro.simclock.events import (
 from repro.simclock.ledger import Ledger, charge, meter, metered
 
 __all__ = [
-    "SimClock",
     "CostModel",
     "DEFAULT_WEIGHTS",
     "Ledger",

@@ -84,9 +84,6 @@ class SqlgProvider(GraphProvider):
         self._edge_schemas[label] = schema
         self._edge_insert[label] = _insert_sql(f"e_{label}", schema)
 
-    def create_prop_index(self, label: str, key: str) -> None:
-        self.db.execute(f"CREATE INDEX ON v_{label} ({key}) USING HASH")
-
     # -- SPI: reads -----------------------------------------------------------------
 
     def vertices(self, label: str | None = None) -> Iterator[Any]:

@@ -2,8 +2,8 @@
 
 * :mod:`repro.tinkerpop.structure` — the provider SPI (`GraphProvider`)
   and element handles; any backend implementing the SPI is
-  "TinkerPop-compliant" (the in-memory reference, the Neo4j adapter,
-  Sqlg, and Titan all do).
+  "TinkerPop-compliant" (the Neo4j adapter, Sqlg, and both Titan
+  backends all do).
 * :mod:`repro.tinkerpop.traversal` — ``g.V().has(...).out(...).values(...)``
   style traversals, evaluated step by step.  Each step turns into
   *provider calls*; for remote backends every call pays round-trip and
@@ -16,7 +16,6 @@
 
 from repro.tinkerpop.structure import Edge, Graph, GraphProvider, Vertex
 from repro.tinkerpop.traversal import P, Traversal, anon
-from repro.tinkerpop.inmemory import TinkerGraphProvider
 from repro.tinkerpop.server import GremlinServer, GremlinServerError
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "Traversal",
     "P",
     "anon",
-    "TinkerGraphProvider",
     "GremlinServer",
     "GremlinServerError",
 ]

@@ -122,6 +122,3 @@ class GraphTraversalSource:
         from repro.tinkerpop.traversal import Traversal
 
         return Traversal(self.provider).addV(label)
-
-    def E_count(self) -> int:
-        raise NotImplementedError

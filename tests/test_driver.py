@@ -1,12 +1,11 @@
-"""Tests for the workload driver: mix, scheduler, loaders, and the
-interactive runner."""
+"""Tests for the workload driver: mix, loaders, and the interactive
+runner."""
 
 import pytest
 
 from repro.core import make_connector
 from repro.core.benchmark import WorkloadParams
 from repro.driver import (
-    DependencyScheduler,
     InteractiveConfig,
     InteractiveWorkloadRunner,
     QueryMix,
@@ -51,33 +50,6 @@ class TestQueryMix:
         mix = QueryMix(params)
         for _ in range(20):
             mix.draw().execute(connector)  # must not raise
-
-
-class TestDependencyScheduler:
-    def test_schedule_monotonic(self, dataset):
-        scheduler = DependencyScheduler(dataset.updates[:200])
-        times = [s.due_ms for s in scheduler.schedule()]
-        assert times == sorted(times)
-
-    def test_dependencies_respected(self, dataset):
-        scheduler = DependencyScheduler(dataset.updates[:500])
-        assert scheduler.verify_dependencies()
-
-    def test_compression_scales_times(self, dataset):
-        slow = DependencyScheduler(dataset.updates[:100], compression=1000)
-        fast = DependencyScheduler(dataset.updates[:100], compression=100000)
-        slow_last = list(slow.schedule())[-1].due_ms
-        fast_last = list(fast.schedule())[-1].due_ms
-        assert slow_last > fast_last
-
-    def test_empty_stream(self):
-        scheduler = DependencyScheduler([])
-        assert list(scheduler.schedule()) == []
-        assert scheduler.verify_dependencies()
-
-    def test_invalid_compression(self, dataset):
-        with pytest.raises(ValueError):
-            DependencyScheduler(dataset.updates[:2], compression=0)
 
 
 class TestSequentialLoad:

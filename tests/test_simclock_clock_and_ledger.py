@@ -1,48 +1,16 @@
-"""Unit tests for the virtual clock, cost model, and ledger stack."""
+"""Unit tests for the cost model and ledger stack."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.simclock import (
     DEFAULT_WEIGHTS,
     CostModel,
     Ledger,
-    SimClock,
     charge,
     meter,
     metered,
 )
 from repro.simclock.ledger import active_ledgers
-
-
-class TestSimClock:
-    def test_starts_at_zero(self):
-        assert SimClock().now_us == 0.0
-
-    def test_advance_accumulates(self):
-        clock = SimClock()
-        clock.advance(10.0)
-        clock.advance(2.5)
-        assert clock.now_us == 12.5
-        assert clock.now_ms == 0.0125
-
-    def test_advance_rejects_negative(self):
-        with pytest.raises(ValueError):
-            SimClock().advance(-1.0)
-
-    def test_reset(self):
-        clock = SimClock(5.0)
-        clock.advance(1.0)
-        clock.reset()
-        assert clock.now_us == 0.0
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e9), max_size=50))
-    def test_advance_is_sum(self, deltas):
-        clock = SimClock()
-        for d in deltas:
-            clock.advance(d)
-        assert clock.now_us == pytest.approx(sum(deltas))
 
 
 class TestCostModel:
