@@ -149,8 +149,9 @@ class UpdateEvent:
     """One update-stream entry.
 
     ``dependency_ms`` is the latest creation time among the entities this
-    event references — the driver must not execute the event before every
-    dependency has been executed (LDBC dependency-tracking scheduling).
+    event references.  Every referenced entity is in the static snapshot
+    or added by an earlier event, so a writer that applies the stream in
+    order never meets a dangling reference.
     """
 
     kind: UpdateKind

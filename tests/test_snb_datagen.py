@@ -162,6 +162,54 @@ class TestUpdateStream:
         for e in dataset.updates:
             assert e.dependency_ms <= e.creation_ms
 
+    def test_every_reference_precedes_its_event(self, dataset):
+        """The Figure 3 writer applies the stream in order, so every id
+        an event references is in the static snapshot or was added by
+        an earlier event."""
+        known = {
+            "person": {p.id for p in dataset.persons},
+            "forum": {f.id for f in dataset.forums},
+            "post": {p.id for p in dataset.posts},
+            "comment": {c.id for c in dataset.comments},
+        }
+        message = ("post", "comment")
+        refs = {
+            UpdateKind.ADD_PERSON: {},
+            UpdateKind.ADD_FRIENDSHIP: {
+                "person1": ("person",), "person2": ("person",),
+            },
+            UpdateKind.ADD_FORUM: {"moderator": ("person",)},
+            UpdateKind.ADD_FORUM_MEMBERSHIP: {
+                "forum": ("forum",), "person": ("person",),
+            },
+            UpdateKind.ADD_POST: {"creator": ("person",), "forum": ("forum",)},
+            UpdateKind.ADD_COMMENT: {
+                "creator": ("person",), "reply_of": message,
+                "root_post": ("post",),
+            },
+            UpdateKind.ADD_POST_LIKE: {
+                "person": ("person",), "message": ("post",),
+            },
+            UpdateKind.ADD_COMMENT_LIKE: {
+                "person": ("person",), "message": ("comment",),
+            },
+        }
+        adds = {
+            UpdateKind.ADD_PERSON: "person",
+            UpdateKind.ADD_FORUM: "forum",
+            UpdateKind.ADD_POST: "post",
+            UpdateKind.ADD_COMMENT: "comment",
+        }
+        missing = []
+        for position, event in enumerate(dataset.updates):
+            for attr, kinds in refs[event.kind].items():
+                ident = getattr(event.payload, attr)
+                if not any(ident in known[kind] for kind in kinds):
+                    missing.append((position, event.kind, attr, ident))
+            if event.kind in adds:
+                known[adds[event.kind]].add(event.payload.id)
+        assert missing == []
+
     def test_update_mix_covers_most_kinds(self, dataset):
         kinds = {e.kind for e in dataset.updates}
         # the big five always appear; person adds may be rare at tiny scales
