@@ -14,9 +14,10 @@ hop — no index involved.  Property access charges ``value_cpu`` per value.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from types import MappingProxyType
 from typing import Any
 
 from repro.cache import CacheStats, DependencyTrackingCache
@@ -42,7 +43,12 @@ class Direction(enum.Enum):
     BOTH = "both"
 
 
-@dataclass
+# the props of every relationship created without any (never written:
+# only set_node_prop mutates a props map)
+_NO_PROPS: Mapping[str, Any] = MappingProxyType({})
+
+
+@dataclass(slots=True)
 class _NodeRecord:
     first_rel: int = NO_REL
     labels: tuple[str, ...] = ()
@@ -50,14 +56,14 @@ class _NodeRecord:
     deleted: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _RelRecord:
     rel_type: str
     start: int
     end: int
+    props: Mapping[str, Any]
     start_next: int = NO_REL
     end_next: int = NO_REL
-    props: dict[str, Any] = field(default_factory=dict)
     deleted: bool = False
 
 
@@ -187,7 +193,7 @@ class GraphStore:
             end=end,
             start_next=start_record.first_rel,
             end_next=end_record.first_rel,
-            props=dict(props or {}),
+            props=dict(props) if props else _NO_PROPS,
         )
         self._rels.append(record)
         self.mvcc.stamp(("rel", rel_id))

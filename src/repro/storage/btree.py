@@ -5,6 +5,10 @@ stores; indexes in the real systems are hot and cached), but every node
 touched charges ``index_node`` so descents and scans have realistic
 simulated cost.  Deletes remove entries from leaves without rebalancing —
 the standard "lazy delete" used by many production trees.
+
+A leaf slot holds a key's lone value bare; only a key with two or more
+values holds a :class:`_Dups` list.  The layout is host memory only:
+every ledger charge is per probe, node or yielded value.
 """
 
 from __future__ import annotations
@@ -15,6 +19,41 @@ from typing import Any
 
 from repro.simclock.ledger import charge
 
+# a slot with nothing left in it (and, for HashIndex, an absent key)
+_EMPTY: Any = object()
+
+
+class _Dups(list):
+    """The values of a key that holds two or more, in insertion order.
+
+    Any other slot is one bare value, so a stored list or tuple is never
+    read as a bucket of values.
+    """
+
+    __slots__ = ()
+
+
+def _discard(slot: Any, value: Any) -> tuple[int, Any]:
+    """Delete ``value`` (every value when None) from one key's ``slot``.
+
+    Returns the number removed and the slot to keep, ``_EMPTY`` when no
+    value is left.  A key left with one value holds it bare again.
+    """
+    if type(slot) is not _Dups:
+        if value is not None and slot != value:
+            return 0, slot
+        return 1, _EMPTY
+    if value is None:
+        return len(slot), _EMPTY
+    kept = [v for v in slot if v != value]
+    removed = len(slot) - len(kept)
+    if not kept:
+        return removed, _EMPTY
+    if len(kept) == 1:
+        return removed, kept[0]
+    slot[:] = kept
+    return removed, slot
+
 
 class _Node:
     __slots__ = ("keys", "children", "values", "next", "is_leaf")
@@ -23,7 +62,7 @@ class _Node:
         self.is_leaf = is_leaf
         self.keys: list[Any] = []
         self.children: list[_Node] = []  # internal nodes only
-        self.values: list[list[Any]] = []  # leaf nodes only (dup lists)
+        self.values: list[Any] = []  # leaf nodes only (value or _Dups)
         self.next: _Node | None = None  # leaf sibling chain
 
 
@@ -59,11 +98,9 @@ class BPlusTree:
         leaf = self._find_leaf(key)
         idx = bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            return list(leaf.values[idx])
+            slot = leaf.values[idx]
+            return list(slot) if type(slot) is _Dups else [slot]
         return []
-
-    def contains(self, key: Any) -> bool:
-        return bool(self.search(key))
 
     def range_scan(
         self,
@@ -93,9 +130,14 @@ class BPlusTree:
                         return
                     if not hi_inclusive and key >= hi:
                         return
-                for value in node.values[idx]:
+                slot = node.values[idx]
+                if type(slot) is _Dups:
+                    for value in slot:
+                        charge("value_cpu")
+                        yield key, value
+                else:
                     charge("value_cpu")
-                    yield key, value
+                    yield key, slot
                 idx += 1
             node = node.next
             if node is not None:
@@ -105,12 +147,6 @@ class BPlusTree:
     def items(self) -> Iterator[tuple[Any, Any]]:
         """Full ordered iteration."""
         return self.range_scan()
-
-    def min_key(self) -> Any:
-        leaf = self._leftmost_leaf()
-        if not leaf.keys:
-            raise KeyError("tree is empty")
-        return leaf.keys[0]
 
     def _leftmost_leaf(self) -> _Node:
         node = self._root
@@ -141,10 +177,14 @@ class BPlusTree:
             if idx < len(node.keys) and node.keys[idx] == key:
                 if self.unique:
                     raise KeyError(f"duplicate key in unique index: {key!r}")
-                node.values[idx].append(value)
+                slot = node.values[idx]
+                if type(slot) is _Dups:
+                    slot.append(value)
+                else:
+                    node.values[idx] = _Dups((slot, value))
             else:
                 node.keys.insert(idx, key)
-                node.values.insert(idx, [value])
+                node.values.insert(idx, value)
             self._count += 1
             if len(node.keys) > self.order:
                 return self._split_leaf(node)
@@ -194,17 +234,12 @@ class BPlusTree:
         idx = bisect_left(leaf.keys, key)
         if idx >= len(leaf.keys) or leaf.keys[idx] != key:
             return 0
-        bucket = leaf.values[idx]
-        if value is None:
-            removed = len(bucket)
-            bucket.clear()
-        else:
-            before = len(bucket)
-            bucket[:] = [v for v in bucket if v != value]
-            removed = before - len(bucket)
-        if not bucket:
+        removed, rest = _discard(leaf.values[idx], value)
+        if rest is _EMPTY:
             leaf.keys.pop(idx)
             leaf.values.pop(idx)
+        else:
+            leaf.values[idx] = rest
         self._count -= removed
         return removed
 

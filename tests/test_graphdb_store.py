@@ -108,6 +108,19 @@ class TestRelationships:
         assert store.rel_props(rid) == {"since": 2010}
         assert store.rel_endpoints(rid) == ("KNOWS", a, b)
 
+    def test_propertyless_rels_allocate_no_dict(self, store):
+        a = store.create_node(["Person"], {"id": 1})
+        b = store.create_node(["Person"], {"id": 2})
+        rids = [store.create_rel("KNOWS", a, b) for _ in range(50)]
+        records = [store._rels[rid] for rid in rids]
+        # one shared empty props map, and no per-record __dict__
+        assert len({id(record.props) for record in records}) == 1
+        assert not any(hasattr(record, "__dict__") for record in records)
+        assert not hasattr(store._nodes[a], "__dict__")
+        props = store.rel_props(rids[0])
+        props["since"] = 2010
+        assert store.rel_props(rids[1]) == {}
+
     def test_self_loop(self, store):
         a = store.create_node(["Person"], {"id": 1})
         store.create_rel("KNOWS", a, a)

@@ -1,5 +1,8 @@
 """Tests for the B+tree and hash index."""
 
+import tracemalloc
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +22,7 @@ class TestBPlusTree:
         tree = BPlusTree()
         tree.insert(5, "five")
         assert tree.search(5) == ["five"]
-        assert tree.contains(5)
-        assert not tree.contains(6)
+        assert tree.search(6) == []
 
     def test_duplicates_allowed_by_default(self):
         tree = BPlusTree()
@@ -82,14 +84,6 @@ class TestBPlusTree:
 
     def test_delete_absent_key(self):
         assert BPlusTree().delete(99) == 0
-
-    def test_min_key(self):
-        tree = BPlusTree(order=4)
-        for k in [5, 3, 9]:
-            tree.insert(k, k)
-        assert tree.min_key() == 3
-        with pytest.raises(KeyError):
-            BPlusTree().min_key()
 
     def test_tuple_keys(self):
         tree = BPlusTree()
@@ -171,7 +165,7 @@ class TestHashIndex:
         idx.insert("k", 1)
         idx.insert("k", 2)
         assert idx.delete("k") == 2
-        assert not idx.contains("k")
+        assert idx.search("k") == []
         assert len(idx) == 0
 
     def test_items(self):
@@ -187,3 +181,114 @@ class TestHashIndex:
             idx.search("a")
         assert ledger.counters["index_insert"] == 1
         assert ledger.counters["hash_probe"] == 1
+
+
+# -- both indexes against a dict-of-lists model ---------------------------
+
+# stored values include lists and tuples: a caller's list must never be
+# read as the index's own bucket of duplicates
+_VALUES = st.one_of(
+    st.integers(0, 3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.tuples(st.integers(0, 2)),
+)
+_MAX_KEY = 12
+_KEYS = st.integers(0, _MAX_KEY)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _KEYS, _VALUES),
+        st.tuples(st.just("delete"), _KEYS, st.none()),
+        st.tuples(st.just("delete"), _KEYS, _VALUES),
+    ),
+    max_size=120,
+)
+
+
+def _apply(index, model, unique, op, key, value):
+    """One step on ``index`` and on the model (key -> values in order)."""
+    values = model.get(key, [])
+    if op == "insert":
+        if unique and values:
+            with pytest.raises(KeyError):
+                index.insert(key, value)
+            return
+        index.insert(key, value)
+        model[key] = [*values, value]
+        return
+    kept = [] if value is None else [v for v in values if v != value]
+    assert index.delete(key, value) == len(values) - len(kept)
+    if kept:
+        model[key] = kept
+    else:
+        model.pop(key, None)
+
+
+def _check(index, model, ordered):
+    for key in range(_MAX_KEY + 1):
+        assert index.search(key) == model.get(key, [])
+    keys = sorted(model) if ordered else list(model)
+    assert list(index.items()) == [(k, v) for k in keys for v in model[k]]
+    assert len(index) == sum(len(values) for values in model.values())
+
+
+@pytest.mark.parametrize("unique", [False, True])
+@pytest.mark.parametrize(
+    "cls", [partial(BPlusTree, order=4), HashIndex], ids=["btree", "hash"]
+)
+@settings(max_examples=60, deadline=None)
+@given(ops=_OPS)
+def test_index_matches_model(cls, unique, ops):
+    index = cls(unique=unique)
+    model: dict[int, list] = {}
+    for op, key, value in ops:
+        _apply(index, model, unique, op, key, value)
+        _check(index, model, ordered=isinstance(index, BPlusTree))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_OPS, lo=_KEYS, hi=_KEYS)
+def test_range_scan_charges_value_cpu_once_per_pair(ops, lo, hi):
+    tree = BPlusTree(order=4)
+    model: dict[int, list] = {}
+    for op, key, value in ops:
+        _apply(tree, model, False, op, key, value)
+    for bounds in ({}, {"lo": lo, "hi": hi}):
+        with meter() as ledger:
+            pairs = list(tree.range_scan(**bounds))
+        assert ledger.counters["value_cpu"] == len(pairs)
+        assert pairs == [
+            (k, v)
+            for k in sorted(model)
+            if bounds.get("lo", k) <= k <= bounds.get("hi", k)
+            for v in model[k]
+        ]
+
+
+@pytest.mark.parametrize("cls", [BPlusTree, HashIndex])
+def test_search_returns_a_fresh_list(cls):
+    index = cls()
+    index.insert(1, [2, 3])
+    got = index.search(1)
+    assert got == [[2, 3]]
+    got.append("x")
+    assert index.search(1) == [[2, 3]]
+    index.insert(1, "y")
+    index.search(1).clear()
+    assert index.search(1) == [[2, 3], "y"]
+
+
+@pytest.mark.parametrize("cls", [BPlusTree, HashIndex])
+def test_unique_int_keys_trace_at_most_48_bytes_per_entry(cls):
+    # a key's lone value sits in its slot: no list object per entry
+    keys = list(range(20_000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = cls()
+        for key in keys:
+            index.insert(key, key)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(index) == len(keys)
+    assert used / len(keys) <= 48
