@@ -4,11 +4,13 @@ This is the paper's contribution #2 realized: a single Gremlin
 implementation of the workload that runs unmodified against any
 TinkerPop3-compliant database (Neo4j, Titan-Cassandra, Titan-BerkeleyDB,
 Sqlg).  All interactive traffic goes through the Gremlin Server
-(Figure 2); only bulk loading uses embedded traversals (the LDBC Gremlin
-loading utilities).
+(Figure 2); only bulk loading bypasses it (the LDBC Gremlin loading
+utilities, embedded in the loader process).
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 from repro.core.connectors.base import Connector, OperationFailed
 from repro.graphdb.tinkerpop_adapter import Neo4jProvider
@@ -24,8 +26,9 @@ from repro.snb.schema import (
     Post,
 )
 from repro.sqlg import SqlgProvider
-from repro.tinkerpop import Graph, GremlinServer, GremlinServerError, P
-from repro.tinkerpop.structure import GraphProvider, Vertex
+from repro.tinkerpop import GremlinServer, GremlinServerError, P
+from repro.tinkerpop.structure import GraphProvider
+from repro.tinkerpop.traversal import charge_step
 from repro.titan import titan_berkeley, titan_cassandra
 
 #: (label, key) pairs indexed in every TinkerPop backend ("indexes on
@@ -146,28 +149,34 @@ def iter_edge_specs(dataset: SnbDataset):
 class EmbeddedLoader:
     """The LDBC Gremlin loading utility's per-spec writers.
 
-    Embedded ``addV``/``addE`` traversals over one provider.  Vertex
-    handles are kept by SNB id, so an edge names its endpoints without
-    an index lookup.  ``add_vertex`` takes an :func:`iter_vertex_specs`
-    item and ``add_edge`` an :func:`iter_edge_specs` item.
+    A vertex is ``g.addV(label).property(...)`` and an edge
+    ``g.V(out).addE(label).to(in).property(...)``.  The loader makes the
+    provider calls those traversals make and charges the interpreted
+    steps they run (:func:`charge_step`: one for ``addV``, one each for
+    ``V(id)`` and ``addE``) without building them; ``V(id)`` never reads
+    the provider, so the ledger is the traversals' own.  Provider ids
+    are kept by SNB id, so an edge names its endpoints without an index
+    lookup.  ``add_vertex`` takes an :func:`iter_vertex_specs` item and
+    ``add_edge`` an :func:`iter_edge_specs` item.
     """
 
     def __init__(self, provider: GraphProvider) -> None:
-        self.g = Graph(provider).traversal()
-        self.vertex: dict[int, Vertex] = {}
+        self.provider = provider
+        self.vertex: dict[int, Any] = {}
 
     def add_vertex(self, spec: tuple) -> None:
         label, props = spec
-        self.vertex[props["id"]] = _q_add_vertex(self.g, label, props).next()
+        charge_step()  # addV
+        self.vertex[props["id"]] = self.provider.create_vertex(
+            label, dict(props)
+        )
 
     def add_edge(self, spec: tuple) -> None:
         label, out_id, in_id, props = spec
-        t = self.g.V(self.vertex[out_id].id).addE(label).to(
-            self.vertex[in_id]
-        )
-        for key, value in props.items():
-            t.property(key, value)
-        t.iterate()
+        out_vid, in_vid = self.vertex[out_id], self.vertex[in_id]
+        charge_step()  # V(id)
+        charge_step()  # addE
+        self.provider.create_edge(label, out_vid, in_vid, dict(props))
 
 
 def load_dataset_into_provider(
@@ -179,13 +188,14 @@ def load_dataset_into_provider(
     rates are computed from.
     """
     embedded = EmbeddedLoader(provider)
-    vertex_specs = list(iter_vertex_specs(dataset))
-    edge_specs = list(iter_edge_specs(dataset))
-    for spec in vertex_specs:
+    vertices = edges = 0
+    for spec in iter_vertex_specs(dataset):
         embedded.add_vertex(spec)
-    for spec in edge_specs:
+        vertices += 1
+    for spec in iter_edge_specs(dataset):
         embedded.add_edge(spec)
-    return len(vertex_specs), len(edge_specs)
+        edges += 1
+    return vertices, edges
 
 
 # -- the query catalog: every traversal shape the connector submits -----------

@@ -12,6 +12,8 @@ one frontier query per level (``FILTER(?s IN (...))``).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from repro.core.connectors.base import Connector
 from repro.options import EngineOptions
 from repro.rdf import RdfDatabase
@@ -218,55 +220,49 @@ class VirtuosoSparqlConnector(Connector):
     # -- loading --------------------------------------------------------------------
 
     def load(self, dataset: SnbDataset) -> None:
-        triples: list[tuple] = []
+        self.db.insert_triples(self._dataset_triples(dataset))
+        self.db.analyze()
+
+    def _dataset_triples(self, dataset: SnbDataset) -> Iterator[tuple]:
+        """Every triple of ``dataset`` in load order, entity by entity."""
         for place in dataset.places:
             iri = _place(place.id)
-            triples += [
-                (iri, "rdf:type", "snb:Place"),
-                (iri, "snb:id", place.id),
-                (iri, "snb:name", place.name),
-            ]
+            yield (iri, "rdf:type", "snb:Place")
+            yield (iri, "snb:id", place.id)
+            yield (iri, "snb:name", place.name)
             if place.part_of is not None:
-                triples.append((iri, "snb:isPartOf", _place(place.part_of)))
+                yield (iri, "snb:isPartOf", _place(place.part_of))
         for tc in dataset.tag_classes:
             iri = f"sn:tagclass{tc.id}"
-            triples += [
-                (iri, "rdf:type", "snb:TagClass"),
-                (iri, "snb:id", tc.id),
-                (iri, "snb:name", tc.name),
-            ]
+            yield (iri, "rdf:type", "snb:TagClass")
+            yield (iri, "snb:id", tc.id)
+            yield (iri, "snb:name", tc.name)
         for tag in dataset.tags:
             iri = _tag(tag.id)
-            triples += [
-                (iri, "rdf:type", "snb:Tag"),
-                (iri, "snb:id", tag.id),
-                (iri, "snb:name", tag.name),
-                (iri, "snb:hasType", f"sn:tagclass{tag.tag_class}"),
-            ]
+            yield (iri, "rdf:type", "snb:Tag")
+            yield (iri, "snb:id", tag.id)
+            yield (iri, "snb:name", tag.name)
+            yield (iri, "snb:hasType", f"sn:tagclass{tag.tag_class}")
         for org in dataset.organisations:
             iri = _org(org.id)
-            triples += [
-                (iri, "rdf:type", "snb:Organisation"),
-                (iri, "snb:id", org.id),
-                (iri, "snb:name", org.name),
-                (iri, "snb:isLocatedIn", _place(org.place)),
-            ]
+            yield (iri, "rdf:type", "snb:Organisation")
+            yield (iri, "snb:id", org.id)
+            yield (iri, "snb:name", org.name)
+            yield (iri, "snb:isLocatedIn", _place(org.place))
         for person in dataset.persons:
-            triples += self._person_triples(person)
+            yield from self._person_triples(person)
         for knows in dataset.knows:
-            triples += self._knows_triples(knows)
+            yield from self._knows_triples(knows)
         for forum in dataset.forums:
-            triples += self._forum_triples(forum)
+            yield from self._forum_triples(forum)
         for m in dataset.memberships:
-            triples += self._membership_triples(m)
+            yield from self._membership_triples(m)
         for post in dataset.posts:
-            triples += self._post_triples(post)
+            yield from self._post_triples(post)
         for comment in dataset.comments:
-            triples += self._comment_triples(comment)
+            yield from self._comment_triples(comment)
         for like in dataset.likes:
-            triples += self._like_triples(like)
-        self.db.insert_triples(triples)
-        self.db.analyze()
+            yield from self._like_triples(like)
 
     def _person_triples(self, person: Person) -> list[tuple]:
         iri = _pers(person.id)

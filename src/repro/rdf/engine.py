@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Any
 
 from repro.cache import CacheStats, EpochKeyedCache, LRUCache
@@ -101,7 +102,7 @@ class RdfDatabase:
     # LDBC connectors do: batches of triple inserts per entity) -------------
 
     def insert_triples(
-        self, triples: list[tuple[Any, Any, Any]]
+        self, triples: Iterable[tuple[Any, Any, Any]]
     ) -> int:
         """Insert a batch of triples atomically; returns how many were new.
 

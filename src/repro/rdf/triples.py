@@ -203,8 +203,11 @@ class TripleStore:
     def collect_statistics(self) -> TripleStatistics:
         """One pass over the SPO index: per-predicate counts and distincts.
 
-        Walks the index structure directly (no per-triple ``charge``);
-        the caller charges a flat ``sparql_analyze`` for the refresh.
+        The walk is a full SPO range scan and charges like one: one
+        ``index_probe``, one ``index_node`` per B+tree node visited (the
+        leftmost descent, then each leaf) and one ``value_cpu`` per
+        stored triple.  The caller adds a flat ``sparql_analyze`` for
+        the refresh.
         """
         predicate_counts: dict[Term, int] = {}
         subjects_by_pred: dict[Term, set[int]] = {}

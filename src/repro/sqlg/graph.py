@@ -40,6 +40,7 @@ class SqlgProvider(GraphProvider):
         self._vertex_insert: dict[str, str] = {}
         self._edge_insert: dict[str, str] = {}
         self._vertex_label_cache: dict[Any, str] = {}
+        self._next_eid = 0
 
     # -- schema ------------------------------------------------------------------
 
@@ -185,14 +186,12 @@ class SqlgProvider(GraphProvider):
         self.db.execute(self._vertex_insert[label], values)
         return (label, props["id"])
 
-    _next_eid = 0
-
     def create_edge(
         self, label: str, out_vid: Any, in_vid: Any, props: dict[str, Any]
     ) -> Any:
         schema = self._edge_schemas[label]
-        SqlgProvider._next_eid += 1
-        eid = SqlgProvider._next_eid
+        self._next_eid += 1
+        eid = self._next_eid
         row = {
             "eid": eid,
             "out_id": out_vid[1],

@@ -116,6 +116,19 @@ def tick_batch(n: int) -> None:
         _COST_GUARDS[-1].tick_many(n)
 
 
+def charge_step() -> None:
+    """The interpreted price of one traverser through one step.
+
+    ``step_eval`` plus one tick of the step budget and cost guard.
+    :class:`Step` charges it per traverser, and the embedded loader
+    (:class:`repro.core.connectors.gremlin.EmbeddedLoader`) once per
+    ``addV``/``V(id)``/``addE`` step it runs without building the
+    traversal, so both pay the same price.
+    """
+    charge("step_eval")
+    tick_batch(1)
+
+
 @dataclass(frozen=True)
 class P:
     """A Gremlin predicate (``P.eq(1)``, ``P.within([1, 2])``, ...)."""
@@ -222,9 +235,7 @@ class Step:
             self._tick()
             yield from one(traverser)
 
-    def _tick(self) -> None:
-        charge("step_eval")
-        tick_batch(1)
+    _tick = staticmethod(charge_step)
 
 
 class VStep(Step):

@@ -114,6 +114,43 @@ class TestConcurrentLoad:
             )
 
 
+#: (system, loaders) -> (vertices, edges, vertex_seconds, edge_seconds)
+#: at SF3 / 16,000, seed 13: simulated load time, compared exactly
+PINNED_LOADS = {
+    ("neo4j-gremlin", 1): (690, 2626, 0.0022675, 0.0066963000000000005),
+    ("neo4j-gremlin", 4): (690, 2626, 0.00056855, 0.0016753499999999988),
+    ("titan-c", 1): (690, 2626, 1.160397, 1.37865),
+    ("titan-c", 4): (690, 2626, 0.2909613, 0.3449249999999999),
+    ("titan-b", 1): (690, 2626, 0.0129705, 0.0631352),
+    ("titan-b", 4): (690, 2626, 0.13747050000000005, 0.5532027000000009),
+    ("sqlg", 1): (690, 2626, 0.3635645, 1.3975666500000001),
+    ("sqlg", 4): (690, 2626, 0.22151085999999992, 0.8419460699999991),
+}
+
+
+class TestPinnedLoadReports:
+    """Table 4 and Appendix A in simulated seconds, to the last bit: a
+    loader or storage change that moves load time shows here."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return generate(
+            GeneratorConfig(scale_factor=3, scale_divisor=16000, seed=13)
+        )
+
+    @pytest.mark.parametrize("system, loaders", sorted(PINNED_LOADS))
+    def test_report_is_pinned(self, tiny, system, loaders):
+        provider = make_connector(system).provider
+        if loaders == 1:
+            report = sequential_load(provider, tiny)
+        else:
+            report = concurrent_load(provider, tiny, loaders=loaders)
+        assert (
+            report.vertices, report.edges,
+            report.vertex_seconds, report.edge_seconds,
+        ) == PINNED_LOADS[system, loaders]
+
+
 class TestInteractiveRunner:
     @pytest.fixture(scope="class")
     def small_config(self):

@@ -25,7 +25,6 @@ from repro.relational.sql.planner import Planner
 from repro.relational.table import Table
 from repro.simclock.ledger import meter
 from repro.snb import GeneratorConfig, generate
-from repro.sqlg import SqlgProvider
 from repro.storage.codec import RowCodec
 from tests.test_exec_differential import _catalog, _normalize
 
@@ -101,15 +100,13 @@ def _metered(label, call):
     return label, _normalize(answer), ledger.snapshot()
 
 
-def _trace(system, dataset, params, mode, monkeypatch, *, forget):
+def _trace(system, dataset, params, mode, *, forget):
     """load, every read, 256 update events, every read again — one
     ``(label, answer, ledger)`` triple per operation, each operation
     under its own ``meter()``.  ``forget`` names the memo stubbed to
     never hit: ``"statements"`` (the Database's), ``"rows"`` (every
     Table's) or None.  Returns the trace, the Database and the number
     of records decoded."""
-    # the edge-id counter is class-wide: same edge ids in both runs
-    monkeypatch.setattr(SqlgProvider, "_next_eid", 0)
     with row_memos(forget=forget == "rows") as decoded:
         connector = make_connector(system)
         db = connector.provider.db if system == "sqlg" else connector.db
@@ -154,14 +151,14 @@ def _trace(system, dataset, params, mode, monkeypatch, *, forget):
     return trace, db, decoded["n"]
 
 
-def _assert_twins(system, memo, dataset, params, mode, monkeypatch):
+def _assert_twins(system, memo, dataset, params, mode):
     """Trace ``system`` as is and with ``memo`` stubbed; equal op by op.
     Returns the first run's Database and both runs' decode counts."""
     kept, db, decoded = _trace(
-        system, dataset, params, mode, monkeypatch, forget=None
+        system, dataset, params, mode, forget=None
     )
     fresh, _, decoded_fresh = _trace(
-        system, dataset, params, mode, monkeypatch, forget=memo
+        system, dataset, params, mode, forget=memo
     )
     assert len(kept) == len(fresh) > 256
     for got, expected in zip(kept, fresh):
@@ -171,11 +168,9 @@ def _assert_twins(system, memo, dataset, params, mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["interpreted", "compiled"])
 def test_sqlg_ledgers_match_a_database_that_remembers_nothing(
-    dataset, params, mode, monkeypatch
+    dataset, params, mode
 ):
-    db, _, _ = _assert_twins(
-        "sqlg", "statements", dataset, params, mode, monkeypatch
-    )
+    db, _, _ = _assert_twins("sqlg", "statements", dataset, params, mode)
     # the comparison is only worth something if the memo was in play
     hits = {s.name: s.hits for s in db.cache_stats()}
     assert hits["sql-statements"] > 1000
@@ -185,10 +180,10 @@ def test_sqlg_ledgers_match_a_database_that_remembers_nothing(
 @pytest.mark.parametrize("mode", ["interpreted", "compiled"])
 @pytest.mark.parametrize("system", ["postgres-sql", "sqlg"])
 def test_row_ledgers_match_tables_that_remember_nothing(
-    system, dataset, params, mode, monkeypatch
+    system, dataset, params, mode
 ):
     _, decoded, decoded_fresh = _assert_twins(
-        system, "rows", dataset, params, mode, monkeypatch
+        system, "rows", dataset, params, mode
     )
     assert decoded < decoded_fresh
 

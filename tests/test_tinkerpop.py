@@ -272,6 +272,17 @@ class TestBackendCharacteristics:
         # lookup + adjacency (out & in) + props: several small statements
         assert provider.db.statements_executed - statements_before >= 3
 
+    @pytest.mark.parametrize("name", sorted(PROVIDERS))
+    def test_edge_ids_are_per_graph(self, name):
+        """A second graph in one process numbers its edges afresh."""
+        edges = []
+        for _ in range(2):
+            g = Graph(PROVIDERS[name]()).traversal()
+            a = g.addV("person").property("id", 1).next()
+            b = g.addV("person").property("id", 2).next()
+            edges.append(g.V(a.id).addE("knows").to(b).next())
+        assert edges[0] == edges[1]
+
     def test_titan_adjacency_is_range_scan(self):
         provider = make_titan_c()
         g = Graph(provider).traversal()
