@@ -51,9 +51,10 @@ Audit of derived-state sites (staleness hazards)
   stored beside the plan it was compiled from and reused only for that
   very plan object.
 * SQL ``_dml_cache`` — the compiled shape of an INSERT / UPDATE / DELETE
-  text (value and assignment functions, index pick, residual
-  predicates).  The index pick depends on which indexes exist, so
-  **epoch**, same bumps.  Host-only: nothing is charged for building a
+  text (an INSERT's is one closure that evaluates, locks, inserts and
+  commits; an UPDATE's or DELETE's its assignment functions, index pick
+  and residual predicates).  The index pick depends on which indexes
+  exist, so **epoch**, same bumps.  Host-only: nothing is charged for building a
   shape, so no configuration's ledger depends on it and it has no
   ``cache_stats()`` row.
 * SQL prepared state of a **non-caching** database

@@ -38,15 +38,6 @@ class TripleStore:
 
     # -- term dictionary --------------------------------------------------------
 
-    def intern(self, term: Term) -> int:
-        charge("hash_probe")
-        term_id = self._term_to_id.get(term)
-        if term_id is None:
-            term_id = len(self._id_to_term)
-            self._term_to_id[term] = term_id
-            self._id_to_term.append(term)
-        return term_id
-
     def lookup_term(self, term: Term) -> int | None:
         charge("hash_probe")
         return self._term_to_id.get(term)
@@ -59,8 +50,16 @@ class TripleStore:
 
     def add(self, s: Term, p: Term, o: Term) -> bool:
         """Insert one triple; returns False when it already existed."""
-        s_id, p_id, o_id = self.intern(s), self.intern(p), self.intern(o)
-        if self._exists(s_id, p_id, o_id):
+        # intern the three terms: one dictionary probe each
+        charge("hash_probe", 3)
+        ids, terms = self._term_to_id, self._id_to_term
+        for term in (s, p, o):
+            if term not in ids:
+                ids[term] = len(terms)
+                terms.append(term)
+        s_id, p_id, o_id = ids[s], ids[p], ids[o]
+        # the existence probe and the SPO insert share one descent
+        if self._spo.search_or_insert((s_id, p_id, o_id), True):
             if not self.mvcc.record_recreate((s_id, p_id, o_id)):
                 return False
             # physically still indexed (its remove was deferred): the
@@ -71,7 +70,6 @@ class TripleStore:
                 runtime.TRACE.write(("rdf-subject", s))
             return True
         self.mvcc.stamp((s_id, p_id, o_id))
-        self._spo.insert((s_id, p_id, o_id), True)
         self._pos.insert((p_id, o_id, s_id), True)
         self._osp.insert((o_id, s_id, p_id), True)
         # each covering index dirties pages; this maintenance is the

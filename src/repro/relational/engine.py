@@ -99,10 +99,10 @@ class Database:
         self.statements_executed += 1
         charge("sql_exec")
         stmt = self._parse_cached(sql)
+        if type(stmt) is ast.Insert:
+            return self._dml_prepared(sql, stmt, self._prepare_insert)(params)
         if isinstance(stmt, (ast.Select, ast.RecursiveCTE)):
             return self._execute_query(sql, stmt, params)
-        if isinstance(stmt, ast.Insert):
-            return self._execute_insert(sql, stmt, params)
         if isinstance(stmt, ast.Update):
             return self._execute_update(sql, stmt, params)
         if isinstance(stmt, ast.Delete):
@@ -278,16 +278,21 @@ class Database:
         self,
         sql: str,
         stmt: ast.Statement,
-        prepare: Callable[[Any], tuple],
-    ) -> tuple:
-        """The compiled shape of a DML text, built once per epoch."""
+        prepare: Callable[[Any], Any],
+    ) -> Any:
+        """The compiled shape of a DML text, built once per epoch (an
+        INSERT's is its closure)."""
         shape = self._dml_cache.lookup(sql)
         if shape is None:
             shape = prepare(stmt)
             self._dml_cache.store(sql, shape)
         return shape
 
-    def _prepare_insert(self, stmt: ast.Insert) -> tuple:
+    def _prepare_insert(
+        self, stmt: ast.Insert
+    ) -> Callable[[Sequence[Any]], int]:
+        """An INSERT text as one closure over its table: evaluate the
+        values, then (autocommit) begin, lock the key, insert, commit."""
         table = self.catalog.table(stmt.table)
         empty = Schema([])
         value_fns = [compile_expr(e, empty) for e in stmt.values]
@@ -296,32 +301,34 @@ class Database:
             if table.primary_key
             else None
         )
-        return table, value_fns, pk_pos
+        txns = self.txns
+        acquire = txns.locks.acquire
+        name = table.name
+        exclusive = LockMode.EXCLUSIVE
 
-    def _execute_insert(
-        self, sql: str, stmt: ast.Insert, params: Sequence[Any]
-    ) -> int:
-        table, value_fns, pk_pos = self._dml_prepared(
-            sql, stmt, self._prepare_insert
-        )
-        params_t = tuple(params)
-        values = tuple(fn((), params_t) for fn in value_fns)
-        pk = values[pk_pos] if pk_pos is not None else None
-        auto = self._dml_boundary(table, pk)
-        try:
-            handle = table.insert(values)
-            txn = auto or self._active_txn
+        def run(params: Sequence[Any]) -> int:
+            params_t = tuple(params)
+            values = tuple([fn((), params_t) for fn in value_fns])
+            pk = values[pk_pos] if pk_pos is not None else None
+            txn = self._active_txn
             if txn is not None:
+                acquire(txn.txn_id, (name, pk), exclusive)
+                handle = table.insert(values)
                 txn.on_abort(lambda: table.delete(handle))
-        except BaseException:
-            # an autocommit txn has no enclosing transaction() manager
-            # to release its row lock; abort here or leak it
-            if auto is not None:
-                auto.abort()
-            raise
-        if auto is not None:
-            auto.commit()
-        return 1
+                return 1
+            txn = txns.begin()
+            acquire(txn.txn_id, (name, pk), exclusive)
+            try:
+                table.insert(values)
+            except BaseException:
+                # no enclosing transaction() manager releases an
+                # autocommit txn's row lock: abort here or leak it
+                txn.abort()
+                raise
+            txn.commit()
+            return 1
+
+        return run
 
     def _prepare_update(self, stmt: ast.Update) -> tuple:
         table = self.catalog.table(stmt.table)

@@ -9,6 +9,7 @@ planners, never break answers.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -100,54 +101,68 @@ class SqlStatistics:
 
 
 def collect_sql_statistics(catalog: Any) -> SqlStatistics:
-    """Full-scan statistics for every table in a relational catalog."""
+    """Full-scan statistics for every table in a relational catalog.
+
+    One scan per table; each column is then summarized as a whole.
+    """
     stats = SqlStatistics()
     for name in catalog.table_names():
         table = catalog.table(name)
-        columns = list(table.column_names)
-        values: list[set] = [set() for _ in columns]
-        nulls = [0] * len(columns)
-        minima: list[Any] = [None] * len(columns)
-        maxima: list[Any] = [None] * len(columns)
-        numeric: list[list[float] | None] = [[] for _ in columns]
-        rows = 0
-        for _handle, row in table.scan():
-            rows += 1
-            for i, value in enumerate(row):
-                if value is None:
-                    nulls[i] += 1
-                    continue
-                values[i].add(value)
-                bucket_values = numeric[i]
-                if bucket_values is not None:
-                    if isinstance(value, (int, float)) and not isinstance(
-                        value, bool
-                    ):
-                        bucket_values.append(float(value))
-                    else:
-                        numeric[i] = None  # non-numeric: no histogram
-                try:
-                    if minima[i] is None or value < minima[i]:
-                        minima[i] = value
-                    if maxima[i] is None or value > maxima[i]:
-                        maxima[i] = value
-                except TypeError:
-                    pass  # mixed-type column: keep distinct counts only
+        names = list(table.column_names)
+        rows = [row for _handle, row in table.scan()]
+        # one column's values at a time
+        by_column = zip(*rows) if rows else [()] * len(names)
         stats.tables[name.lower()] = TableStats(
             name=name.lower(),
-            row_count=rows,
+            row_count=len(rows),
             columns={
-                column: ColumnStats(
-                    distinct=len(values[i]),
-                    null_count=nulls[i],
-                    minimum=minima[i],
-                    maximum=maxima[i],
-                    histogram=_build_histogram(numeric[i]),
-                )
-                for i, column in enumerate(columns)
+                column: _column_stats(values)
+                for column, values in zip(names, by_column)
             },
         )
     return stats
+
+
+def _column_stats(column: Sequence[Any]) -> ColumnStats:
+    values = [value for value in column if value is not None]
+    try:
+        low, high = min(values, default=None), max(values, default=None)
+    except TypeError:
+        low, high = _running_min_max(values)
+    return ColumnStats(
+        distinct=len(set(values)),
+        null_count=len(column) - len(values),
+        minimum=low,
+        maximum=high,
+        histogram=_build_histogram(_as_floats(values)),
+    )
+
+
+def _running_min_max(values: list[Any]) -> tuple[Any, Any]:
+    """Min and max of a column whose values do not all compare: each
+    value is compared with the extremes so far, and a value that raises
+    ``TypeError`` leaves them as they are (distinct counts still hold)."""
+    low = high = None
+    for value in values:
+        try:
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
+        except TypeError:
+            pass
+    return low, high
+
+
+def _as_floats(values: list[Any]) -> list[float] | None:
+    """The values as floats, or None when any is not a number (a bool
+    is not one)."""
+    if not set(map(type, values)) <= {int, float} and not all(
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        for value in values
+    ):
+        return None
+    return [float(value) for value in values]
 
 
 def _build_histogram(

@@ -41,11 +41,12 @@ class BDBStore:
             raise TypeError("BDB keys and values must be bytes")
         self._charge_pages()
         charge("wal_append")
-        existing = self._tree.search(key)
+        existing = self._tree.search_or_insert(key, value)
         if existing:
+            # an overwrite: the old entry goes, the new one goes in
             self._tree.delete(key)
             self._size_bytes -= len(key) + len(existing[0])
-        self._tree.insert(key, value)
+            self._tree.insert(key, value)
         self._size_bytes += len(key) + len(value)
 
     def get(self, key: bytes) -> bytes | None:

@@ -77,6 +77,9 @@ class BPlusTree:
         self.name = name
         self._root: _Node = _Node(is_leaf=True)
         self._count = 0
+        # nodes on every root-to-leaf path (all leaves are equally deep):
+        # one more with each new root, and lazy deletes never shrink it
+        self._height = 1
 
     def __len__(self) -> int:
         return self._count
@@ -84,23 +87,27 @@ class BPlusTree:
     # -- search -------------------------------------------------------------
 
     def _find_leaf(self, key: Any) -> _Node:
+        """The leaf ``key`` belongs in; every leaf is ``height`` nodes
+        down, each one ``index_node``, charged as one sum."""
         node = self._root
-        charge("index_node")
         while not node.is_leaf:
-            idx = bisect_right(node.keys, key)
-            node = node.children[idx]
-            charge("index_node")
+            node = node.children[bisect_right(node.keys, key)]
+        charge("index_node", self._height)
         return node
 
     def search(self, key: Any) -> list[Any]:
         """All values stored under ``key`` (empty list when absent)."""
+        return self._probe(key)[1]
+
+    def _probe(self, key: Any) -> tuple[_Node, list[Any]]:
+        """``key``'s leaf and the values stored under it."""
         charge("index_probe")
         leaf = self._find_leaf(key)
         idx = bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             slot = leaf.values[idx]
-            return list(slot) if type(slot) is _Dups else [slot]
-        return []
+            return leaf, (list(slot) if type(slot) is _Dups else [slot])
+        return leaf, []
 
     def range_scan(
         self,
@@ -150,55 +157,70 @@ class BPlusTree:
 
     def _leftmost_leaf(self) -> _Node:
         node = self._root
-        charge("index_node")
         while not node.is_leaf:
             node = node.children[0]
-            charge("index_node")
+        charge("index_node", self._height)
         return node
 
     # -- insert --------------------------------------------------------------
 
     def insert(self, key: Any, value: Any) -> None:
+        """Add ``value`` under ``key``; a unique index raises ``KeyError``
+        on a present key and is left unchanged."""
         charge("index_insert")
-        split = self._insert_into(self._root, key, value)
-        if split is not None:
-            sep_key, right = split
-            new_root = _Node(is_leaf=False)
-            new_root.keys = [sep_key]
-            new_root.children = [self._root, right]
-            self._root = new_root
+        self._insert_at(self._find_leaf(key), key, value)
 
-    def _insert_into(
-        self, node: _Node, key: Any, value: Any
-    ) -> tuple[Any, _Node] | None:
-        charge("index_node")
-        if node.is_leaf:
-            idx = bisect_left(node.keys, key)
-            if idx < len(node.keys) and node.keys[idx] == key:
-                if self.unique:
-                    raise KeyError(f"duplicate key in unique index: {key!r}")
-                slot = node.values[idx]
-                if type(slot) is _Dups:
-                    slot.append(value)
-                else:
-                    node.values[idx] = _Dups((slot, value))
+    def search_or_insert(self, key: Any, value: Any) -> list[Any]:
+        """``search(key)``, and ``insert(key, value)`` when that found
+        nothing; returns what the search found.  One descent serves
+        both, charged as the two calls would be."""
+        leaf, found = self._probe(key)
+        if not found:
+            charge("index_insert")
+            charge("index_node", self._height)
+            self._insert_at(leaf, key, value)
+        return found
+
+    def _insert_at(self, leaf: _Node, key: Any, value: Any) -> None:
+        keys = leaf.keys
+        idx = bisect_left(keys, key)
+        if idx < len(keys) and keys[idx] == key:
+            if self.unique:
+                raise KeyError(f"duplicate key in unique index: {key!r}")
+            slot = leaf.values[idx]
+            if type(slot) is _Dups:
+                slot.append(value)
             else:
-                node.keys.insert(idx, key)
-                node.values.insert(idx, value)
-            self._count += 1
-            if len(node.keys) > self.order:
-                return self._split_leaf(node)
-            return None
-        idx = bisect_right(node.keys, key)
-        split = self._insert_into(node.children[idx], key, value)
-        if split is None:
-            return None
-        sep_key, right = split
-        node.keys.insert(idx, sep_key)
-        node.children.insert(idx + 1, right)
-        if len(node.keys) > self.order:
-            return self._split_internal(node)
-        return None
+                leaf.values[idx] = _Dups((slot, value))
+        else:
+            keys.insert(idx, key)
+            leaf.values.insert(idx, value)
+        self._count += 1
+        if len(keys) > self.order:
+            self._split_from(leaf, key)
+
+    def _split_from(self, leaf: _Node, key: Any) -> None:
+        """Split an overfull ``leaf`` and carry the splits up the path
+        that ``key`` descends by (no charge: the descent paid for it)."""
+        path: list[tuple[_Node, int]] = []
+        node = self._root
+        while node is not leaf:
+            idx = bisect_right(node.keys, key)
+            path.append((node, idx))
+            node = node.children[idx]
+        sep_key, right = self._split_leaf(leaf)
+        while path:
+            parent, idx = path.pop()
+            parent.keys.insert(idx, sep_key)
+            parent.children.insert(idx + 1, right)
+            if len(parent.keys) <= self.order:
+                return
+            sep_key, right = self._split_internal(parent)
+        new_root = _Node(is_leaf=False)
+        new_root.keys = [sep_key]
+        new_root.children = [self._root, right]
+        self._root = new_root
+        self._height += 1
 
     def _split_leaf(self, node: _Node) -> tuple[Any, _Node]:
         mid = len(node.keys) // 2
@@ -246,9 +268,4 @@ class BPlusTree:
     # -- stats ---------------------------------------------------------------
 
     def height(self) -> int:
-        height = 1
-        node = self._root
-        while not node.is_leaf:
-            height += 1
-            node = node.children[0]
-        return height
+        return self._height

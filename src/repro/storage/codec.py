@@ -16,6 +16,10 @@ from repro.simclock.ledger import charge
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
+# a present value: its null byte (1) and payload in one pack
+_SOME_I64 = struct.Struct("<Bq")
+_SOME_F64 = struct.Struct("<Bd")
+_SOME_U32 = struct.Struct("<BI")
 
 #: one column value: the four scalar wire types, or SQL NULL
 Value = int | float | str | bool | None
@@ -34,16 +38,27 @@ class ColumnType(enum.Enum):
 
     def validate(self, value: object) -> None:
         """Raise ``TypeError`` when ``value`` does not match this type."""
-        if value is None:
-            return
-        if self is ColumnType.INT and not isinstance(value, int):
-            raise TypeError(f"expected int, got {type(value).__name__}")
-        if self is ColumnType.FLOAT and not isinstance(value, (int, float)):
-            raise TypeError(f"expected float, got {type(value).__name__}")
-        if self is ColumnType.TEXT and not isinstance(value, str):
-            raise TypeError(f"expected str, got {type(value).__name__}")
-        if self is ColumnType.BOOL and not isinstance(value, bool):
-            raise TypeError(f"expected bool, got {type(value).__name__}")
+        if value is not None and not isinstance(value, self.accepts):
+            raise TypeError(
+                f"expected {_STORES[self][1]}, got {type(value).__name__}"
+            )
+
+    @property
+    def accepts(self) -> type | tuple[type, ...]:
+        """The Python types a column of this type stores (an INT column
+        takes a bool, a FLOAT column an int).  Hot paths read it once
+        per column: an enum member hashes in Python code."""
+        return _STORES[self][0]
+
+
+#: column type -> (the Python types it stores, their name in errors)
+_STORES: dict[ColumnType, tuple[type | tuple[type, ...], str]] = {
+    ColumnType.INT: (int, "int"),
+    ColumnType.FLOAT: ((int, float), "float"),
+    ColumnType.TEXT: (str, "str"),
+    ColumnType.BOOL: (bool, "bool"),
+}
+_INT, _FLOAT, _TEXT = ColumnType.INT, ColumnType.FLOAT, ColumnType.TEXT
 
 
 class RowCodec:
@@ -53,29 +68,31 @@ class RowCodec:
         if not types:
             raise ValueError("a row needs at least one column")
         self.types = tuple(types)
+        self._accepts = tuple(ctype.accepts for ctype in self.types)
 
     def encode(self, row: Sequence[Value]) -> bytes:
+        """Pack ``row``; a value of the wrong type raises ``TypeError``."""
         if len(row) != len(self.types):
             raise ValueError(
                 f"row has {len(row)} values, schema has {len(self.types)}"
             )
         parts: list[bytes] = []
-        for ctype, value in zip(self.types, row):
-            ctype.validate(value)
+        append = parts.append
+        for ctype, accepts, value in zip(self.types, self._accepts, row):
             if value is None:
-                parts.append(b"\x00")
-                continue
-            parts.append(b"\x01")
-            if ctype is ColumnType.INT:
-                parts.append(_I64.pack(value))
-            elif ctype is ColumnType.FLOAT:
-                parts.append(_F64.pack(float(value)))
-            elif ctype is ColumnType.BOOL:
-                parts.append(b"\x01" if value else b"\x00")
-            else:  # TEXT
-                payload = value.encode("utf-8")
-                parts.append(_U32.pack(len(payload)))
-                parts.append(payload)
+                append(b"\x00")
+            elif not isinstance(value, accepts):
+                ctype.validate(value)  # raises the TypeError
+            elif ctype is _INT:
+                append(_SOME_I64.pack(1, value))
+            elif ctype is _TEXT:
+                payload = value.encode("utf-8")  # type: ignore[union-attr]
+                append(_SOME_U32.pack(1, len(payload)))
+                append(payload)
+            elif ctype is _FLOAT:
+                append(_SOME_F64.pack(1, float(value)))
+            else:  # BOOL
+                append(b"\x01\x01" if value else b"\x01\x00")
         return b"".join(parts)
 
     def charge_decode(self) -> None:

@@ -18,20 +18,26 @@ from repro.storage.codec import ColumnType, Row, Value
 
 
 class _Column:
-    """One column vector, dictionary-encoded when TEXT."""
+    """One column vector, dictionary-encoded when TEXT.
 
-    __slots__ = ("name", "ctype", "data", "dictionary", "codes")
+    ``append`` and ``set`` take a value already checked against the
+    column type: the table checks a whole row (or update) before it
+    writes any column, so a rejected one writes none.
+    """
+
+    __slots__ = ("name", "ctype", "accepts", "data", "dictionary", "codes")
 
     def __init__(self, name: str, ctype: ColumnType) -> None:
         self.name = name
         self.ctype = ctype
+        self.accepts = ctype.accepts
         self.data: list[Value] = []  # raw values, or dict codes for TEXT
         self.dictionary: dict[str, int] = {} if ctype is ColumnType.TEXT else {}
         self.codes: list[str] = []  # code -> string
 
     def append(self, value: Value) -> None:
-        self.ctype.validate(value)
-        charge("column_append")
+        """Store ``value`` at the next position (the table charges the
+        ``column_append``)."""
         if self.ctype is ColumnType.TEXT and value is not None:
             code = self.dictionary.get(value)
             if code is None:
@@ -50,7 +56,6 @@ class _Column:
         return raw
 
     def set(self, pos: int, value: Value) -> None:
-        self.ctype.validate(value)
         charge("column_update")
         if self.ctype is ColumnType.TEXT and value is not None:
             code = self.dictionary.get(value)
@@ -105,14 +110,21 @@ class ColumnTable:
                 f"row has {len(row)} values, table has "
                 f"{len(self.column_names)} columns"
             )
-        for name, value in zip(self.column_names, row):
-            self._columns[name].append(value)
+        columns = self._columns.values()
+        for column, value in zip(columns, row):
+            if value is not None and not isinstance(value, column.accepts):
+                column.ctype.validate(value)  # raises the TypeError
+        charge("column_append", len(row))
+        for column, value in zip(columns, row):
+            column.append(value)
         pos = self.total_positions - 1
         self.row_count += 1
         return pos
 
     def update(self, pos: int, changes: Mapping[str, Value]) -> None:
         self._check_live(pos)
+        for name, value in changes.items():
+            self._column(name).ctype.validate(value)
         for name, value in changes.items():
             self._columns[name].set(pos, value)
 
@@ -171,12 +183,17 @@ class ColumnTable:
         """Sequential scan over live positions, projecting ``columns``."""
         names = list(columns) if columns is not None else self.column_names
         cols = [self._column(n) for n in names]
-        for col in cols:
-            charge("column_seek")
+        charge("column_seek", len(cols))
+        texts = [col.ctype is ColumnType.TEXT for col in cols]
         for pos in range(self.total_positions):
             if pos in self._deleted:
                 continue
-            yield pos, tuple(col.get(pos) for col in cols)
+            charge("column_value", len(cols))
+            row = []
+            for col, text in zip(cols, texts):
+                raw = col.data[pos]
+                row.append(col.codes[raw] if text and raw is not None else raw)
+            yield pos, tuple(row)
 
     def column_values(self, name: str) -> Iterator[tuple[int, Value]]:
         """Scan one column only (the column-store sweet spot)."""

@@ -140,8 +140,7 @@ class LSMTree:
 
     def _flush(self) -> None:
         entries = sorted(self._memtable.items())
-        for _ in entries:
-            charge("lsm_compaction_item")
+        charge("lsm_compaction_item", len(entries))
         self._sstables.insert(0, SSTable(entries))
         self._memtable = {}
         self._memkeys = None
@@ -152,12 +151,12 @@ class LSMTree:
     def _compact(self) -> None:
         """Major compaction: merge every run into one, dropping
         tombstones.  Newer runs shadow older ones."""
+        # every entry read is one compaction item
+        charge("lsm_compaction_item", sum(map(len, self._sstables)))
         merged: dict[bytes, object] = {}
         # oldest first so newer runs overwrite
         for sstable in reversed(self._sstables):
-            for key, value in zip(sstable.keys, sstable.values):
-                charge("lsm_compaction_item")
-                merged[key] = value
+            merged.update(zip(sstable.keys, sstable.values))
         live = sorted(
             (k, v) for k, v in merged.items() if v is not _TOMBSTONE
         )

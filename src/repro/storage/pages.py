@@ -45,13 +45,6 @@ class SlottedPage:
     def n_slots(self) -> int:
         return _HEADER.unpack_from(self.buf, 0)[0]
 
-    @property
-    def data_ptr(self) -> int:
-        return _HEADER.unpack_from(self.buf, 0)[1]
-
-    def _set_header(self, n_slots: int, data_ptr: int) -> None:
-        _HEADER.pack_into(self.buf, 0, n_slots, data_ptr)
-
     def _slot(self, slot_no: int) -> tuple[int, int]:
         if not 0 <= slot_no < self.n_slots:
             raise IndexError(f"slot {slot_no} out of range (n={self.n_slots})")
@@ -66,9 +59,8 @@ class SlottedPage:
 
     def free_space(self) -> int:
         """Bytes available for one more record (including its slot entry)."""
-        directory_end = _HEADER.size + self.n_slots * _SLOT.size
-        gap = self.data_ptr - directory_end
-        return max(0, gap - _SLOT.size)
+        n_slots, data_ptr = _HEADER.unpack_from(self.buf, 0)
+        return max(0, data_ptr - _HEADER.size - (n_slots + 1) * _SLOT.size)
 
     def fits(self, record: bytes) -> bool:
         return len(record) <= self.free_space()
@@ -77,18 +69,21 @@ class SlottedPage:
 
     def insert(self, record: bytes) -> int:
         """Insert ``record``; returns its slot number."""
-        if len(record) == 0:
+        size = len(record)
+        if size == 0:
             raise ValueError("empty records are not supported")
-        if not self.fits(record):
+        buf = self.buf
+        n_slots, data_ptr = _HEADER.unpack_from(buf, 0)
+        slot_at = _HEADER.size + n_slots * _SLOT.size
+        free = max(0, data_ptr - slot_at - _SLOT.size)
+        if size > free:
             raise PageFullError(
-                f"record of {len(record)} bytes does not fit "
-                f"({self.free_space()} free)"
+                f"record of {size} bytes does not fit ({free} free)"
             )
-        n_slots, data_ptr = self.n_slots, self.data_ptr
-        offset = data_ptr - len(record)
-        self.buf[offset:data_ptr] = record
-        self._set_header(n_slots + 1, offset)
-        self._set_slot(n_slots, offset, len(record))
+        offset = data_ptr - size
+        buf[offset:data_ptr] = record
+        _HEADER.pack_into(buf, 0, n_slots + 1, offset)
+        _SLOT.pack_into(buf, slot_at, offset, size)
         return n_slots
 
     def read(self, slot_no: int) -> bytes:

@@ -105,16 +105,16 @@ class TitanProvider(GraphProvider):
         if self.requires_locking and (label, "id") in self._indexed:
             # distributed lock claim + verify round trips on Cassandra
             charge("lock_rtt")
+        padded = _pad(vid)
         self._put(
-            f"v:{_pad(vid)}",
+            f"v:{padded}",
             json.dumps({"label": label, "props": props}).encode(),
         )
         self.mvcc.stamp(("v", vid))
         for ilabel, ikey in self._indexed:
             if ilabel == label and props.get(ikey) is not None:
                 self._put(
-                    f"i:{label}:{ikey}:{_encode_value(props[ikey])}:"
-                    f"{_pad(vid)}",
+                    f"i:{label}:{ikey}:{_encode_value(props[ikey])}:{padded}",
                     b"",
                 )
         if runtime.TRACE is not None:
@@ -126,13 +126,11 @@ class TitanProvider(GraphProvider):
     ) -> Any:
         self._next_eid += 1
         eid = self._next_eid
-        payload = json.dumps(props).encode()
-        self._put(
-            f"e:{_pad(out_vid)}:{label}:o:{_pad(in_vid)}:{_pad(eid)}", payload
-        )
-        self._put(
-            f"e:{_pad(in_vid)}:{label}:i:{_pad(out_vid)}:{_pad(eid)}", payload
-        )
+        payload = json.dumps(props).encode() if props else b"{}"
+        # both adjacency keys are built from one padding of each id
+        out_p, in_p, eid_p = _pad(out_vid), _pad(in_vid), _pad(eid)
+        self._put(f"e:{out_p}:{label}:o:{in_p}:{eid_p}", payload)
+        self._put(f"e:{in_p}:{label}:i:{out_p}:{eid_p}", payload)
         self.mvcc.stamp(("e", eid))
         if runtime.TRACE is not None:
             runtime.TRACE.write(("titan-adj", out_vid))

@@ -66,20 +66,22 @@ class LockManager:
         charge("lock_acquire")
         state = self._locks.get(resource)
         if state is None:
+            # unheld: granted outright
             state = self._locks[resource] = _LockState()
-        held = state.holders.get(txn_id)
-        if held is LockMode.EXCLUSIVE or held is mode:
-            return
-        others = {t for t in state.holders if t != txn_id}
-        if held is LockMode.SHARED and mode is LockMode.EXCLUSIVE:
-            if others:
+        else:
+            held = state.holders.get(txn_id)
+            if held is LockMode.EXCLUSIVE or held is mode:
+                return
+            others = {t for t in state.holders if t != txn_id}
+            if held is LockMode.SHARED and mode is LockMode.EXCLUSIVE:
+                if others:
+                    raise LockConflict(resource, others)
+                state.holders[txn_id] = LockMode.EXCLUSIVE
+                return
+            if others and not all(
+                mode.compatible_with(state.holders[t]) for t in others
+            ):
                 raise LockConflict(resource, others)
-            state.holders[txn_id] = LockMode.EXCLUSIVE
-            return
-        if others and not all(
-            mode.compatible_with(state.holders[t]) for t in others
-        ):
-            raise LockConflict(resource, others)
         state.holders[txn_id] = mode
         self._held_by_txn[txn_id].add(resource)
         if runtime.TRACE is not None:
@@ -122,9 +124,10 @@ class LockManager:
                     del self._locks[resource]
             if runtime.TRACE is not None:
                 runtime.TRACE.lock_released(txn_id, resource)
-        self._waits_for.pop(txn_id, None)
-        for waiters in self._waits_for.values():
-            waiters.discard(txn_id)
+        if self._waits_for:
+            self._waits_for.pop(txn_id, None)
+            for waiters in self._waits_for.values():
+                waiters.discard(txn_id)
         return len(resources)
 
     # -- introspection -----------------------------------------------------------

@@ -290,6 +290,57 @@ class TestAutocommitFailureReleasesLocks:
         assert db.query("SELECT id FROM person WHERE id = 5") == []
 
 
+class TestRejectedInsert:
+    """A row with a wrong-typed value is refused whole: nothing of it is
+    stored, indexed or logged (a column table used to keep the columns
+    before the bad one one entry longer)."""
+
+    @staticmethod
+    def _state(table):
+        if table.storage == "row":
+            stored = (table._heap.record_count, table._heap.page_count)
+        else:
+            stored = [
+                list(column.data) for column in table._cols._columns.values()
+            ]
+        indexes = {
+            column: sorted(index.items())
+            for column, index in table._indexes.items()
+        }
+        return len(table), stored, indexes, table.wal.last_lsn
+
+    @pytest.mark.parametrize("storage", ["row", "column"])
+    def test_table_insert(self, storage):
+        db = Database(storage)
+        db.execute("CREATE TABLE t (a BIGINT PRIMARY KEY, b TEXT, c INT)")
+        db.execute("CREATE INDEX ON t (c)")
+        table = db.catalog.table("t")
+        table.insert((1, "x", 10))
+        before = self._state(table)
+        with pytest.raises(TypeError, match="expected int, got str"):
+            table.insert((2, "y", "not an int"))
+        assert self._state(table) == before
+        handle = table.insert((3, "z", 30))
+        assert table.fetch(handle) == (3, "z", 30)
+        assert len(table) == 2
+
+    def test_sql_insert(self, db):
+        table = db.catalog.table("person")
+        before = self._state(table)
+        with pytest.raises(TypeError):
+            db.execute(
+                "INSERT INTO person VALUES (?, ?, ?, ?)", (9, "zed", "x", "y")
+            )
+        assert self._state(table) == before
+        assert not any(db.txns.locks._held_by_txn.values())
+        db.execute(
+            "INSERT INTO person VALUES (?, ?, ?, ?)", (9, "zed", "x", 1)
+        )
+        assert db.query("SELECT name, age FROM person WHERE id = 9") == [
+            ("zed", 1)
+        ]
+
+
 class TestRecursiveCTE:
     def test_counter(self, db):
         rows = db.query(

@@ -1,6 +1,7 @@
 """Tests for the B+tree and hash index."""
 
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from functools import partial
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simclock import meter
+from repro.simclock.ledger import charge
 from repro.storage import BPlusTree, HashIndex
+from repro.storage.btree import _Dups, _Node
 
 
 class TestBPlusTree:
@@ -292,3 +295,141 @@ def test_unique_int_keys_trace_at_most_48_bytes_per_entry(cls):
         tracemalloc.stop()
     assert len(index) == len(keys)
     assert used / len(keys) <= 48
+
+
+# -- the iterative insert against the recursive one it replaced ----------
+
+
+class _RecursiveInsert(BPlusTree):
+    """The reference: the recursive insert and a probe descent that
+    charge one ``index_node`` per node on the way down, splits returned
+    up the call stack."""
+
+    def _find_leaf(self, key):
+        node = self._root
+        charge("index_node")
+        while not node.is_leaf:
+            node = node.children[bisect_right(node.keys, key)]
+            charge("index_node")
+        return node
+
+    def insert(self, key, value):
+        charge("index_insert")
+        split = self._insert_into(self._root, key, value)
+        if split is not None:
+            sep_key, right = split
+            new_root = _Node(is_leaf=False)
+            new_root.keys = [sep_key]
+            new_root.children = [self._root, right]
+            self._root = new_root
+
+    def _insert_into(self, node, key, value):
+        charge("index_node")
+        if node.is_leaf:
+            idx = bisect_left(node.keys, key)
+            if idx < len(node.keys) and node.keys[idx] == key:
+                if self.unique:
+                    raise KeyError(f"duplicate key in unique index: {key!r}")
+                slot = node.values[idx]
+                if type(slot) is _Dups:
+                    slot.append(value)
+                else:
+                    node.values[idx] = _Dups((slot, value))
+            else:
+                node.keys.insert(idx, key)
+                node.values.insert(idx, value)
+            self._count += 1
+            if len(node.keys) > self.order:
+                return self._split_leaf(node)
+            return None
+        idx = bisect_right(node.keys, key)
+        split = self._insert_into(node.children[idx], key, value)
+        if split is None:
+            return None
+        sep_key, right = split
+        node.keys.insert(idx, sep_key)
+        node.children.insert(idx + 1, right)
+        if len(node.keys) > self.order:
+            return self._split_internal(node)
+        return None
+
+
+def _shape(node):
+    """A node and everything under it as plain data (slot types kept)."""
+    if node.is_leaf:
+        return ("leaf", list(node.keys), [(type(v), v) for v in node.values])
+    return ("node", list(node.keys), [_shape(c) for c in node.children])
+
+
+def _depth(tree):
+    node, depth = tree._root, 1
+    while not node.is_leaf:
+        node, depth = node.children[0], depth + 1
+    return depth
+
+
+def _leaf_chain(tree):
+    node = tree._root
+    while not node.is_leaf:
+        node = node.children[0]
+    chain = []
+    while node is not None:
+        chain.append((list(node.keys), list(node.values)))
+        node = node.next
+    return chain
+
+
+def _insert_all(tree, pairs):
+    """Insert every pair under one meter; a rejected duplicate of a
+    unique tree must leave the tree as it was."""
+    with meter() as ledger:
+        for key, value in pairs:
+            before = (_shape(tree._root), len(tree))
+            try:
+                tree.insert(key, value)
+            except KeyError:
+                assert tree.unique
+                assert (_shape(tree._root), len(tree)) == before
+    return list(ledger.counters.items())
+
+
+@pytest.mark.parametrize("unique", [False, True])
+@settings(max_examples=80, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 60), st.integers(0, 3)), max_size=400
+    ),
+    order=st.sampled_from([4, 5, 8]),
+)
+def test_insert_matches_recursive_reference(unique, pairs, order):
+    tree = BPlusTree(order=order, unique=unique)
+    reference = _RecursiveInsert(order=order, unique=unique)
+    ledger = _insert_all(tree, pairs)
+    assert ledger == _insert_all(reference, pairs)
+    assert _shape(tree._root) == _shape(reference._root)
+    assert _leaf_chain(tree) == _leaf_chain(reference)
+    assert len(tree) == len(reference)
+    assert tree.height() == _depth(tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 60), max_size=300),
+    order=st.sampled_from([4, 5, 8]),
+)
+def test_search_or_insert_is_search_then_insert(keys, order):
+    tree = BPlusTree(order=order)
+    reference = _RecursiveInsert(order=order)
+    with meter() as got:
+        found = [tree.search_or_insert(key, -key) for key in keys]
+    with meter() as want:
+        expected = []
+        for key in keys:
+            expected.append(reference.search(key))
+            if not expected[-1]:
+                reference.insert(key, -key)
+    assert found == expected
+    assert list(got.counters.items()) == list(want.counters.items())
+    assert _shape(tree._root) == _shape(reference._root)
+    assert _leaf_chain(tree) == _leaf_chain(reference)
+    assert tree.height() == _depth(tree)

@@ -51,6 +51,13 @@ class TestColumnTable:
         table.update(pos, {"age": 11})
         assert table.read_row(pos) == (1, "a", 11)
 
+    def test_rejected_update_changes_no_column(self):
+        table = make_table()
+        pos = table.append((1, "a", 10))
+        with pytest.raises(TypeError):
+            table.update(pos, {"name": "b", "age": "old"})
+        assert table.read_row(pos) == (1, "a", 10)
+
     def test_update_charges_per_column(self):
         table = make_table()
         pos = table.append((1, "a", 10))
