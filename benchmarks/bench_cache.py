@@ -1,20 +1,17 @@
-"""Hot-path cache smoke bench: cold vs. warm reads, batched writes.
+"""Cache smoke bench: cold vs. warm reads, batched writes.
 
 Three measurements, all on the SF3 snapshot:
 
-* **Cold vs. warm two-hop reads.**  The store-level friends-of-friends
-  mix (the paper's dominant read pattern) against the adjacency cache,
-  and the same mix end-to-end through Gremlin Server with the script
-  cache on — the first request pays parse/compile and the chain walks,
-  the repeats are served from cache.  Warm must be at least 5x faster.
+* **Cold vs. warm two-hop reads.**  The two-hop mix end-to-end through
+  Cypher: the first request pays parse/plan/compile, the repeats hit
+  the always-on statement and closure caches.  Warm must be cheaper.
+* **Plan invalidation.**  An update batch followed by ANALYZE must
+  evict the cached Cypher plans and closures; warm reads re-converge
+  to the same answers afterwards.
 * **Batched vs. per-event writes.**  The Figure 3 harness with
   ``write_batch_size=32`` (one group-committed transaction, one WAL
   fsync, one client round-trip per batch) against the paper's per-event
   writer.  Batched throughput must be at least 2x.
-* **Hit rates under the update stream.**  The interactive workload with
-  caching enabled: the update stream invalidates cached neighborhoods
-  while readers keep hitting — both counters must be nonzero, answers
-  must match an uncached twin.
 
 Results land in ``BENCH_cache.json`` at the repo root (the CI
 perf-smoke artifact).
@@ -25,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core import SUT_KEYS, make_connector
+from repro.core import make_connector
 from repro.driver import InteractiveConfig, InteractiveWorkloadRunner
 from repro.simclock import CostModel, meter
 
@@ -61,57 +58,11 @@ def _record_read(name: str, cold_ms: float, warm_ms: float) -> None:
 # -- cold vs. warm two-hop reads ---------------------------------------------
 
 
-def test_store_two_hop_cold_vs_warm(sf3_dataset):
-    """friends_of_friends against the store's adjacency cache."""
-    connector = make_connector("neo4j-cypher")
-    connector.load(sf3_dataset)
-    connector.enable_caching()
-    store = connector.db.store
-    pids = [store.lookup("Person", "id", p.id)[0]
-            for p in sf3_dataset.persons[:8]]
-
-    cold_ms = sum(
-        _cost_ms(lambda n=nid: store.friends_of_friends(n, "KNOWS"))
-        for nid in pids
-    )
-    warm_ms = sum(
-        _warm_ms(lambda n=nid: store.friends_of_friends(n, "KNOWS"))
-        for nid in pids
-    )
-    _record_read("store_two_hop_mix", cold_ms, warm_ms)
-    assert cold_ms >= 5.0 * warm_ms
-
-
-def test_gremlin_two_hop_cold_vs_warm(sf3_dataset):
-    """The same mix end-to-end through Gremlin Server's script cache.
-
-    All eight lookups share one parameterized script, so the mix pays
-    compilation exactly once cold and never warm; evaluation always
-    runs.  Asserted on the absolute compile saving (~11 ms), not a
-    ratio — traversal evaluation dominates both sides.
-    """
-    connector = make_connector("neo4j-gremlin")
-    connector.load(sf3_dataset)
-    connector.set_execution_mode("interpreted")  # measure the script cache
-    connector.enable_caching()
-    pids = [p.id for p in sf3_dataset.persons[:8]]
-
-    cold_ms = sum(
-        _cost_ms(lambda p=pid: connector.two_hop(p)) for pid in pids
-    )
-    warm_ms = sum(
-        _warm_ms(lambda p=pid: connector.two_hop(p)) for pid in pids
-    )
-    _record_read("gremlin_two_hop_end_to_end", cold_ms, warm_ms)
-    assert cold_ms - warm_ms >= 10.0  # the skipped gremlin_compile
-
-
 def test_cypher_two_hop_cold_vs_warm(sf3_dataset):
-    """Engine-level: plan cache + adjacency cache (reported, unasserted
+    """Engine-level: statement and closure caches (reported, unasserted
     on a fixed ratio — cypher_exec dominates both sides)."""
     connector = make_connector("neo4j-cypher")
     connector.load(sf3_dataset)
-    connector.enable_caching()
     pids = [p.id for p in sf3_dataset.persons[:8]]
 
     cold_ms = sum(
@@ -127,25 +78,21 @@ def test_cypher_two_hop_cold_vs_warm(sf3_dataset):
 # -- batched write pipeline ---------------------------------------------------
 
 
-def _interactive(dataset, batch_size: int, *, cached: bool = False,
-                 key: str = "postgres-sql"):
-    connector = make_connector(key)
+def _interactive(dataset, batch_size: int):
+    connector = make_connector("postgres-sql")
     connector.load(dataset)
-    if cached:
-        connector.enable_caching()
     config = InteractiveConfig(
         readers=4,
         cores=8,
         duration_ms=1_000.0,
         write_batch_size=batch_size,
     )
-    result = InteractiveWorkloadRunner(connector, dataset, config).run()
-    return connector, result
+    return InteractiveWorkloadRunner(connector, dataset, config).run()
 
 
 def test_batched_writer_throughput(sf3_dataset):
-    _, per_event = _interactive(sf3_dataset, batch_size=1)
-    _, batched = _interactive(sf3_dataset, batch_size=32)
+    per_event = _interactive(sf3_dataset, batch_size=1)
+    batched = _interactive(sf3_dataset, batch_size=32)
     assert per_event.read_failures == 0 and batched.read_failures == 0
     _RESULTS["sql_write_pipeline"] = {
         "per_event_writes_per_s": round(per_event.write_throughput),
@@ -162,31 +109,6 @@ def test_batched_writer_throughput(sf3_dataset):
     assert batched.write_throughput >= 2.0 * per_event.write_throughput
 
 
-# -- hit rates under the update stream ---------------------------------------
-
-
-def test_hit_rates_under_update_stream(sf3_dataset):
-    connector, result = _interactive(
-        sf3_dataset, batch_size=16, cached=True, key="neo4j-cypher"
-    )
-    assert result.updates_applied > 0
-    rows = {s.name: s for s in connector.cache_stats()}
-    _RESULTS["cache_hit_rates_under_updates"] = {
-        name: {
-            "hit_rate": round(s.hit_rate, 3),
-            "hits": s.hits,
-            "misses": s.misses,
-            "invalidations": s.invalidations,
-        }
-        for name, s in rows.items()
-    }
-    neighborhood = next(
-        s for name, s in rows.items() if "neighborhood" in name
-    )
-    assert neighborhood.hits > 0
-    assert neighborhood.invalidations > 0  # the stream evicted entries
-
-
 def test_plan_invalidation_under_updates_and_analyze(sf3_dataset):
     """The BENCH_cache blind spot: an update batch followed by the
     maintenance ANALYZE must evict cached Cypher plans *and* compiled
@@ -194,7 +116,6 @@ def test_plan_invalidation_under_updates_and_analyze(sf3_dataset):
     to the same answers afterwards."""
     connector = make_connector("neo4j-cypher")
     connector.load(sf3_dataset)
-    connector.enable_caching()
     pids = [p.id for p in sf3_dataset.persons[:8]]
 
     answers_before = {pid: connector.two_hop(pid) for pid in pids}
@@ -231,55 +152,6 @@ def test_plan_invalidation_under_updates_and_analyze(sf3_dataset):
     assert warm_after_ms < cold_after_ms
 
 
-# -- cross-system validation with caching on ---------------------------------
-
-
-def test_validate_cached_no_mismatches(sf3_dataset):
-    """`repro validate --cached` semantics: answers stay identical."""
-    from repro.core.benchmark import WorkloadParams
-
-    connectors = {}
-    for key in SUT_KEYS:
-        connector = make_connector(key)
-        connector.load(sf3_dataset)
-        connector.enable_caching()
-        connectors[key] = connector
-    params = WorkloadParams.curate(sf3_dataset, count=3, seed=7)
-    mismatches = 0
-    checks = 0
-
-    def normalize(value):
-        if isinstance(value, list):
-            return [
-                tuple(v) if isinstance(v, (list, tuple)) else v
-                for v in value
-            ]
-        return value
-
-    for op, idents in (
-        ("point_lookup", params.person_ids),
-        ("one_hop", params.person_ids),
-        ("two_hop", params.person_ids),
-        ("message_content", params.message_ids),
-    ):
-        for ident in idents:
-            answers = {
-                key: normalize(getattr(c, op)(ident))
-                for key, c in connectors.items()
-            }
-            reference = answers["postgres-sql"]
-            for answer in answers.values():
-                checks += 1
-                if answer != reference:
-                    mismatches += 1
-    _RESULTS["validate_cached"] = {
-        "systems": len(connectors),
-        "checks": checks,
-        "mismatches": mismatches,
-    }
-    assert mismatches == 0
-
-
 def test_write_report():
     """Runs last: persist the artifact the CI perf-smoke job uploads."""
     assert _RESULTS, "cache benches did not run"
@@ -291,6 +163,6 @@ def test_write_report():
         "results": _RESULTS,
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(banner("Hot-path caches: cold vs. warm reads, batched writes"))
+    print(banner("Caches: cold vs. warm reads, batched writes"))
     for name, row in _RESULTS.items():
         print(f"{name}: {json.dumps(row)}")

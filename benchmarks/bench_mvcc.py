@@ -43,7 +43,6 @@ _RESULTS: dict[str, dict] = {}
 def _run(dataset, *, isolation: str, with_writes: bool) -> dict:
     connector = make_connector(SYSTEM)
     connector.load(dataset)
-    connector.enable_caching()
     config = InteractiveConfig(
         readers=READERS,
         duration_ms=DURATION_MS,

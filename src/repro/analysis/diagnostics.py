@@ -39,7 +39,6 @@ QA605    write skew (two overlapping committed transactions each read
          what the other writes; serial in neither order)
 QA701    dangling edge / foreign-key endpoint
 QA702    index entry disagrees with the heap / store row
-QA703    cache entry whose dependency set no longer matches truth
 QA704    WAL / group-commit replay divergence
 QA801    static lock-order inversion (per-function acquisition
          sequences composed across the call graph)
@@ -49,8 +48,8 @@ QA803    blocking I/O (WAL fsync, Gremlin submit) reachable while a
          lock is held
 QA804    storage-mutation function that emits no sanitizer trace event
          (and is not baselined as a sub-record primitive)
-QA805    cache-writing code path with no matching epoch/dependency
-         invalidation registration anywhere in its class
+QA805    cache-writing code path with no matching invalidation
+         registration anywhere in its class
 QA806    snapshot-bypassing raw read on a versioned store (a reader
          touches record containers or probes an unversioned secondary
          index without consulting the MVCC visibility layer /
@@ -117,7 +116,6 @@ CODES: dict[str, tuple[str, Severity]] = {
     "QA605": ("write-skew", Severity.ERROR),
     "QA701": ("dangling-endpoint", Severity.ERROR),
     "QA702": ("index-store-mismatch", Severity.ERROR),
-    "QA703": ("stale-cache-dependency", Severity.ERROR),
     "QA704": ("wal-replay-divergence", Severity.ERROR),
     "QA801": ("static-lock-order-inversion", Severity.ERROR),
     "QA802": ("leaked-resource-on-exception", Severity.ERROR),

@@ -121,7 +121,6 @@ EXEC_EFFECT_CALLS = {
     "bump_epoch",
     "invalidate",
     "invalidate_all",
-    "invalidate_members",
     "create_node",
     "create_rel",
     "create_vertex",

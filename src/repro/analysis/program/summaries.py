@@ -52,7 +52,7 @@ MUTATOR_ATTRS = {
 }
 
 #: cache classes whose writes QA805 audits
-CACHE_CLASSES = {"LRUCache", "EpochKeyedCache", "DependencyTrackingCache"}
+CACHE_CLASSES = {"LRUCache", "EpochKeyedCache"}
 
 #: operations that count as invalidating a cache attribute (``pop``
 #: evicts one entry of a dict memo)
@@ -61,7 +61,6 @@ INVALIDATION_ATTRS = {
     "clear",
     "invalidate",
     "invalidate_all",
-    "invalidate_members",
     "pop",
 }
 

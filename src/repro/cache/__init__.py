@@ -8,38 +8,25 @@ for keeping that state honest.
 Invalidation protocol
 =====================
 
-There are exactly two invalidation granularities, and every cached
-piece of derived state in the repo must use one of them:
+There is one invalidation granularity, and every cached piece of
+derived state in the repo uses it:
 
-1. **Epoch (coarse).**  The owner keeps an integer epoch alongside an
-   :class:`~repro.cache.lru.EpochKeyedCache`.  Entries are stamped with
-   the epoch current at store time; a lookup whose stamp disagrees with
-   the current epoch is a miss.  The epoch is bumped whenever the world
-   the entries were derived from changes *wholesale*:
+**Epoch.**  The owner keeps an integer epoch alongside an
+:class:`~repro.cache.lru.EpochKeyedCache`.  Entries are stamped with
+the epoch current at store time; a lookup whose stamp disagrees with
+the current epoch is a miss.  The epoch is bumped whenever the world
+the entries were derived from changes *wholesale*:
 
-   * DDL — ``CREATE TABLE`` / ``CREATE INDEX`` (access paths change),
-   * ``ANALYZE`` — statistics swap (cost estimates change),
-   * planner reconfiguration (``set_join_reordering``),
-   * bulk load.
+* DDL — ``CREATE TABLE`` / ``CREATE INDEX`` (access paths change),
+* ``ANALYZE`` — statistics swap (cost estimates change),
+* planner reconfiguration (``set_join_reordering``),
+* bulk load.
 
-   Used by: the SQL plan/closure/DML-shape caches
-   (``relational/engine.py``), the Cypher statement/plan cache
-   (``graphdb/engine.py``), the SPARQL parse+translate cache
-   (``rdf/engine.py``), and the Gremlin Server script cache
-   (``tinkerpop/server.py``).
-
-2. **Dependency set (fine).**  Each entry declares the member ids its
-   value was derived from, via a
-   :class:`~repro.cache.lru.DependencyTrackingCache`.  A single-row
-   write invalidates exactly the entries whose dependency set contains
-   a written member — the same update events the Kafka consumer
-   delivers drive this, so a ``knows`` edge insert between persons *a*
-   and *b* evicts only cached neighborhoods containing *a* or *b*.
-   The whole-cache ``invalidate_all`` remains as the epoch-style
-   fallback for bulk load and ANALYZE.
-
-   Used by: the ``GraphStore`` adjacency/neighborhood cache
-   (``graphdb/store.py``).
+Used by: the SQL plan/closure/DML-shape caches
+(``relational/engine.py``), the Cypher statement/plan cache
+(``graphdb/engine.py``), the SPARQL parse+translate cache
+(``rdf/engine.py``) and the Gremlin Server closure cache
+(``tinkerpop/server.py``, bumped on restart).
 
 Audit of derived-state sites (staleness hazards)
 ------------------------------------------------
@@ -93,7 +80,6 @@ Audit of derived-state sites (staleness hazards)
 * ``GraphStore._label_index`` / ``_indexes`` — maintained *inline* by
   every write (insert updates the index in the same operation), so they
   are never stale by construction; no epoch needed.
-* ``GraphStore`` neighborhood cache — **dependency set** as above.
 * Planner statistics themselves — snapshots by design (ANALYZE
   semantics); consumers must not cache *decisions* derived from them
   past the epoch bump.
@@ -104,14 +90,12 @@ facades returning :class:`~repro.cache.lru.CacheStats` rows.
 
 from repro.cache.lru import (
     CacheStats,
-    DependencyTrackingCache,
     EpochKeyedCache,
     LRUCache,
 )
 
 __all__ = [
     "CacheStats",
-    "DependencyTrackingCache",
     "EpochKeyedCache",
     "LRUCache",
 ]

@@ -1,6 +1,6 @@
 """Statistics-bearing caches shared by every engine.
 
-Three shapes, all built on one size-bounded O(1) LRU:
+Two shapes, both built on one size-bounded O(1) LRU:
 
 * :class:`LRUCache` — the base map with ``hits`` / ``misses`` /
   ``evictions`` / ``invalidations`` counters (the buffer pool's
@@ -9,16 +9,12 @@ Three shapes, all built on one size-bounded O(1) LRU:
   *statistics/schema epoch*; a lookup against a stale stamp misses, so
   bumping the epoch invalidates everything at once without touching the
   entries (the SQL plan cache's protocol, now shared by all dialects).
-* :class:`DependencyTrackingCache` — entries declare the set of member
-  ids they were derived from; invalidating a member evicts exactly the
-  entries whose dependency set contains it (the graph store's
-  fine-grained adjacency invalidation).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Any
 
@@ -34,11 +30,6 @@ class CacheStats:
     misses: int
     evictions: int
     invalidations: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 _MISSING = object()
@@ -113,9 +104,6 @@ class LRUCache:
         self._entries.clear()
         self.invalidations += dropped
         return dropped
-
-    def items(self) -> list[tuple[Hashable, Any]]:
-        return list(self._entries.items())
 
     @property
     def hit_rate(self) -> float:
@@ -194,109 +182,6 @@ class EpochKeyedCache:
 
     def clear(self) -> int:
         return self._lru.invalidate_all()
-
-    @property
-    def hit_rate(self) -> float:
-        return self._lru.hit_rate
-
-    def stats(self) -> CacheStats:
-        return self._lru.stats()
-
-
-class DependencyTrackingCache:
-    """An LRU whose entries declare the member ids they depend on.
-
-    ``put(key, value, deps)`` records an inverted index from each member
-    id to the keys derived from it; ``invalidate_members(ids)`` evicts
-    exactly those keys.  This is the fine-grained protocol the graph
-    store uses: a ``knows`` edge insert invalidates only the cached
-    neighborhoods whose dependency set contains an endpoint.
-    ``invalidate_all`` is the whole-cache epoch fallback for bulk load
-    and ANALYZE.
-    """
-
-    def __init__(
-        self, capacity: int = 4096, *, name: str = "neighborhood"
-    ) -> None:
-        self._lru = LRUCache(capacity, name=name)
-        #: member id -> keys whose cached value was derived from it
-        self._dependents: dict[Hashable, set[Hashable]] = {}
-        #: key -> its dependency set (to unlink on eviction)
-        self._deps_of: dict[Hashable, frozenset[Hashable]] = {}
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        return self._lru.get(key, default)
-
-    def put(
-        self, key: Hashable, value: Any, deps: Iterable[Hashable]
-    ) -> None:
-        if key in self._lru:
-            self._unlink(key)
-        self._lru.put(key, value)
-        dep_set = frozenset(deps)
-        self._deps_of[key] = dep_set
-        for member in dep_set:
-            self._dependents.setdefault(member, set()).add(key)
-        # the LRU may have evicted its oldest entry; drop its links too
-        while len(self._deps_of) > len(self._lru):
-            for stale in list(self._deps_of):
-                if stale not in self._lru:
-                    self._unlink(stale)
-                    break
-
-    def invalidate_members(self, members: Iterable[Hashable]) -> int:
-        """Evict every entry depending on any of ``members``."""
-        dropped = 0
-        for member in members:
-            for key in list(self._dependents.get(member, ())):
-                if self._lru.invalidate(key):
-                    dropped += 1
-                self._unlink(key)
-        return dropped
-
-    def invalidate_all(self) -> int:
-        """Whole-cache fallback (bulk load, ANALYZE, index builds)."""
-        self._dependents.clear()
-        self._deps_of.clear()
-        return self._lru.invalidate_all()
-
-    def entries(
-        self,
-    ) -> list[tuple[Hashable, Any, frozenset[Hashable]]]:
-        """``(key, value, deps)`` triples for introspection — the
-        sanitizer's QA703 audit recomputes each entry from the store
-        and compares both the value and the declared dependency set."""
-        return [
-            (key, value, self._deps_of.get(key, frozenset()))
-            for key, value in self._lru.items()
-        ]
-
-    def _unlink(self, key: Hashable) -> None:
-        for member in self._deps_of.pop(key, ()):
-            keys = self._dependents.get(member)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._dependents[member]
-
-    @property
-    def hit_rate(self) -> float:
-        return self._lru.hit_rate
-
-    @property
-    def hits(self) -> int:
-        return self._lru.hits
-
-    @property
-    def misses(self) -> int:
-        return self._lru.misses
-
-    @property
-    def invalidations(self) -> int:
-        return self._lru.invalidations
 
     def stats(self) -> CacheStats:
         return self._lru.stats()

@@ -264,8 +264,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for key in systems:
         connector = make_connector(key)
         connector.load(dataset)
-        if args.cached:
-            connector.enable_caching()
         connector.set_execution_mode(mode)
         connectors[key] = connector
         if sharded and key != "cluster":
@@ -280,8 +278,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 replicas=args.replicas,
             )
             twin.load(dataset)
-            if args.cached:
-                twin.enable_caching()
             twin.set_execution_mode(mode)
             connectors[f"sharded:{key}"] = twin
     params = WorkloadParams.curate(dataset, count=args.checks, seed=args.seed)
@@ -346,14 +342,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"{checks} cross-checks over {len(connectors)} systems: "
         f"{mismatches} mismatches"
     )
-    if args.cached:
-        for key, connector in connectors.items():
-            for stats in connector.cache_stats():
-                print(
-                    f"  {key}: {stats.name} "
-                    f"hit_rate={stats.hit_rate:.2f} "
-                    f"({stats.hits} hits / {stats.misses} misses)"
-                )
     return 1 if mismatches else 0
 
 
@@ -568,10 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--systems", default="all")
     p.add_argument("--checks", type=int, default=5,
                    help="curated parameters per operation")
-    p.add_argument(
-        "--cached", action="store_true",
-        help="enable each connector's hot-path caches before checking",
-    )
     p.add_argument(
         "--compiled", action="store_true",
         help="run every system in compiled (vectorized) execution mode "

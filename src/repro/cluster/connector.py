@@ -19,14 +19,7 @@ engine.  Internally it:
   (:meth:`LockManager.acquire_many`), so concurrent multi-shard writers
   cannot deadlock;
 * optionally serves reads from CDC-fed replicas under a bounded-
-  staleness budget (``set_read_preference("replica", budget)``);
-* keeps an opt-in coordinator result cache keyed by the **epochs of the
-  shards a read touches** — a write bumps only its own shard's epoch, so
-  cached reads on other shards survive.  The epoch key is sound because
-  the ghost-closure invariant places every data dependency of a routed
-  read on the shards that read touches.  Replica-served reads with a
-  nonzero staleness budget bypass the cache (a stale answer must not be
-  re-served after the replicas catch up).
+  staleness budget (``set_read_preference("replica", budget)``).
 """
 
 from __future__ import annotations
@@ -34,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable
 from typing import Any, TypeVar
 
-from repro.cache import CacheStats, LRUCache
+from repro.cache import CacheStats
 from repro.cluster.partition import (
     MessageDirectory,
     Partitioned,
@@ -60,12 +53,9 @@ from repro.snb.schema import (
     UpdateEvent,
     UpdateKind,
 )
-from repro.txn import oracle
 from repro.txn.locks import LockManager, LockMode
 
 T = TypeVar("T")
-
-_MISS = object()
 
 #: queued per-shard work: ordered events (client + ghost) for one wave
 _Ops = dict[int, list[UpdateEvent]]
@@ -107,7 +97,6 @@ class ClusterConnector(Connector):
         self._read_preference = "primary"
         self._staleness_budget = 0
         self._rr = 0
-        self._cache: LRUCache | None = None
         self.primaries: list[ShardPrimary] = []
         self.replicas: list[list[ReadReplica]] = []
         self.part: Partitioned | None = None
@@ -170,10 +159,6 @@ class ClusterConnector(Connector):
                     ReadReplica(s, r, replica_engine, self._broker)
                 )
             self.replicas.append(pods)
-        if self._cache is not None:
-            # enable_caching() came before load(): same per-pod caches
-            # as when it comes after
-            self._enable_pod_caching()
 
     def size_bytes(self) -> int:
         return sum(p.engine.size_bytes() for p in self.primaries)
@@ -234,68 +219,17 @@ class ClusterConnector(Connector):
         results = self.scatter.run(calls)
         return [results[pod] for pod in calls]
 
-    def _read(
-        self,
-        op: str,
-        args: tuple,
-        footprint: tuple[int, ...] | None,
-        compute: Callable[[], T],
-    ) -> T:
-        """Serve via the coordinator cache, keyed by touched-shard epochs.
-
-        ``footprint`` names the shards whose state the answer depends on
-        (``None`` = all shards, for scatter reads).  Stale entries keep
-        their old epoch key and age out of the LRU.
-        """
-        cache = self._cache
-        stale_ok = self._read_preference == "replica" and (
-            self._staleness_budget > 0
-        )
-        if cache is None or stale_ok or oracle.stale_reads():
-            # a held MVCC snapshot older than the latest write must not
-            # see (or poison) answers computed from newer shard state
-            return compute()
-        shards = (
-            range(self.shard_count) if footprint is None else footprint
-        )
-        key = (op, args, tuple(self.primaries[s].epoch for s in shards))
-        value = cache.get(key, _MISS)
-        if value is not _MISS:
-            charge("cache_hit")
-            return value  # type: ignore[return-value]
-        value = compute()
-        cache.put(key, value)
-        return value
-
     # -- Section 4.2 micro reads ---------------------------------------------
 
     def point_lookup(self, person_id: int) -> tuple:
         s = self._home(person_id)
-        return self._read(
-            "point_lookup",
-            (person_id,),
-            (s,),
-            lambda: self._call_one(s, lambda e: e.point_lookup(person_id)),
-        )
+        return self._call_one(s, lambda e: e.point_lookup(person_id))
 
     def one_hop(self, person_id: int) -> list[int]:
         s = self._home(person_id)
-        return self._read(
-            "one_hop",
-            (person_id,),
-            (s,),
-            lambda: self._call_one(s, lambda e: e.one_hop(person_id)),
-        )
+        return self._call_one(s, lambda e: e.one_hop(person_id))
 
     def two_hop(self, person_id: int) -> list[int]:
-        return self._read(
-            "two_hop",
-            (person_id,),
-            None,
-            lambda: self._two_hop_compute(person_id),
-        )
-
-    def _two_hop_compute(self, person_id: int) -> list[int]:
         friends = self.one_hop(person_id)
         if not friends:
             return []
@@ -306,16 +240,6 @@ class ClusterConnector(Connector):
         return gather_union(runs, exclude=(person_id,))
 
     def shortest_path(self, person1: int, person2: int) -> int | None:
-        return self._read(
-            "shortest_path",
-            (person1, person2),
-            None,
-            lambda: self._shortest_path_compute(person1, person2),
-        )
-
-    def _shortest_path_compute(
-        self, person1: int, person2: int
-    ) -> int | None:
         """Distributed frontier BFS, depth-capped like the engines (12)."""
         if person1 == person2:
             return 0
@@ -342,32 +266,17 @@ class ClusterConnector(Connector):
 
     def person_profile(self, person_id: int) -> tuple:
         s = self._home(person_id)
-        return self._read(
-            "person_profile",
-            (person_id,),
-            (s,),
-            lambda: self._call_one(s, lambda e: e.person_profile(person_id)),
-        )
+        return self._call_one(s, lambda e: e.person_profile(person_id))
 
     def person_recent_posts(self, person_id: int, limit: int = 10) -> list:
         s = self._home(person_id)
-        return self._read(
-            "person_recent_posts",
-            (person_id, limit),
-            (s,),
-            lambda: self._call_one(
-                s, lambda e: e.person_recent_posts(person_id, limit)
-            ),
+        return self._call_one(
+            s, lambda e: e.person_recent_posts(person_id, limit)
         )
 
     def person_friends(self, person_id: int) -> list[tuple]:
         s = self._home(person_id)
-        return self._read(
-            "person_friends",
-            (person_id,),
-            (s,),
-            lambda: self._call_one(s, lambda e: e.person_friends(person_id)),
-        )
+        return self._call_one(s, lambda e: e.person_friends(person_id))
 
     def _message_home(self, message_id: int) -> int | None:
         return self.directory.home.get(message_id)
@@ -376,27 +285,13 @@ class ClusterConnector(Connector):
         s = self._message_home(message_id)
         if s is None:
             return ()
-        return self._read(
-            "message_content",
-            (message_id,),
-            (s,),
-            lambda: self._call_one(
-                s, lambda e: e.message_content(message_id)
-            ),
-        )
+        return self._call_one(s, lambda e: e.message_content(message_id))
 
     def message_creator(self, message_id: int) -> tuple:
         s = self._message_home(message_id)
         if s is None:
             return ()
-        return self._read(
-            "message_creator",
-            (message_id,),
-            (s,),
-            lambda: self._call_one(
-                s, lambda e: e.message_creator(message_id)
-            ),
-        )
+        return self._call_one(s, lambda e: e.message_creator(message_id))
 
     def message_forum(self, message_id: int) -> tuple:
         if message_id not in self.directory.root:
@@ -407,40 +302,18 @@ class ClusterConnector(Connector):
         root = self.directory.root[message_id]
         target = message_id if root is None else root
         s = self.directory.home[target]
-        return self._read(
-            "message_forum",
-            (target,),
-            (s,),
-            lambda: self._call_one(s, lambda e: e.message_forum(target)),
-        )
+        return self._call_one(s, lambda e: e.message_forum(target))
 
     def message_replies(self, message_id: int) -> list[tuple]:
         s = self._message_home(message_id)
         if s is None:
             return []
         # every reply is mirrored at its parent's home shard
-        return self._read(
-            "message_replies",
-            (message_id,),
-            (s,),
-            lambda: self._call_one(
-                s, lambda e: e.message_replies(message_id)
-            ),
-        )
+        return self._call_one(s, lambda e: e.message_replies(message_id))
 
     # -- complex reads ---------------------------------------------------------
 
     def complex_two_hop(self, person_id: int, limit: int = 20) -> list[tuple]:
-        return self._read(
-            "complex_two_hop",
-            (person_id, limit),
-            None,
-            lambda: self._complex_two_hop_compute(person_id, limit),
-        )
-
-    def _complex_two_hop_compute(
-        self, person_id: int, limit: int
-    ) -> list[tuple]:
         ids = self.two_hop(person_id)[:limit]
         if not ids:
             return []
@@ -454,16 +327,6 @@ class ClusterConnector(Connector):
 
     def friends_recent_posts(
         self, person_id: int, limit: int = 10
-    ) -> list[tuple]:
-        return self._read(
-            "friends_recent_posts",
-            (person_id, limit),
-            None,
-            lambda: self._friends_recent_posts_compute(person_id, limit),
-        )
-
-    def _friends_recent_posts_compute(
-        self, person_id: int, limit: int
     ) -> list[tuple]:
         friends = self.one_hop(person_id)
         if not friends:
@@ -705,21 +568,8 @@ class ClusterConnector(Connector):
             for replica in pods:
                 replica.engine.set_isolation_level(level)
 
-    def enable_caching(self) -> None:
-        self._cache = LRUCache(4096, name="cluster-coordinator")
-        self._enable_pod_caching()
-
-    def _enable_pod_caching(self) -> None:
-        for primary in self.primaries:
-            primary.engine.enable_caching()
-        for pods in self.replicas:
-            for replica in pods:
-                replica.engine.enable_caching()
-
     def cache_stats(self) -> list[CacheStats]:
         rows: list[CacheStats] = []
-        if self._cache is not None:
-            rows.append(self._cache.stats())
         for primary in self.primaries:
             rows.extend(primary.engine.cache_stats())
         for pods in self.replicas:

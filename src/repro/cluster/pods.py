@@ -38,8 +38,6 @@ class ShardPrimary:
         self.engine = engine
         self.producer = producer
         self.topic = topic
-        #: bumped on every applied event; keys the coordinator cache
-        self.epoch = 0
         #: per-shard applied-event order (what each partition must mirror)
         self.applied: list[UpdateEvent] = []
 
@@ -53,7 +51,6 @@ class ShardPrimary:
             timestamp_ms=event.creation_ms,
             partition=self.shard_id,
         )
-        self.epoch += 1
         self.applied.append(event)
 
 

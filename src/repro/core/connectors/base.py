@@ -231,14 +231,6 @@ class Connector(ABC):
 
     # -- caching hooks (overridden where relevant) -----------------------------------------
 
-    def enable_caching(self) -> None:
-        """Opt into the system's hot-path caches (off by default).
-
-        The paper's benchmarks run with the caches the real deployments
-        shipped with; this hook turns on the additional read-path caches
-        (neighborhood / script) for the cache experiments.
-        """
-
     def cache_stats(self) -> list:
         """Uniform :class:`repro.cache.CacheStats` rows, all engine caches."""
         return []

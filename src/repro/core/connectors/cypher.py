@@ -527,10 +527,6 @@ class CypherConnector(Connector):
             for event in events:
                 self.apply_update(event)
 
-    def enable_caching(self) -> None:
-        """Turn on the store's adjacency/neighborhood cache."""
-        self.db.enable_adjacency_cache()
-
     def cache_stats(self) -> list:
         return self.db.cache_stats()
 

@@ -482,7 +482,7 @@ class GremlinConnector(Connector):
 
     def _submit(self, build, key: str | None = None) -> list:
         """Submit a traversal; ``key`` names the parameterized script so
-        the server's script cache (when enabled) can skip compilation."""
+        the server's closure cache (compiled mode) can reuse it."""
         try:
             return self.server.submit(build, cache_key=key)
         except GremlinServerError as exc:
@@ -693,10 +693,6 @@ class GremlinConnector(Connector):
         )
 
     # -- caching hooks -------------------------------------------------------------------------
-
-    def enable_caching(self) -> None:
-        """Turn on the Gremlin Server's script/bytecode cache."""
-        self.server.enable_script_cache()
 
     def cache_stats(self) -> list:
         return self.server.cache_stats()

@@ -212,9 +212,7 @@ class CypherExecutor:
         rel_type = rel.types[0] if rel.types else None
         store_dir = TO_DIRECTION[direction]
         if not rel.var_length:
-            # neighbors() serves the whole adjacency list from the
-            # store's neighborhood cache when it is enabled
-            for rel_id, other in self.store.neighbors(
+            for rel_id, other in self.store.relationships(
                 node_id, rel_type, store_dir
             ):
                 if rel_id in used:
@@ -323,7 +321,7 @@ class CypherExecutor:
             next_frontier: list[int] = []
             meet: int | None = None
             for node in frontier:
-                for _rel_id, other in self.store.neighbors(
+                for _rel_id, other in self.store.relationships(
                     node, rel_type, direction
                 ):
                     if other not in parents:

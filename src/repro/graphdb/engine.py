@@ -145,9 +145,6 @@ class GraphDatabase:
         self.executor.stats = self.store.collect_statistics()
         self._stmt_cache.bump_epoch()
         self._closure_cache.bump_epoch()
-        # whole-cache fallback: bulk loads end with ANALYZE, so this also
-        # clears neighborhoods populated mid-load
-        self.store.invalidate_caches()
 
     def checkpoint(self) -> int:
         """Flush dirty records; returns how many were written back."""
@@ -157,15 +154,9 @@ class GraphDatabase:
         self.checkpoint_count += 1
         return flushed
 
-    def enable_adjacency_cache(self, capacity: int = 4096) -> None:
-        """Opt into the store's neighborhood cache (off by default)."""
-        self.store.enable_neighborhood_cache(capacity)
-
     def cache_stats(self) -> list[CacheStats]:
         """Uniform cache counters (shared facade across all dialects)."""
-        rows = [self._stmt_cache.stats(), self._closure_cache.stats()]
-        rows.extend(self.store.cache_stats())
-        return rows
+        return [self._stmt_cache.stats(), self._closure_cache.stats()]
 
     def size_bytes(self) -> int:
         return self.store.size_bytes()

@@ -20,7 +20,6 @@ from functools import partial
 from types import MappingProxyType
 from typing import Any
 
-from repro.cache import CacheStats, DependencyTrackingCache
 from repro.sanitizer import runtime
 from repro.simclock.ledger import charge
 from repro.stats import GraphStatistics
@@ -78,10 +77,6 @@ class GraphStore:
         self._indexes: dict[tuple[str, str], HashIndex] = {}
         # label -> live node ids (maintained on every node write)
         self._label_index: dict[str, set[int]] = {}
-        # opt-in adjacency/neighborhood cache (None => disabled); entries
-        # carry the node ids they were derived from, so a single edge
-        # insert evicts only the neighborhoods containing an endpoint
-        self._neighborhood_cache: DependencyTrackingCache | None = None
         # version metadata keyed by node id (int) / ("rel", rel_id);
         # deferred node deletes reclaim through _remove_physical
         self.mvcc = VersionStore(
@@ -89,28 +84,6 @@ class GraphStore:
         )
         self.node_count = 0
         self.rel_count = 0
-
-    # -- neighborhood cache ---------------------------------------------------
-
-    def enable_neighborhood_cache(self, capacity: int = 4096) -> None:
-        """Turn on adjacency caching (off by default; opt-in hot path)."""
-        self._neighborhood_cache = DependencyTrackingCache(
-            capacity, name=f"{self.name}-neighborhood"
-        )
-
-    def cache_stats(self) -> list[CacheStats]:
-        if self._neighborhood_cache is None:
-            return []
-        return [self._neighborhood_cache.stats()]
-
-    def _invalidate_neighborhoods(self, members: tuple[int, ...]) -> None:
-        if self._neighborhood_cache is not None:
-            self._neighborhood_cache.invalidate_members(members)
-
-    def invalidate_caches(self) -> None:
-        """Whole-cache epoch fallback (bulk load, ANALYZE, index builds)."""
-        if self._neighborhood_cache is not None:
-            self._neighborhood_cache.invalidate_all()
 
     # -- schema indexes ------------------------------------------------------
 
@@ -200,7 +173,6 @@ class GraphStore:
         start_record.first_rel = rel_id
         end_record.first_rel = rel_id
         self.rel_count += 1
-        self._invalidate_neighborhoods((start, end))
         if runtime.TRACE is not None:
             runtime.TRACE.write(("node", start))
             runtime.TRACE.write(("node", end))
@@ -213,7 +185,6 @@ class GraphStore:
             raise ValueError(f"node {node_id} still has relationships")
         charge("record_write")
         self.node_count -= 1
-        self._invalidate_neighborhoods((node_id,))
         if not self.mvcc.record_delete(node_id):
             # no snapshot could still need the record: remove it now;
             # otherwise it stays (tombstoned) until GC reclaims it
@@ -344,70 +315,6 @@ class GraphStore:
     ) -> int:
         return sum(1 for _ in self.relationships(node_id, rel_type, direction))
 
-    def neighbors(
-        self,
-        node_id: int,
-        rel_type: str | None = None,
-        direction: Direction = Direction.BOTH,
-    ) -> Iterable[tuple[int, int]]:
-        """``relationships()`` served through the neighborhood cache.
-
-        With the cache disabled this is exactly the lazy chain walk.
-        With it enabled, a hit serves the whole adjacency list for one
-        ``cache_hit`` instead of one ``record_read`` per chain hop.
-        Entries depend on the anchor node only: relationship *inserts*
-        touch both endpoints' entries (see :meth:`create_rel`), and
-        property writes don't affect adjacency, so that single
-        dependency is exact.
-        """
-        cache = self._neighborhood_cache
-        if cache is None or oracle.stale_reads():
-            # a stale snapshot must not see (or poison) cached adjacency
-            # derived from newer state than its read timestamp
-            return self.relationships(node_id, rel_type, direction)
-        key = (node_id, rel_type, direction.value)
-        cached = cache.get(key)
-        if cached is not None:
-            charge("cache_hit")
-            return cached  # type: ignore[no-any-return]
-        result = tuple(self.relationships(node_id, rel_type, direction))
-        cache.put(key, result, (node_id,))
-        return result
-
-    def friends_of_friends(
-        self,
-        node_id: int,
-        rel_type: str | None = None,
-        direction: Direction = Direction.BOTH,
-    ) -> tuple[int, ...]:
-        """Distinct two-hop neighbors (the paper's dominant read pattern).
-
-        Cached with a dependency set of the anchor plus its one-hop
-        neighbors: an edge insert at any of those nodes changes the
-        two-hop frontier, and the write path invalidates by endpoint.
-        """
-        cache = (
-            None if oracle.stale_reads() else self._neighborhood_cache
-        )
-        key = (node_id, rel_type, direction.value, 2)
-        if cache is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                charge("cache_hit")
-                return cached  # type: ignore[no-any-return]
-        friends = {
-            other for _, other in self.neighbors(node_id, rel_type, direction)
-        }
-        fof: set[int] = set()
-        for friend in friends:
-            for _, other in self.neighbors(friend, rel_type, direction):
-                if other != node_id and other not in friends:
-                    fof.add(other)
-        result = tuple(sorted(fof))
-        if cache is not None:
-            cache.put(key, result, {node_id, *friends})
-        return result
-
     # -- batch read path (vectorized executor) -----------------------------------
 
     def neighbors_batch(
@@ -422,10 +329,10 @@ class GraphStore:
         executor's frontiers routinely revisit nodes, and a real
         vectorized engine would never re-walk the same record chain
         within one operator invocation.  Per unique node the cost is
-        exactly :meth:`neighbors` (cache-aware when enabled).
+        exactly :meth:`relationships`.
         """
         return {
-            node_id: tuple(self.neighbors(node_id, rel_type, direction))
+            node_id: tuple(self.relationships(node_id, rel_type, direction))
             for node_id in dict.fromkeys(node_ids)
         }
 

@@ -158,16 +158,40 @@ class Table:
             handle = self._heap.insert(self._codec.encode(row))
         else:
             handle = self._cols.append(row)
-        for column, index in self._indexes.items():
-            value = row[self._col_pos[column]]
-            if value is not None:
-                index.insert(value, handle)
+        try:
+            for column, index in self._indexes.items():
+                value = row[self._col_pos[column]]
+                if value is not None:
+                    index.insert(value, handle)
+        except Exception:
+            # a unique index refused the row: take back what the
+            # indexes before it and the store already hold
+            self._unstore(row, handle, index)
+            raise
         self.mvcc.stamp(handle)
         if self.wal is not None:
             self.wal.append(_wal_record("insert", self.name, list(row)))
         if runtime.TRACE is not None:
             runtime.TRACE.write((self.name, handle))
         return handle
+
+    def _unstore(
+        self, row: tuple, handle: Any, failed: BPlusTree | HashIndex
+    ) -> None:
+        """Undo a half-done :meth:`insert`: every index up to ``failed``
+        loses the row's entry, then the store loses the row."""
+        for column, index in self._indexes.items():
+            if index is failed:
+                break
+            value = row[self._col_pos[column]]
+            if value is not None:
+                index.delete(value, handle)
+        if self.storage == "row":
+            self._heap.delete(handle)
+        else:
+            self._cols.pop_last()
+        if runtime.TRACE is not None:
+            runtime.TRACE.write((self.name, handle))
 
     def update(self, handle: Any, changes: Mapping[str, Any]) -> Any:
         """Apply ``changes``; returns the (possibly moved) handle."""

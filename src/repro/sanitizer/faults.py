@@ -26,15 +26,13 @@ dangling-edge       QA701    an edge/FK row pointing at entities that
                              don't exist
 index-skew          QA702    an index entry surgically removed (or a
                              bogus one planted) behind the store's back
-skip-invalidation   QA703    an edge insert with the cache-invalidation
-                             hook disabled, leaving a stale neighborhood
 skip-fsync          QA704    a modification appended to the WAL but
                              never made durable by a commit
 ==================  =======  =========================================
 
 ``applicable_modes`` reports which modes a connector supports given its
-target kinds (e.g. ``skip-invalidation`` needs a property-graph store;
-lock modes need an engine with a lock manager).
+target kinds (e.g. ``lost-update`` needs a relational engine; lock
+modes need an engine with a lock manager).
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.graphdb.store import Direction, GraphStore
+from repro.graphdb.store import GraphStore
 from repro.rdf.triples import TripleStore
 from repro.relational.engine import Database
 from repro.sanitizer import runtime
@@ -90,9 +88,6 @@ FAULTS: dict[str, Fault] = {
         "index-skew",
         frozenset({"QA702"}),
         ("sql", "sqlg", "graph", "rdf", "titan"),
-    ),
-    "skip-invalidation": Fault(
-        "skip-invalidation", frozenset({"QA703"}), ("graph",)
     ),
     "skip-fsync": Fault(
         "skip-fsync", frozenset({"QA704"}), ("wal", "sql", "sqlg")
@@ -397,25 +392,6 @@ def _index_skew_titan(provider: TitanProvider) -> None:
     )
 
 
-# -- skip-invalidation -> QA703 -----------------------------------------------
-
-
-def _skip_invalidation(store: GraphStore) -> None:
-    if store._neighborhood_cache is None:
-        store.enable_neighborhood_cache()
-    start = store.create_node((), {})
-    end = store.create_node((), {})
-    # prime the cache, then insert an edge with invalidation disabled
-    store.neighbors(start, "knows", Direction.BOTH)
-    store._invalidate_neighborhoods = (  # type: ignore[method-assign]
-        lambda members: None
-    )
-    try:
-        store.create_rel("knows", start, end, {})
-    finally:
-        del store.__dict__["_invalidate_neighborhoods"]
-
-
 # -- skip-fsync -> QA704 ------------------------------------------------------
 
 
@@ -463,7 +439,6 @@ _INJECTORS: dict[tuple[str, str], Any] = {
     ("index-skew", "graph"): _index_skew_graph,
     ("index-skew", "rdf"): _index_skew_rdf,
     ("index-skew", "titan"): _index_skew_titan,
-    ("skip-invalidation", "graph"): _skip_invalidation,
     ("skip-fsync", "wal"): _skip_fsync_wal,
     ("skip-fsync", "sql"): _skip_fsync_sql,
     ("skip-fsync", "sqlg"): _skip_fsync_sqlg,

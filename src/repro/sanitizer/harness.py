@@ -2,7 +2,7 @@
 
 The run is staged so clean executions stay silent:
 
-1. load + cache warm-up happen *outside* tracing (the bulk path is
+1. load happens *outside* tracing (the bulk path is
    single-threaded by construction — racing it would only add noise);
 2. the interactive workload runs under :func:`~repro.sanitizer.runtime.
    tracing`, with every simulated worker tagged by the driver;
@@ -66,7 +66,6 @@ def run_sanitize(
     """Run one system's interactive workload under instrumentation."""
     connector = make_connector(system)
     connector.load(dataset)
-    connector.enable_caching()
     targets = connector.sanitize_targets()
     if inject_mode is not None and inject_mode not in FAULTS:
         raise ValueError(

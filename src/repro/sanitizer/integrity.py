@@ -1,15 +1,13 @@
-"""Post-run data-integrity audits: QA701/QA702/QA703/QA704.
+"""Post-run data-integrity audits: QA701/QA702/QA704.
 
 Each connector exposes its auditable internals through
 ``Connector.sanitize_targets()`` — a mapping from a *target kind* to an
 engine object.  The auditors walk the engine's primary structures and
-its redundant ones (indexes, caches, the WAL) and report every
+its redundant ones (indexes, the WAL) and report every
 disagreement:
 
 QA701  dangling edge / foreign-key endpoint
 QA702  index entry disagrees with the heap / store row
-QA703  cache entry whose dependency set no longer matches recomputed
-       truth (audits :class:`~repro.cache.DependencyTrackingCache`)
 QA704  WAL / group-commit replay divergence
 
 Target kinds:
@@ -34,7 +32,7 @@ import json
 from typing import Any
 
 from repro.analysis.diagnostics import Diagnostic, SourceLocation, make
-from repro.graphdb.store import Direction, GraphStore
+from repro.graphdb.store import GraphStore
 from repro.rdf.triples import TripleStore
 from repro.relational.engine import Database
 from repro.storage.hashindex import HashIndex
@@ -392,71 +390,6 @@ def _audit_graph_store(store: GraphStore) -> list[Diagnostic]:
                     )
                 )
 
-    diagnostics += _audit_neighborhood_cache(store)
-    return diagnostics
-
-
-def _audit_neighborhood_cache(store: GraphStore) -> list[Diagnostic]:
-    """QA703: every cached neighborhood equals a fresh recomputation
-    and declares exactly the dependency set the recomputation implies."""
-    cache = store._neighborhood_cache
-    if cache is None:
-        return []
-    diagnostics: list[Diagnostic] = []
-    for key, value, deps in cache.entries():
-        node_id, rel_type, direction_value = key[0], key[1], key[2]
-        direction = Direction(direction_value)
-        loc = _loc(f"integrity:neighborhood:{node_id}")
-        try:
-            if len(key) == 4:  # friends_of_friends entry
-                friends = {
-                    other
-                    for _, other in store.relationships(
-                        node_id, rel_type, direction
-                    )
-                }
-                fof: set[int] = set()
-                for friend in friends:
-                    for _, other in store.relationships(
-                        friend, rel_type, direction
-                    ):
-                        if other != node_id and other not in friends:
-                            fof.add(other)
-                truth: tuple = tuple(sorted(fof))
-                true_deps = frozenset({node_id, *friends})
-            else:
-                truth = tuple(
-                    store.relationships(node_id, rel_type, direction)
-                )
-                true_deps = frozenset({node_id})
-        except KeyError:
-            diagnostics.append(
-                make(
-                    "QA703",
-                    f"cache entry {key!r} anchors a deleted node",
-                    loc,
-                )
-            )
-            continue
-        if value != truth:
-            diagnostics.append(
-                make(
-                    "QA703",
-                    f"cache entry {key!r} holds {value!r} but the "
-                    f"store now yields {truth!r}",
-                    loc,
-                )
-            )
-        elif frozenset(deps) != true_deps:
-            diagnostics.append(
-                make(
-                    "QA703",
-                    f"cache entry {key!r} declares deps "
-                    f"{sorted(deps)} but truth implies "
-                    f"{sorted(true_deps)}",
-                    loc,
-                )
-            )
     return diagnostics
 
 

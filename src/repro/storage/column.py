@@ -67,6 +67,16 @@ class _Column:
         else:
             self.data[pos] = value
 
+    def pop(self) -> None:
+        """Undo the last :meth:`append`, dictionary code included."""
+        raw = self.data.pop()
+        if (
+            self.ctype is ColumnType.TEXT
+            and raw == len(self.codes) - 1
+            and raw not in self.data
+        ):
+            del self.dictionary[self.codes.pop()]
+
     def size_bytes(self) -> int:
         if self.ctype is ColumnType.TEXT:
             dict_bytes = sum(len(s.encode()) + 8 for s in self.codes)
@@ -120,6 +130,12 @@ class ColumnTable:
         pos = self.total_positions - 1
         self.row_count += 1
         return pos
+
+    def pop_last(self) -> None:
+        """Remove the row the last :meth:`append` stored."""
+        for column in self._columns.values():
+            column.pop()
+        self.row_count -= 1
 
     def update(self, pos: int, changes: Mapping[str, Value]) -> None:
         self._check_live(pos)

@@ -99,21 +99,13 @@ class GremlinServer:
         self.requests_served = 0
         self.requests_failed = 0
         self.requests_timed_out = 0
-        #: script/bytecode cache (Gremlin Server's script-engine cache);
-        #: OFF by default — the paper benchmarks pay the evaluation cost
-        #: on every request — and only consulted for keyed submits
-        self._script_cache: EpochKeyedCache | None = None
-        #: compiled-mode closure cache: script key -> compile verdict;
-        #: subsumes the script cache (bytecode AND the specialized
-        #: closure are reused); cleared on restart
+        #: compiled-mode closure cache: script key -> compile verdict
+        #: (bytecode AND the specialized closure are reused); cleared on
+        #: restart
         self._closure_cache = EpochKeyedCache(512, name="gremlin-closures")
 
-    def enable_script_cache(self, capacity: int = 512) -> None:
-        """Opt into caching compiled scripts for keyed submissions."""
-        self._script_cache = EpochKeyedCache(capacity, name="gremlin-scripts")
-
     def share_closure_cache(self, donor: "GremlinServer") -> None:
-        """Adopt ``donor``'s bytecode/closure caches (pods of one shard).
+        """Adopt ``donor``'s closure cache (pods of one shard).
 
         The closure cache maps script keys to compile *verdicts* — no
         graph data — so pods serving replicas of the same shard can share
@@ -123,16 +115,11 @@ class GremlinServer:
         the shared epoch (conservatively flushing the whole fleet).
         """
         self._closure_cache = donor._closure_cache
-        if donor._script_cache is not None:
-            self._script_cache = donor._script_cache
 
     def cache_stats(self) -> list[CacheStats]:
-        rows = []
-        if self.options.execution_mode == "compiled":
-            rows.append(self._closure_cache.stats())
-        if self._script_cache is not None:
-            rows.append(self._script_cache.stats())
-        return rows
+        if self.options.execution_mode != "compiled":
+            return []
+        return [self._closure_cache.stats()]
 
     def submit(
         self,
@@ -144,10 +131,8 @@ class GremlinServer:
 
         ``build`` receives the traversal source ``g`` and returns the
         traversal to evaluate (standing in for a Gremlin script string).
-        ``cache_key`` identifies the script text; when the script cache
-        is enabled and the key was seen before, the compilation charge is
-        skipped (the script engine reuses the compiled bytecode) —
-        evaluation itself always runs.
+        ``cache_key`` identifies the script text; in compiled mode a key
+        the closure cache holds runs its compiled closure instead.
         """
         if self.crashed:
             self.requests_failed += 1
@@ -161,15 +146,7 @@ class GremlinServer:
             if results is not None:
                 return results
             # fall through: this script shape runs interpreted
-        cache = self._script_cache
-        if cache is not None and cache_key is not None:
-            if cache.lookup(cache_key) is not None:
-                charge("cache_hit")  # compiled bytecode reused
-            else:
-                charge("gremlin_compile")
-                cache.store(cache_key, True)
-        else:
-            charge("gremlin_compile")  # script evaluation / compilation
+        charge("gremlin_compile")  # script evaluation / compilation
 
         def run(g: GraphTraversalSource) -> list[Any]:
             traversal = build(g)
@@ -278,5 +255,3 @@ class GremlinServer:
         # a restarted server has an empty script engine: compiled
         # closures (like cached bytecode) do not survive the process
         self._closure_cache.bump_epoch()
-        if self._script_cache is not None:
-            self._script_cache.bump_epoch()

@@ -52,7 +52,11 @@ class LockManager:
 
     def __init__(self) -> None:
         self._locks: dict[Hashable, _LockState] = {}
-        self._held_by_txn: dict[int, set[Hashable]] = defaultdict(set)
+        #: txn -> its resources in acquisition order (a dict, not a set:
+        #: release order must not follow the process's hash seed)
+        self._held_by_txn: dict[int, dict[Hashable, None]] = defaultdict(
+            dict
+        )
         self._waits_for: dict[int, set[int]] = defaultdict(set)
 
     # -- acquisition --------------------------------------------------------
@@ -83,7 +87,7 @@ class LockManager:
             ):
                 raise LockConflict(resource, others)
         state.holders[txn_id] = mode
-        self._held_by_txn[txn_id].add(resource)
+        self._held_by_txn[txn_id][resource] = None
         if runtime.TRACE is not None:
             runtime.TRACE.lock_acquired(txn_id, resource, mode.value)
 
@@ -115,7 +119,7 @@ class LockManager:
 
     def release_all(self, txn_id: int) -> int:
         """Drop every lock held by ``txn_id``; returns how many."""
-        resources = self._held_by_txn.pop(txn_id, set())
+        resources = self._held_by_txn.pop(txn_id, {})
         for resource in resources:
             state = self._locks.get(resource)
             if state is not None:
@@ -137,7 +141,7 @@ class LockManager:
         return dict(state.holders) if state else {}
 
     def locks_held(self, txn_id: int) -> set[Hashable]:
-        return set(self._held_by_txn.get(txn_id, set()))
+        return set(self._held_by_txn.get(txn_id, ()))
 
     # -- deadlock detection --------------------------------------------------------
 

@@ -125,16 +125,6 @@ def snapshots_active() -> bool:
     return bool(ORACLE._active)
 
 
-def stale_reads() -> bool:
-    """True when the current snapshot predates the latest committed write.
-
-    Result caches (neighborhood caches, the cluster coordinator cache)
-    hold *current-state* answers; a reader holding an old snapshot must
-    bypass them or it would observe data newer than its view.
-    """
-    return CURRENT is not None and CURRENT.read_ts < ORACLE.last()
-
-
 def read_mode() -> str:
     """The protection mode recorded on traced read events.
 

@@ -1,16 +1,15 @@
-"""The shared caching subsystem: LRU bookkeeping, epoch and
-dependency-set invalidation, the engines' uniform ``cache_stats()``
-facades, the store's neighborhood cache, and WAL group commit."""
+"""The shared caching subsystem: LRU bookkeeping, epoch invalidation,
+the engines' uniform ``cache_stats()`` facades, the Gremlin closure
+cache, and WAL group commit."""
 
 import pytest
 
 from repro.cache import (
     CacheStats,
-    DependencyTrackingCache,
     EpochKeyedCache,
     LRUCache,
 )
-from repro.graphdb import Direction, GraphDatabase, GraphStore
+from repro.graphdb import GraphDatabase
 from repro.graphdb.tinkerpop_adapter import Neo4jProvider
 from repro.options import EngineOptions
 from repro.rdf import RdfDatabase
@@ -101,122 +100,6 @@ class TestEpochKeyedCache:
         cache.store("q", "plan")
         assert "q" in cache
         assert cache["q"] == (cache.epoch, "plan")
-
-
-class TestDependencyTrackingCache:
-    def test_member_invalidation_is_exact(self):
-        cache = DependencyTrackingCache(16)
-        cache.put("n1", "hood-1", deps=(1, 2))
-        cache.put("n3", "hood-3", deps=(3,))
-        assert cache.invalidate_members((2,)) == 1
-        assert cache.get("n1") is None
-        assert cache.get("n3") == "hood-3"
-
-    def test_unrelated_member_invalidates_nothing(self):
-        cache = DependencyTrackingCache(16)
-        cache.put("n1", "hood-1", deps=(1,))
-        assert cache.invalidate_members((99,)) == 0
-        assert cache.get("n1") == "hood-1"
-
-    def test_eviction_unlinks_dependencies(self):
-        cache = DependencyTrackingCache(1)
-        cache.put("n1", "hood-1", deps=(1,))
-        cache.put("n2", "hood-2", deps=(2,))  # evicts n1
-        # invalidating member 1 must not resurrect or double-count n1
-        assert cache.invalidate_members((1,)) == 0
-        assert cache.get("n2") == "hood-2"
-
-    def test_invalidate_all_is_the_bulk_fallback(self):
-        cache = DependencyTrackingCache(16)
-        cache.put("n1", "x", deps=(1,))
-        cache.put("n2", "y", deps=(2,))
-        assert cache.invalidate_all() == 2
-        assert cache.invalidate_members((1, 2)) == 0
-
-
-@pytest.fixture()
-def friends_store():
-    """a - b - c - d chain plus an index, neighborhood cache enabled."""
-    store = GraphStore()
-    ids = [store.create_node(["Person"], {"id": i}) for i in range(4)]
-    for left, right in zip(ids, ids[1:]):
-        store.create_rel("KNOWS", left, right)
-    store.enable_neighborhood_cache()
-    return store, ids
-
-
-class TestNeighborhoodCache:
-    def test_disabled_store_returns_lazy_iterator(self):
-        store = GraphStore()
-        a = store.create_node(["Person"], {"id": 1})
-        b = store.create_node(["Person"], {"id": 2})
-        store.create_rel("KNOWS", a, b)
-        result = store.neighbors(a)
-        assert not isinstance(result, (list, tuple))  # chain walk, lazy
-        assert [other for _, other in result] == [b]
-        assert store.cache_stats() == []
-
-    def test_warm_read_charges_cache_hit_not_record_reads(self, friends_store):
-        store, ids = friends_store
-        cold = tuple(store.neighbors(ids[1]))
-        with meter() as ledger:
-            warm = tuple(store.neighbors(ids[1]))
-        assert warm == cold
-        assert ledger.counters.get("cache_hit") == 1
-        assert "record_read" not in ledger.counters
-
-    def test_edge_insert_invalidates_only_endpoint_neighborhoods(
-        self, friends_store
-    ):
-        store, ids = friends_store
-        for nid in ids:
-            tuple(store.neighbors(nid))  # populate all four entries
-        before = store.cache_stats()[0]
-        store.create_rel("KNOWS", ids[0], ids[3])
-        after = store.cache_stats()[0]
-        assert after.invalidations - before.invalidations == 2
-        # untouched nodes stay warm, endpoints recompute correctly
-        with meter() as ledger:
-            tuple(store.neighbors(ids[1]))
-        assert ledger.counters.get("cache_hit") == 1
-        assert {o for _, o in store.neighbors(ids[0])} == {ids[1], ids[3]}
-
-    def test_friends_of_friends_cached_and_correct(self, friends_store):
-        store, ids = friends_store
-        cold = store.friends_of_friends(ids[0])
-        assert cold == (ids[2],)
-        with meter() as ledger:
-            warm = store.friends_of_friends(ids[0])
-        assert warm == cold
-        assert ledger.counters.get("cache_hit") == 1
-
-    def test_two_hop_entry_invalidated_by_a_friends_new_edge(
-        self, friends_store
-    ):
-        store, ids = friends_store
-        assert store.friends_of_friends(ids[0]) == (ids[2],)
-        # new edge at b (a's friend) changes a's two-hop frontier
-        e = store.create_node(["Person"], {"id": 9})
-        store.create_rel("KNOWS", ids[1], e)
-        assert store.friends_of_friends(ids[0]) == tuple(
-            sorted((ids[2], e))
-        )
-
-    def test_delete_node_invalidates_its_neighborhood(self, friends_store):
-        store, ids = friends_store
-        extra = store.create_node(["Person"], {"id": 8})
-        tuple(store.neighbors(extra))
-        before = store.cache_stats()[0].invalidations
-        store.delete_node(extra)
-        assert store.cache_stats()[0].invalidations > before
-
-    def test_invalidate_caches_is_the_epoch_fallback(self, friends_store):
-        store, ids = friends_store
-        tuple(store.neighbors(ids[0]))
-        store.invalidate_caches()
-        with meter() as ledger:
-            tuple(store.neighbors(ids[0]))
-        assert "cache_hit" not in ledger.counters
 
 
 class TestWalGroupCommit:
@@ -334,48 +217,6 @@ class TestEngineFacades:
         for facade in (Database("row"), GraphDatabase(), RdfDatabase()):
             for row in facade.cache_stats():
                 assert isinstance(row, CacheStats)
-
-
-class TestGremlinScriptCache:
-    # the legacy script cache is an interpreted-mode concern: compiled
-    # mode subsumes it with the closure cache (tested below)
-    def _server(self):
-        provider = Neo4jProvider()
-        Graph(provider).traversal().addV("person").property(
-            "id", 1
-        ).iterate()
-        return GremlinServer(provider, options=EngineOptions("interpreted"))
-
-    def test_keyed_resubmit_skips_compilation(self):
-        server = self._server()
-        server.enable_script_cache()
-        build = lambda g: g.V().has("person", "id", 1)  # noqa: E731
-        server.submit(build, cache_key="point_lookup")
-        with meter() as ledger:
-            results = server.submit(build, cache_key="point_lookup")
-        assert results  # evaluation still ran
-        assert "gremlin_compile" not in ledger.counters
-        assert ledger.counters.get("cache_hit") == 1
-        assert server.cache_stats()[0].hits == 1
-
-    def test_keyless_submit_always_compiles(self):
-        server = self._server()
-        server.enable_script_cache()
-        for _ in range(2):
-            with meter() as ledger:
-                server.submit(lambda g: g.V().has("person", "id", 1))
-            assert ledger.counters["gremlin_compile"] == 1
-
-    def test_cache_off_by_default(self):
-        server = self._server()
-        assert server.cache_stats() == []
-        for _ in range(2):
-            with meter() as ledger:
-                server.submit(
-                    lambda g: g.V().has("person", "id", 1),
-                    cache_key="point_lookup",
-                )
-            assert ledger.counters["gremlin_compile"] == 1
 
 
 class TestGremlinClosureCache:

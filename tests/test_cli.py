@@ -88,12 +88,3 @@ class TestValidate:
         with pytest.raises(SystemExit):
             main(["validate", *SMALL, "--systems", "postgres-sql"])
 
-    def test_cached_flag_checks_and_reports_hit_rates(self, capsys):
-        assert main(
-            ["validate", *SMALL, "--systems",
-             "postgres-sql,neo4j-cypher", "--checks", "2", "--cached"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "0 mismatches" in out
-        assert "hit_rate=" in out
-        assert "neo4j-neighborhood" in out

@@ -284,43 +284,6 @@ def test_cross_shard_writes_lock_shards_in_sorted_order(dataset):
         assert {s for _, s in shard_locks} == {a, b}
 
 
-# -- coordinator cache ---------------------------------------------------------
-
-
-def test_coordinator_cache_respects_per_shard_epochs(dataset):
-    cluster = ClusterConnector("postgres-sql", shards=SHARDS)
-    cluster.load(dataset)
-    cluster.enable_caching()
-    by_shard: dict[int, int] = {}
-    for p in dataset.persons:
-        by_shard.setdefault(shard_of(p.id, SHARDS), p.id)
-    pid_a, pid_b = by_shard[0], by_shard[1]
-
-    def coord_stats():
-        return next(
-            s for s in cluster.cache_stats()
-            if s.name == "cluster-coordinator"
-        )
-
-    cluster.one_hop(pid_a)
-    cluster.one_hop(pid_b)
-    before = coord_stats().hits
-    cluster.one_hop(pid_a)
-    cluster.one_hop(pid_b)
-    assert coord_stats().hits == before + 2
-    # a write that touches only shard 0 must invalidate shard-0 reads
-    # (new epoch key -> miss) while shard-1 reads keep hitting
-    friend = next(
-        p.id for p in dataset.persons
-        if shard_of(p.id, SHARDS) == 0 and p.id != pid_a
-    )
-    cluster.add_friendship(Knows(pid_a, friend, creation_date=1))
-    assert friend in cluster.one_hop(pid_a)  # fresh answer, not cached
-    hits_after_write = coord_stats().hits
-    cluster.one_hop(pid_b)
-    assert coord_stats().hits == hits_after_write + 1
-
-
 # -- shared gremlin closure cache (pods of one shard) -------------------------
 
 
@@ -364,7 +327,6 @@ def test_modes_and_caching_set_before_load_reach_every_pod(dataset):
     cluster = ClusterConnector("neo4j-gremlin", shards=2, replicas=1)
     cluster.set_execution_mode("interpreted")
     cluster.set_isolation_level("read-committed")
-    cluster.enable_caching()
     cluster.load(dataset)
     engines = list(_pod_engines(cluster))
     assert len(engines) == 4
@@ -372,9 +334,7 @@ def test_modes_and_caching_set_before_load_reach_every_pod(dataset):
         counters = _counters_of_one_read(engine, dataset)
         assert "step_eval" in counters  # the read ran interpreted,
         assert "compiled_exec" not in counters
-        assert "ts_alloc" not in counters  # without a snapshot,
-        names = {row.name for row in engine.cache_stats()}
-        assert "gremlin-scripts" in names  # and with its cache on
+        assert "ts_alloc" not in counters  # and without a snapshot
 
 
 def test_mode_flipped_after_load_is_observed_by_a_replica(dataset):
@@ -403,21 +363,6 @@ def test_isolation_level_after_load_reaches_sqlg_pods_backing_db(dataset):
         cluster.set_isolation_level("chaos")
     for engine in engines:
         assert engine.provider.db.options.isolation_level == "read-committed"
-
-
-def test_caching_before_or_after_load_gives_the_same_cache_layout(dataset):
-    def script_caches(enable_first):
-        cluster = ClusterConnector("neo4j-gremlin", shards=2, replicas=1)
-        if enable_first:
-            cluster.enable_caching()
-        cluster.load(dataset)
-        if not enable_first:
-            cluster.enable_caching()
-        return [e.server._script_cache for e in _pod_engines(cluster)]
-
-    for caches in (script_caches(True), script_caches(False)):
-        assert None not in caches
-        assert len({id(cache) for cache in caches}) == 4  # one per pod
 
 
 # -- cost accounting -----------------------------------------------------------

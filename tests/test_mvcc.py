@@ -92,14 +92,6 @@ class TestOracle:
             assert oracle.ORACLE.active_count() == 0
             assert oracle.read_mode() == ""
 
-    def test_stale_reads_only_under_an_outdated_snapshot(self):
-        assert not oracle.stale_reads()
-        with oracle.held_snapshot():
-            assert not oracle.stale_reads()
-            oracle.ORACLE.advance()  # a write lands after the snapshot
-            assert oracle.stale_reads()
-        assert not oracle.stale_reads()
-
 
 class TestVersionStore:
     def test_no_metadata_without_snapshots(self):

@@ -291,9 +291,10 @@ class TestAutocommitFailureReleasesLocks:
 
 
 class TestRejectedInsert:
-    """A row with a wrong-typed value is refused whole: nothing of it is
-    stored, indexed or logged (a column table used to keep the columns
-    before the bad one one entry longer)."""
+    """A row with a wrong-typed value or a duplicate primary key is
+    refused whole: nothing of it is stored, indexed or logged (a column
+    table used to keep the columns before the bad one one entry longer,
+    and a duplicate key's row stayed in the heap or column table)."""
 
     @staticmethod
     def _state(table):
@@ -338,6 +339,39 @@ class TestRejectedInsert:
         )
         assert db.query("SELECT name, age FROM person WHERE id = 9") == [
             ("zed", 1)
+        ]
+
+    @pytest.mark.parametrize("storage", ["row", "column"])
+    def test_table_insert_duplicate_key(self, storage):
+        db = Database(storage)
+        db.execute("CREATE TABLE t (a BIGINT PRIMARY KEY, b TEXT, c INT)")
+        db.execute("CREATE INDEX ON t (c)")
+        table = db.catalog.table("t")
+        table.insert((1, "x", 10))
+        before = self._state(table)
+        with pytest.raises(KeyError, match="duplicate key"):
+            table.insert((1, "dup", 20))
+        assert self._state(table) == before
+        assert db.query("SELECT a, b, c FROM t") == [(1, "x", 10)]
+        handle = table.insert((2, "y", 20))
+        assert table.fetch(handle) == (2, "y", 20)
+        assert len(table) == 2
+
+    def test_sql_insert_duplicate_key(self, db):
+        table = db.catalog.table("person")
+        before = self._state(table)
+        with pytest.raises(KeyError, match="duplicate key"):
+            db.execute(
+                "INSERT INTO person VALUES (?, ?, ?, ?)", (1, "dup", "x", 2)
+            )
+        assert self._state(table) == before
+        assert not any(db.txns.locks._held_by_txn.values())
+        assert db.query("SELECT id FROM person WHERE name = 'dup'") == []
+        db.execute(
+            "INSERT INTO person VALUES (?, ?, ?, ?)", (9, "dup", "x", 2)
+        )
+        assert db.query("SELECT id FROM person WHERE name = 'dup'") == [
+            (9,)
         ]
 
 

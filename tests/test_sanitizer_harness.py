@@ -71,7 +71,6 @@ MATRIX = [
     ("dangling-edge", "titan-c"),
     ("index-skew", "virtuoso-sparql"),
     ("index-skew", "neo4j-gremlin"),
-    ("skip-invalidation", "neo4j-cypher"),
     ("skip-fsync", "neo4j-cypher"),
     ("skip-fsync", "virtuoso-sql"),
 ]
