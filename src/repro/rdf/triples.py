@@ -13,6 +13,43 @@ from repro.storage.mvcc import VersionStore
 
 Term = Any  # str IRIs ("sn:pers123") or literal values (int, str, bool)
 
+# An index key is one int: the three term ids of a triple, in the
+# index's own order, as 21-bit fields from high to low.  It sorts as the
+# id tuple does, so each B+tree has the shape, and each descent and scan
+# the charges, that id-tuple keys would give, in half the host memory.
+ID_BITS = 21
+_MASK = (1 << ID_BITS) - 1
+_HIGH = 2 * ID_BITS
+# the number of keys sharing a one- and a two-id prefix
+_SPAN1 = 1 << _HIGH
+_SPAN2 = 1 << ID_BITS
+
+
+def encode_key(a: int, b: int, c: int) -> int:
+    """The index key of the id-triple ``(a, b, c)`` (index order)."""
+    return (a << _HIGH) | (b << ID_BITS) | c
+
+
+def decode_key(key: int) -> tuple[int, int, int]:
+    """The id-triple of an index key, in the index's order."""
+    return key >> _HIGH, (key >> ID_BITS) & _MASK, key & _MASK
+
+
+def _prefix_scan(
+    index: BPlusTree, lo: int, span: int
+) -> Iterator[tuple[int, bool]]:
+    """The entries of ``index`` whose keys are in ``[lo, lo + span)``:
+    all that share the prefix ``lo`` is the least key of.
+
+    The scan starts after ``lo - 1``, not at ``lo``.  A descent toward
+    ``lo`` goes right of a separator equal to it; one toward a bound
+    below every key with the prefix (as an id tuple padded with -1 is)
+    first visits, and charges, the leaf to its left.
+    """
+    return index.range_scan(
+        lo - 1, lo + span, lo_inclusive=False, hi_inclusive=False
+    )
+
 
 class TripleStore:
     """Triples of interned term ids, indexed SPO, POS, and OSP.
@@ -55,11 +92,16 @@ class TripleStore:
         ids, terms = self._term_to_id, self._id_to_term
         for term in (s, p, o):
             if term not in ids:
+                if len(terms) > _MASK:
+                    raise OverflowError(
+                        f"{self.name}: term id {len(terms)} does not fit "
+                        f"a {ID_BITS}-bit key field"
+                    )
                 ids[term] = len(terms)
                 terms.append(term)
         s_id, p_id, o_id = ids[s], ids[p], ids[o]
         # the existence probe and the SPO insert share one descent
-        if self._spo.search_or_insert((s_id, p_id, o_id), True):
+        if self._spo.search_or_insert(encode_key(s_id, p_id, o_id), True):
             if not self.mvcc.record_recreate((s_id, p_id, o_id)):
                 return False
             # physically still indexed (its remove was deferred): the
@@ -70,8 +112,8 @@ class TripleStore:
                 runtime.TRACE.write(("rdf-subject", s))
             return True
         self.mvcc.stamp((s_id, p_id, o_id))
-        self._pos.insert((p_id, o_id, s_id), True)
-        self._osp.insert((o_id, s_id, p_id), True)
+        self._pos.insert(encode_key(p_id, o_id, s_id), True)
+        self._osp.insert(encode_key(o_id, s_id, p_id), True)
         # each covering index dirties pages; this maintenance is the
         # paper's "higher index maintenance costs ... where multiple
         # indexes over one big table must be maintained"
@@ -100,9 +142,9 @@ class TripleStore:
 
     def _delete_physical(self, key: tuple[int, int, int]) -> None:
         s_id, p_id, o_id = key
-        self._spo.delete((s_id, p_id, o_id))
-        self._pos.delete((p_id, o_id, s_id))
-        self._osp.delete((o_id, s_id, p_id))
+        self._spo.delete(encode_key(s_id, p_id, o_id))
+        self._pos.delete(encode_key(p_id, o_id, s_id))
+        self._osp.delete(encode_key(o_id, s_id, p_id))
 
     def _reclaim_tombstone(self, key: Any) -> None:
         """GC decided a deferred remove is unobservable: finish it."""
@@ -110,7 +152,7 @@ class TripleStore:
             self._delete_physical(key)
 
     def _exists(self, s_id: int, p_id: int, o_id: int) -> bool:
-        return bool(self._spo.search((s_id, p_id, o_id)))
+        return bool(self._spo.search(encode_key(s_id, p_id, o_id)))
 
     # -- reads ----------------------------------------------------------------------
 
@@ -140,42 +182,48 @@ class TripleStore:
         Picks the covering index with the longest bound prefix, exactly as
         a triple-table query plan would.
         """
+        # each loop decodes only the ids its prefix leaves unbound
+        mask = _MASK
         if s_id is not None and o_id is not None and p_id is None:
-            lo = (o_id, s_id, -1)
-            hi = (o_id, s_id, 1 << 62)
-            for (to, ts, tp), _ in self._osp.range_scan(lo, hi):
-                yield ts, tp, to
+            for key, _ in _prefix_scan(
+                self._osp, encode_key(o_id, s_id, 0), _SPAN2
+            ):
+                yield s_id, key & mask, o_id
             return
         if s_id is not None:
-            lo = (s_id, p_id if p_id is not None else -1, -1)
-            hi = (
-                s_id,
-                p_id if p_id is not None else 1 << 62,
-                1 << 62,
-            )
-            for (ts, tp, to), _ in self._spo.range_scan(lo, hi):
-                if p_id is not None and tp != p_id:
-                    continue
-                if o_id is not None and to != o_id:
-                    continue
-                yield ts, tp, to
+            if p_id is None:
+                for key, _ in _prefix_scan(
+                    self._spo, encode_key(s_id, 0, 0), _SPAN1
+                ):
+                    yield s_id, (key >> ID_BITS) & mask, key & mask
+                return
+            for key, _ in _prefix_scan(
+                self._spo, encode_key(s_id, p_id, 0), _SPAN2
+            ):
+                o = key & mask
+                if o_id is None or o == o_id:
+                    yield s_id, p_id, o
             return
         if p_id is not None:
-            lo = (p_id, o_id if o_id is not None else -1, -1)
-            hi = (p_id, o_id if o_id is not None else 1 << 62, 1 << 62)
-            for (tp, to, ts), _ in self._pos.range_scan(lo, hi):
-                if o_id is not None and to != o_id:
-                    continue
-                yield ts, tp, to
+            if o_id is None:
+                for key, _ in _prefix_scan(
+                    self._pos, encode_key(p_id, 0, 0), _SPAN1
+                ):
+                    yield key & mask, p_id, (key >> ID_BITS) & mask
+                return
+            for key, _ in _prefix_scan(
+                self._pos, encode_key(p_id, o_id, 0), _SPAN2
+            ):
+                yield key & mask, p_id, o_id
             return
         if o_id is not None:
-            lo = (o_id, -1, -1)
-            hi = (o_id, 1 << 62, 1 << 62)
-            for (to, ts, tp), _ in self._osp.range_scan(lo, hi):
-                yield ts, tp, to
+            for key, _ in _prefix_scan(
+                self._osp, encode_key(o_id, 0, 0), _SPAN1
+            ):
+                yield (key >> ID_BITS) & mask, key & mask, o_id
             return
-        for (ts, tp, to), _ in self._spo.items():
-            yield ts, tp, to
+        for key, _ in _prefix_scan(self._spo, 0, _SPAN1 << ID_BITS):
+            yield key >> _HIGH, (key >> ID_BITS) & mask, key & mask
 
     def match(
         self, s: Term | None, p: Term | None, o: Term | None

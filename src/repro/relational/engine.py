@@ -14,7 +14,6 @@ shortest-path queries.  Without it (PostgreSQL-like), clients must use
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any
@@ -33,7 +32,12 @@ from repro.relational.sql.executor import (
 )
 from repro.relational.sql.parser import parse
 from repro.relational.sql.planner import Planner
-from repro.relational.table import Table, column_type_from_sql
+from repro.relational.table import (
+    Table,
+    column_type_from_sql,
+    read_wal_record,
+    wal_record,
+)
 from repro.simclock.ledger import charge
 from repro.stats import SqlStatistics, collect_sql_statistics
 from repro.storage.wal import WriteAheadLog
@@ -478,14 +482,12 @@ class Database:
         )
         self.catalog.create_table(stmt.name, columns, primary_key=primary)
         self.wal.append(
-            json.dumps(
-                [
-                    "create_table",
-                    stmt.name.lower(),
-                    [[c, t.value] for c, t in columns],
-                    primary,
-                ]
-            ).encode()
+            wal_record(
+                "create_table",
+                stmt.name.lower(),
+                tuple((c, t.value) for c, t in columns),
+                primary,
+            )
         )
         self.wal.commit()
         self._invalidate_plans()
@@ -494,9 +496,9 @@ class Database:
     def _execute_create_index(self, stmt: ast.CreateIndex) -> int:
         self.catalog.table(stmt.table).create_index(stmt.column, stmt.method)
         self.wal.append(
-            json.dumps(
-                ["create_index", stmt.table.lower(), stmt.column, stmt.method]
-            ).encode()
+            wal_record(
+                "create_index", stmt.table.lower(), stmt.column, stmt.method
+            )
         )
         self.wal.commit()
         self._invalidate_plans()
@@ -536,7 +538,7 @@ class Database:
         from repro.storage.codec import ColumnType
 
         for raw in wal.durable_records():
-            record = json.loads(raw.decode("utf-8"))
+            record = read_wal_record(raw)
             op = record[0]
             if op == "create_table":
                 _op, tname, columns, primary = record
@@ -553,11 +555,11 @@ class Database:
                 db.wal.append(raw)
             elif op == "insert":
                 _op, tname, row = record
-                db.catalog.table(tname).insert(tuple(row))
+                db.catalog.table(tname).insert(row)
             elif op == "update":
                 _op, tname, (old_row, new_row) = record
                 table = db.catalog.table(tname)
-                handle = _find_row(table, tuple(old_row))
+                handle = _find_row(table, old_row)
                 changes = {
                     column: value
                     for column, value in zip(table.column_names, new_row)
@@ -566,7 +568,7 @@ class Database:
             elif op == "delete":
                 _op, tname, row = record
                 table = db.catalog.table(tname)
-                table.delete(_find_row(table, tuple(row)))
+                table.delete(_find_row(table, row))
             else:
                 raise ValueError(f"unknown WAL record {op!r}")
         db.wal.commit()

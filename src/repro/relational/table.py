@@ -14,7 +14,7 @@ adds B+tree or hash secondaries.
 
 from __future__ import annotations
 
-import json
+import marshal
 from collections.abc import Iterator, Mapping, Sequence
 from typing import Any
 
@@ -170,7 +170,7 @@ class Table:
             raise
         self.mvcc.stamp(handle)
         if self.wal is not None:
-            self.wal.append(_wal_record("insert", self.name, list(row)))
+            self.wal.append(wal_record("insert", self.name, row))
         if runtime.TRACE is not None:
             runtime.TRACE.write((self.name, handle))
         return handle
@@ -221,9 +221,7 @@ class Table:
                     index.insert(new_row[pos], new_handle)
         if self.wal is not None:
             self.wal.append(
-                _wal_record(
-                    "update", self.name, [list(old_row), new_row]
-                )
+                wal_record("update", self.name, (old_row, new_row))
             )
         if runtime.TRACE is not None:
             runtime.TRACE.write((self.name, handle))
@@ -239,7 +237,7 @@ class Table:
         else:
             self._remove_physical(handle, row)
         if self.wal is not None:
-            self.wal.append(_wal_record("delete", self.name, list(row)))
+            self.wal.append(wal_record("delete", self.name, row))
         if runtime.TRACE is not None:
             runtime.TRACE.write((self.name, handle))
 
@@ -445,6 +443,24 @@ class Table:
         return base + index_bytes
 
 
-def _wal_record(op: str, table: str, payload: list) -> bytes:
-    """A logical WAL record: JSON ``[op, table, payload]``."""
-    return json.dumps([op, table, payload]).encode("utf-8")
+def wal_record(*fields: Any) -> bytes:
+    """A logical WAL record: the tuple ``(op, table, ...)`` in marshal
+    format version 2, which writes no back-references, so a record's
+    bytes depend on its values alone."""
+    return marshal.dumps(fields, 2)
+
+
+def read_wal_record(raw: bytes) -> tuple:
+    """Decode one :func:`wal_record`; any other bytes raise ``ValueError``.
+
+    The header is checked first (a version-2 tuple: ``(`` and a
+    little-endian 32-bit length of 3 or 4), because ``marshal.loads``
+    trusts a container's length and would try to allocate whatever a
+    foreign header claims.
+    """
+    if raw[:1] != b"(" or int.from_bytes(raw[1:5], "little") not in (3, 4):
+        raise ValueError(f"not a WAL record: {raw[:16]!r}")
+    try:
+        return marshal.loads(raw)
+    except EOFError as exc:
+        raise ValueError(f"truncated WAL record: {exc}") from exc

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.graphdb.store import GraphStore
-from repro.rdf.triples import TripleStore
+from repro.rdf.triples import TripleStore, decode_key, encode_key
 from repro.relational.engine import Database
 from repro.sanitizer import runtime
 from repro.titan.graph import TitanProvider, _encode_value, _pad
@@ -378,10 +378,11 @@ def _index_skew_rdf(store: TripleStore) -> None:
     # typed-entity set through the POS index, and skewing a type triple
     # would cascade into QA701s
     type_id = store.lookup_term("rdf:type")
-    for (s_id, p_id, o_id), _ in store._spo.items():
+    for key, _ in store._spo.items():
+        s_id, p_id, o_id = decode_key(key)
         if p_id == type_id:
             continue
-        store._pos.delete((p_id, o_id, s_id))
+        store._pos.delete(encode_key(p_id, o_id, s_id))
         return
     raise LookupError("triple store has no non-type triples")
 

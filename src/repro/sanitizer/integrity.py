@@ -33,7 +33,7 @@ from typing import Any
 
 from repro.analysis.diagnostics import Diagnostic, SourceLocation, make
 from repro.graphdb.store import GraphStore
-from repro.rdf.triples import TripleStore
+from repro.rdf.triples import TripleStore, decode_key
 from repro.relational.engine import Database
 from repro.storage.hashindex import HashIndex
 from repro.storage.wal import WriteAheadLog
@@ -442,9 +442,15 @@ def _audit_triple_store(store: TripleStore) -> list[Diagnostic]:
             )
 
     # QA702: the three covering indexes must hold the same triple set
-    spo = {key for key, _ in store._spo.items()}
-    pos = {(s, p, o) for (p, o, s), _ in store._pos.items()}
-    osp = {(s, p, o) for (o, s, p), _ in store._osp.items()}
+    spo = {decode_key(key) for key, _ in store._spo.items()}
+    pos = {
+        (s, p, o)
+        for (p, o, s) in (decode_key(key) for key, _ in store._pos.items())
+    }
+    osp = {
+        (s, p, o)
+        for (o, s, p) in (decode_key(key) for key, _ in store._osp.items())
+    }
     for name, rotated in (("pos", pos), ("osp", osp)):
         if rotated != spo:
             missing = len(spo - rotated)

@@ -1,15 +1,23 @@
 """Write-ahead log and checkpointing.
 
 Engines append logical records per modification (``wal_append``) and pay an
-``wal_fsync`` at commit.  The :class:`Checkpointer` flushes dirty buffer
-pages; the Neo4j-like engine runs one periodically, and the Figure 3
-harness converts each checkpoint's page count into a write-stall window —
-reproducing the paper's observation that "Neo4j's update performance
-suffers from sudden drops due to checkpointing".
+``wal_fsync`` at commit.  The log is one append-only byte buffer plus an
+array of record end offsets, as a log file is one byte stream: a record
+costs its own bytes and eight more, not a Python ``bytes`` object of its
+own, and a record's LSN is its 1-based ordinal.  The layout is host
+memory only; the simulated cost is one ``wal_append`` per record and one
+``wal_fsync`` per commit, whatever the record's size.
+
+The :class:`Checkpointer` flushes dirty buffer pages; the Neo4j-like
+engine runs one periodically, and the Figure 3 harness converts each
+checkpoint's page count into a write-stall window — reproducing the
+paper's observation that "Neo4j's update performance suffers from sudden
+drops due to checkpointing".
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator
 from contextlib import contextmanager
 
@@ -22,8 +30,9 @@ class WriteAheadLog:
 
     def __init__(self, name: str = "wal") -> None:
         self.name = name
-        self._records: list[bytes] = []
-        self.appended_bytes = 0
+        self._log = bytearray()
+        # _ends[i] is where record i + 1 (its LSN) ends in _log
+        self._ends = array("Q")
         self.fsync_count = 0
         self._last_synced_lsn = 0
         self._deferring = False
@@ -31,9 +40,9 @@ class WriteAheadLog:
     def append(self, record: bytes) -> int:
         """Append one record; returns its LSN (1-based)."""
         charge("wal_append")
-        self._records.append(record)
-        self.appended_bytes += len(record)
-        return len(self._records)
+        self._log += record
+        self._ends.append(len(self._log))
+        return len(self._ends)
 
     def commit(self) -> None:
         """Make everything appended so far durable (one fsync).
@@ -43,10 +52,10 @@ class WriteAheadLog:
         """
         if self._deferring:
             return
-        if self._last_synced_lsn < len(self._records):
+        if self._last_synced_lsn < len(self._ends):
             charge("wal_fsync")
             self.fsync_count += 1
-            self._last_synced_lsn = len(self._records)
+            self._last_synced_lsn = len(self._ends)
 
     @contextmanager
     def group(self) -> Iterator[None]:
@@ -69,15 +78,15 @@ class WriteAheadLog:
 
     @property
     def last_lsn(self) -> int:
-        return len(self._records)
+        return len(self._ends)
 
     @property
     def unsynced_records(self) -> int:
-        return len(self._records) - self._last_synced_lsn
+        return len(self._ends) - self._last_synced_lsn
 
     def records_since(self, lsn: int) -> list[bytes]:
         """Records after ``lsn`` (for recovery tests)."""
-        return list(self._records[lsn:])
+        return self._slice(range(len(self._ends))[lsn:])
 
     def durable_records(self) -> list[bytes]:
         """Records made durable by a commit — what recovery may replay.
@@ -85,7 +94,17 @@ class WriteAheadLog:
         Appended-but-unsynced records are lost in a crash, exactly as on
         a real system without the final fsync.
         """
-        return list(self._records[: self._last_synced_lsn])
+        return self._slice(range(self._last_synced_lsn))
+
+    def _slice(self, lsns: range) -> list[bytes]:
+        """The records at 0-based positions ``lsns`` (a step-1 range)."""
+        log, ends = self._log, self._ends
+        start = ends[lsns.start - 1] if lsns.start else 0
+        records = []
+        for end in ends[lsns.start : lsns.stop]:
+            records.append(bytes(log[start:end]))
+            start = end
+        return records
 
 
 class Checkpointer:

@@ -77,14 +77,18 @@ class TransactionManager:
 
     def commit(self, txn: Transaction) -> None:
         txn._require_active()
-        charge("txn_commit")
-        if self.wal is not None:
-            self.wal.commit()
-        txn.state = TxnState.COMMITTED
-        txn._undo.clear()
-        if runtime.TRACE is not None:
-            runtime.TRACE.txn_commit(txn.txn_id)
-        self.locks.release_all(txn.txn_id)
+        try:
+            charge("txn_commit")
+            if self.wal is not None:
+                self.wal.commit()
+            txn.state = TxnState.COMMITTED
+            txn._undo.clear()
+            if runtime.TRACE is not None:
+                runtime.TRACE.txn_commit(txn.txn_id)
+        finally:
+            # a fault inside commit propagates, but must not leave the
+            # statement's locks held: nothing else would release them
+            self.locks.release_all(txn.txn_id)
         self.committed += 1
 
     def abort(self, txn: Transaction) -> None:

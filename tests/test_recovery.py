@@ -1,11 +1,16 @@
 """Crash-recovery tests: rebuild a database from its write-ahead log."""
 
+import marshal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import make_connector
 from repro.relational import Database
+from repro.relational.table import read_wal_record, wal_record
 from repro.simclock.ledger import meter
+from repro.snb import GeneratorConfig, generate
 from repro.sqlg import SqlgProvider
 
 
@@ -101,10 +106,51 @@ class TestRecovery:
 
     def test_unknown_record_rejected(self):
         db = seeded_db()
-        db.wal.append(b'["flurble", "person", []]')
+        db.wal.append(wal_record("flurble", "person", ()))
+        db.wal.commit()
+        with pytest.raises(ValueError, match="unknown WAL record"):
+            Database.recover(db.wal)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # the JSON records of the earlier log format: read as
+            # marshal, "[" would claim a list of ~1.9e9 items
+            b'["flurble", "person", []]',
+            b'["insert", "person", [4, "d", 60]]',
+            b"",
+            # a record's header with its body cut off
+            wal_record("insert", "person", (4, "d", 60))[:12],
+            # a marshalled tuple of the wrong arity
+            marshal.dumps(("insert", "person"), 2),
+        ],
+    )
+    def test_foreign_bytes_raise_value_error(self, raw):
+        db = seeded_db()
+        db.wal.append(raw)
         db.wal.commit()
         with pytest.raises(ValueError):
             Database.recover(db.wal)
+
+    def test_records_decode_to_their_values(self):
+        db = seeded_db()
+        db.execute("UPDATE person SET age = 99 WHERE id = 2")
+        db.execute("DELETE FROM person WHERE id = 1")
+        records = [read_wal_record(raw) for raw in db.wal.durable_records()]
+        assert records[0] == (
+            "create_table",
+            "person",
+            (("id", "int"), ("name", "text"), ("age", "int")),
+            "id",
+        )
+        assert records[1] == ("create_index", "person", "name", "hash")
+        assert records[2:] == [
+            ("insert", "person", (1, "a", 30)),
+            ("insert", "person", (2, "b", 40)),
+            ("insert", "person", (3, "c", 50)),
+            ("update", "person", ((2, "b", 40), [2, "b", 99])),
+            ("delete", "person", (1, "a", 30)),
+        ]
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -112,24 +158,78 @@ class TestRecovery:
             st.tuples(
                 st.sampled_from(["insert", "update", "delete"]),
                 st.integers(0, 20),
-                st.integers(0, 100),
+                # every column type, each of them NULL at times; text
+                # reaches past ASCII (surrogates cannot be UTF-8)
+                st.tuples(
+                    st.none() | st.integers(-(2**63), 2**63 - 1),
+                    st.none()
+                    | st.text(
+                        st.characters(blacklist_categories=("Cs",)),
+                        max_size=8,
+                    ),
+                    st.none() | st.floats(allow_nan=False),
+                    st.none() | st.booleans(),
+                ),
             ),
             max_size=40,
         )
     )
     def test_recovery_matches_original(self, ops):
         db = Database("row")
-        db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v INT)")
+        db.execute(
+            "CREATE TABLE t (id BIGINT PRIMARY KEY, v INT, s TEXT, "
+            "f DOUBLE, b BOOL)"
+        )
         live: set[int] = set()
         for op, key, value in ops:
             if op == "insert" and key not in live:
-                db.execute("INSERT INTO t VALUES (?, ?)", (key, value))
+                db.execute(
+                    "INSERT INTO t VALUES (?, ?, ?, ?, ?)", (key, *value)
+                )
                 live.add(key)
             elif op == "update" and key in live:
-                db.execute("UPDATE t SET v = ? WHERE id = ?", (value, key))
+                db.execute(
+                    "UPDATE t SET v = ?, s = ?, f = ?, b = ? WHERE id = ?",
+                    (*value, key),
+                )
             elif op == "delete" and key in live:
                 db.execute("DELETE FROM t WHERE id = ?", (key,))
                 live.discard(key)
         recovered = Database.recover(db.wal)
-        original = db.query("SELECT id, v FROM t ORDER BY id")
-        assert recovered.query("SELECT id, v FROM t ORDER BY id") == original
+        sql = "SELECT id, v, s, f, b FROM t ORDER BY id"
+        assert recovered.query(sql) == db.query(sql)
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    return generate(
+        GeneratorConfig(scale_factor=3, scale_divisor=16000, seed=13)
+    )
+
+
+@pytest.mark.parametrize(
+    "system", ["postgres-sql", "virtuoso-sql", "sqlg"]
+)
+def test_full_load_recovers_every_table(tiny, system):
+    """A whole SNB load, row store, column store and Sqlg's backing
+    database alike, replays from its log into the same tables."""
+    connector = make_connector(system)
+    connector.load(tiny)
+    (db,) = connector.sanitize_targets().values()
+    assert db.wal.unsynced_records == 0
+    recovered = Database.recover(
+        db.wal,
+        storage=db.catalog.storage,
+        transitive_support=db.transitive_support,
+    )
+    names = db.catalog.table_names()
+    assert recovered.catalog.table_names() == names
+    rows = 0
+    for name in names:
+        live = sorted(repr(row) for _, row in db.catalog.table(name).scan())
+        replayed = sorted(
+            repr(row) for _, row in recovered.catalog.table(name).scan()
+        )
+        assert replayed == live, name
+        rows += len(live)
+    assert rows > 1000

@@ -13,6 +13,8 @@ from repro.txn import (
     TransactionManager,
     TxnState,
 )
+from repro.relational import Database
+from repro.simclock.ledger import Ledger, metered
 from repro.storage import WriteAheadLog
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
@@ -220,3 +222,48 @@ class TestTransactionManager:
         txn.commit()
         assert wal.fsync_count == 1
         assert wal.unsynced_records == 0
+
+
+class _FsyncFails(dict):
+    """Ledger counters that raise when a commit charges its fsync."""
+
+    def __missing__(self, name):
+        return 0.0
+
+    def __setitem__(self, name, units):
+        if name == "wal_fsync":
+            raise OSError("injected fsync failure")
+        super().__setitem__(name, units)
+
+
+class TestFaultInsideCommit:
+    """A fault while an autocommit statement commits propagates, and
+    still releases the statement's locks: no caller is left to."""
+
+    def _db(self):
+        db = Database("row")
+        db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v INT)")
+        return db
+
+    def _faulting(self):
+        ledger = Ledger()
+        ledger.counters = _FsyncFails()
+        return metered(ledger)
+
+    def test_autocommit_insert(self):
+        db = self._db()
+        with self._faulting(), pytest.raises(OSError):
+            db.execute("INSERT INTO t VALUES (?, ?)", (1, 10))
+        assert db.txns.locks.holders(("t", 1)) == {}
+        assert db.txns.locks._locks == {}
+        db.execute("INSERT INTO t VALUES (?, ?)", (2, 20))
+        assert db.query("SELECT id FROM t ORDER BY id") == [(1,), (2,)]
+
+    def test_autocommit_update(self):
+        db = self._db()
+        db.execute("INSERT INTO t VALUES (?, ?)", (1, 10))
+        with self._faulting(), pytest.raises(OSError):
+            db.execute("UPDATE t SET v = ? WHERE id = ?", (11, 1))
+        assert db.txns.locks._locks == {}
+        db.execute("UPDATE t SET v = ? WHERE id = ?", (12, 1))
+        assert db.query("SELECT v FROM t") == [(12,)]
