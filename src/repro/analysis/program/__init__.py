@@ -38,7 +38,9 @@ from repro.analysis.program.baseline import (
 from repro.analysis.program.callgraph import (
     SCOPE_PACKAGES,
     build_call_graph,
+    default_paths,
     default_sources,
+    module_name,
     sources_from_paths,
 )
 from repro.analysis.program.passes import (
@@ -90,7 +92,9 @@ class ProgramLintReport:
     a baseline was applied).  ``stale`` entries matched no diagnostic
     this run and ``unresolvable`` entries no longer name any function
     or class in the tree — both mean the baseline has drifted from the
-    code and should be pruned.
+    code and should be pruned.  A run over explicit ``paths`` judges
+    only the entries whose module it analysed or that exist nowhere
+    in the tree.
     """
 
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -127,6 +131,14 @@ def analyze_program_report(
     # an entry that names nothing is reported once, as unresolvable
     # (it is necessarily stale too)
     stale = [e for e in stale if e not in unresolvable]
+    if paths is not None:
+        # an entry for a module of the tree that this run did not
+        # analyse may be live; only the whole-tree run can tell
+        unseen = {module_name(p) for p in default_paths()} - set(sources)
+        stale = [e for e in stale if not e.names_module_in(unseen)]
+        unresolvable = [
+            e for e in unresolvable if not e.names_module_in(unseen)
+        ]
     return ProgramLintReport(
         diagnostics=kept,
         suppressed=suppressed,

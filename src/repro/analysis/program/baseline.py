@@ -22,6 +22,7 @@ can cover a package (``repro.storage.*``).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
@@ -42,6 +43,12 @@ class BaselineEntry:
         return diagnostic.code == self.code and fnmatch(
             diagnostic.location.operation, self.location
         )
+
+    def names_module_in(self, modules: Iterable[str]) -> bool:
+        """Whether the module part of the pattern matches any of
+        ``modules``."""
+        module = self.location.partition(":")[0]
+        return any(fnmatch(name, module) for name in modules)
 
 
 def load_baseline(path: str | Path) -> list[BaselineEntry]:

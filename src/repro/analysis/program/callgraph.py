@@ -68,14 +68,19 @@ class CallGraph:
         return self.by_name.get(name, [])
 
 
-def default_sources() -> dict[str, str]:
-    """module name -> source text for the in-scope engine packages."""
+def default_paths() -> list[Path]:
+    """The source files of the in-scope engine packages."""
     root = Path(__file__).resolve().parents[2]  # .../src/repro
-    return sources_from_paths(
+    return [
         path
         for package in SCOPE_PACKAGES
         for path in sorted((root / package).rglob("*.py"))
-    )
+    ]
+
+
+def default_sources() -> dict[str, str]:
+    """module name -> source text for the in-scope engine packages."""
+    return sources_from_paths(default_paths())
 
 
 def sources_from_paths(paths: Iterable[str | Path]) -> dict[str, str]:

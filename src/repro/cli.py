@@ -62,12 +62,11 @@ def _dataset(args: argparse.Namespace):
 def _parse_systems(value: str) -> list[str]:
     if value == "all":
         return list(SUT_KEYS)
-    known = [*SUT_KEYS, "cluster"]
     keys = [k.strip() for k in value.split(",") if k.strip()]
-    unknown = [k for k in keys if k not in known]
+    unknown = [k for k in keys if k not in SUT_KEYS]
     if unknown:
         raise SystemExit(
-            f"unknown systems {unknown}; known: {', '.join(known)}"
+            f"unknown systems {unknown}; known: {', '.join(SUT_KEYS)}"
         )
     return keys
 
@@ -253,8 +252,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     dataset = _dataset(args)
     systems = _parse_systems(args.systems)
-    sharded = getattr(args, "sharded", False)
-    if len(systems) < 2 and not sharded:
+    if len(systems) < 2:
         raise SystemExit("validation needs at least two systems")
     # pin the mode on every system so one run cross-checks one
     # executor: plain validate exercises the interpreters,
@@ -266,20 +264,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         connector.load(dataset)
         connector.set_execution_mode(mode)
         connectors[key] = connector
-        if sharded and key != "cluster":
-            # pair every single-node engine with a sharded deployment of
-            # the same backend: the scatter/gather answers must be
-            # indistinguishable
-            from repro.cluster import ClusterConnector
-
-            twin = ClusterConnector(
-                backend=key,
-                shards=args.shards,
-                replicas=args.replicas,
-            )
-            twin.load(dataset)
-            twin.set_execution_mode(mode)
-            connectors[f"sharded:{key}"] = twin
     params = WorkloadParams.curate(dataset, count=args.checks, seed=args.seed)
     reference_key = systems[0]
     mismatches = 0
@@ -542,9 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interactive", help="Figure 3 workload")
     _add_dataset_args(p)
-    p.add_argument(
-        "--system", required=True, choices=[*SUT_KEYS, "cluster"]
-    )
+    p.add_argument("--system", required=True, choices=SUT_KEYS)
     p.add_argument("--readers", type=int, default=16)
     p.add_argument("--duration-ms", type=float, default=1000.0)
     p.set_defaults(fn=cmd_interactive)
@@ -561,15 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every system in compiled (vectorized) execution mode "
              "instead of the classic interpreters",
     )
-    p.add_argument(
-        "--sharded", action="store_true",
-        help="additionally cross-check a sharded cluster deployment of "
-             "each selected backend against its single-node twin",
-    )
-    p.add_argument("--shards", type=int, default=3,
-                   help="shard count for --sharded twins")
-    p.add_argument("--replicas", type=int, default=0,
-                   help="read replicas per shard for --sharded twins")
     p.add_argument(
         "--mvcc", action="store_true",
         help="additionally audit snapshot isolation: hold a snapshot "

@@ -46,9 +46,7 @@ _REGISTRY: dict[str, type[Connector]] = {
     )
 }
 
-#: all registry keys in the paper's table order; the "cluster" key is
-#: deliberately absent — the paper's tables compare single-node systems,
-#: and the sharded deployment is opted into per harness
+#: all registry keys in the paper's table order
 SUT_KEYS = [
     "neo4j-cypher",
     "neo4j-gremlin",
@@ -61,17 +59,6 @@ SUT_KEYS = [
 ]
 
 
-def _register_cluster() -> None:
-    # registered lazily: the cluster coordinator composes the single-node
-    # classes (its load() instantiates per-shard engines through this
-    # registry), so importing it eagerly here would be a cycle whenever
-    # repro.cluster itself is imported first
-    if "cluster" not in _REGISTRY:
-        from repro.cluster.connector import ClusterConnector
-
-        _REGISTRY[ClusterConnector.key] = ClusterConnector
-
-
 def make_connector(
     key: str, options: EngineOptions | None = None
 ) -> Connector:
@@ -80,29 +67,16 @@ def make_connector(
     ``options`` is the :class:`EngineOptions` the connector and all its
     engines will share; by default it gets its own.
     """
-    if key == "cluster":
-        _register_cluster()
     try:
         cls = _REGISTRY[key]
     except KeyError:
         raise KeyError(
-            f"unknown SUT {key!r}; known: {sorted({*_REGISTRY, 'cluster'})}"
+            f"unknown SUT {key!r}; known: {sorted(_REGISTRY)}"
         ) from None
     return cls(options=options)
 
 
-def __getattr__(name: str):  # PEP 562: lazy re-export, avoids the cycle
-    if name == "ClusterConnector":
-        from repro.cluster.connector import ClusterConnector
-
-        return ClusterConnector
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 __all__ = [
-    "ClusterConnector",
     "Connector",
     "OperationFailed",
     "make_connector",

@@ -60,7 +60,7 @@ class Connector(ABC):
 
     def __init__(self, options: EngineOptions | None = None) -> None:
         #: the one options object this connector hands, by identity, to
-        #: every engine it builds (cluster pods included)
+        #: every engine it builds
         self.options = options or EngineOptions()
 
     # -- prepare-time validation ---------------------------------------------

@@ -829,7 +829,7 @@ class SqlgConnector(GremlinConnector):
     def _make_provider(self) -> GraphProvider:
         provider = SqlgProvider()
         # private options (see set_isolation_level): start them at the
-        # level this connector was built with, e.g. as a cluster pod
+        # level of the options this connector was built with
         provider.db.options.isolation_level = self.options.isolation_level
         provider.define_vertex_label("person", {
             "id": int, "firstName": str, "lastName": str, "gender": str,

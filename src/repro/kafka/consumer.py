@@ -12,11 +12,6 @@ class Consumer:
     Polls partitions round-robin from the last *committed* offsets;
     :meth:`commit` advances them.  Two consumers in different groups see
     independent offset cursors over the same log.
-
-    ``partitions`` restricts the consumer to an explicit assignment (as
-    ``assign()`` does in real Kafka): a cluster read replica consumes
-    only its own shard's partition so per-shard ordering is the *only*
-    ordering it ever observes.
     """
 
     def __init__(
@@ -26,23 +21,13 @@ class Consumer:
         topic: str,
         *,
         max_poll_records: int = 64,
-        partitions: list[int] | None = None,
     ) -> None:
         self.broker = broker
         self.group = group
         self.topic = topic
         self.max_poll_records = max_poll_records
         count = broker.partition_count(topic)
-        if partitions is None:
-            self._assigned = list(range(count))
-        else:
-            bad = [p for p in partitions if not 0 <= p < count]
-            if bad:
-                raise ValueError(
-                    f"partitions {bad} out of range for {topic!r} "
-                    f"({count} partitions)"
-                )
-            self._assigned = list(partitions)
+        self._partitions = range(count)
         self._committed = [0] * count
         self._position = [0] * count
         self.records_consumed = 0
@@ -57,7 +42,7 @@ class Consumer:
             max_records = self.max_poll_records
         charge("client_rtt")
         out: list[Record] = []
-        for partition in self._assigned:
+        for partition in self._partitions:
             if len(out) >= max_records:
                 break
             batch = self.broker.fetch(
@@ -81,8 +66,8 @@ class Consumer:
         self._position = list(self._committed)
 
     def lag(self) -> int:
-        """Records available but not yet polled (assigned partitions)."""
+        """Records available but not yet polled."""
         return sum(
             self.broker.end_offset(self.topic, p) - self._position[p]
-            for p in self._assigned
+            for p in self._partitions
         )

@@ -26,22 +26,12 @@ class Producer:
         key: Any,
         value: Any,
         timestamp_ms: int = 0,
-        *,
-        partition: int | None = None,
     ) -> None:
         """Queue one record; flushes automatically at the batch size.
 
-        ``partition`` pins the record to an explicit partition (the CDC
-        pipeline routes each shard's changes to its own partition so
-        per-shard order survives the fan-in); by default the partition
-        is derived from ``key`` by hash.
+        The partition is derived from ``key`` by hash.
         """
-        if partition is None:
-            partition = self._partition_for(topic, key)
-        elif not 0 <= partition < self.broker.partition_count(topic):
-            raise ValueError(
-                f"partition {partition} out of range for {topic!r}"
-            )
+        partition = self._partition_for(topic, key)
         self._buffer.append((topic, partition, key, value, timestamp_ms))
         if len(self._buffer) >= self.batch_size:
             self.flush()

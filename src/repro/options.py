@@ -1,9 +1,9 @@
 """The engine modes every system under test must agree on.
 
 A connector owns one :class:`EngineOptions` and hands that same object to
-every engine-like thing it builds (database facade, Gremlin server,
-cluster pods), so a mode set on the connector cannot fail to reach one of
-them: there is nothing to forward.
+every engine-like thing it builds (database facade, Gremlin server), so
+a mode set on the connector cannot fail to reach one of them: there is
+nothing to forward.
 """
 
 from __future__ import annotations

@@ -89,6 +89,9 @@ DEFAULT_WEIGHTS: dict[str, float] = {
     "serialize_item": 6.0,    # GraphSON-serialize one element
     "result_row": 0.4,        # ship one row on a native protocol
     # --- cluster scatter / gather ---------------------------------------------
+    # Nothing charges these four.  They stay because the trajectory's
+    # layer map checks at start-up that every counter it maps has a
+    # weight here.
     "shard_rtt": 95.0,        # driver -> shard round trip (same fabric as
                               # client_rtt; one per scatter *wave*, the
                               # fan-out requests overlap on the wire)

@@ -72,28 +72,6 @@ def charge(name: str, units: float = 1.0) -> None:
 
 
 @contextmanager
-def isolated() -> Iterator[Ledger]:
-    """A fresh ledger that is the *only* active one for the block.
-
-    Ambient ledgers are suspended: charges inside the block land on the
-    yielded ledger and nowhere else.  The cluster scatter/gather driver
-    uses this to meter each shard's sub-operation independently, then
-    charges the ambient ledgers the *critical path* (the slowest shard)
-    rather than the sum — that is what turns N shards into parallelism
-    instead of N-fold cost.
-    """
-    saved = _ACTIVE[:]
-    _ACTIVE.clear()
-    ledger = Ledger()
-    _ACTIVE.append(ledger)
-    try:
-        yield ledger
-    finally:
-        _ACTIVE.clear()
-        _ACTIVE.extend(saved)
-
-
-@contextmanager
 def metered(ledger: Ledger) -> Iterator[Ledger]:
     """Make ``ledger`` active for the duration of the block."""
     _ACTIVE.append(ledger)

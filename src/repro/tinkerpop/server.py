@@ -104,18 +104,6 @@ class GremlinServer:
         #: restart
         self._closure_cache = EpochKeyedCache(512, name="gremlin-closures")
 
-    def share_closure_cache(self, donor: "GremlinServer") -> None:
-        """Adopt ``donor``'s closure cache (pods of one shard).
-
-        The closure cache maps script keys to compile *verdicts* — no
-        graph data — so pods serving replicas of the same shard can share
-        one cache object and a freshly-started replica warms up without
-        recompiling scripts the primary already compiled.  The sharing is
-        symmetric thereafter; a :meth:`restart` of any sharing pod bumps
-        the shared epoch (conservatively flushing the whole fleet).
-        """
-        self._closure_cache = donor._closure_cache
-
     def cache_stats(self) -> list[CacheStats]:
         if self.options.execution_mode != "compiled":
             return []

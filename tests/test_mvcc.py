@@ -286,23 +286,6 @@ class TestIsolationLevelPlumbing:
             connector.provider.db.options.isolation_level == "read-committed"
         )
 
-    def test_cluster_connector_fans_out_to_every_pod(self, dataset):
-        from repro.cluster import ClusterConnector
-
-        cluster = ClusterConnector("postgres-sql", shards=2, replicas=1)
-        cluster.load(dataset)
-        cluster.set_isolation_level("read-committed")
-        for shard in cluster.primaries:
-            assert (
-                shard.engine.db.options.isolation_level == "read-committed"
-            )
-        for pods in cluster.replicas:
-            for replica in pods:
-                assert (
-                    replica.engine.db.options.isolation_level
-                    == "read-committed"
-                )
-
 
 class TestConnectorSnapshotStability:
     """A held snapshot is immune to the update stream, per system."""

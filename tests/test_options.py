@@ -2,33 +2,22 @@
 
 The gate for ROADMAP queue item 1: a mode set on a connector cannot fail
 to reach one of its engines, because every engine-like object the
-connector builds (database facade, Gremlin server, cluster pods) holds
-the connector's own options object.  The single exception is named here
-so the follow-up that removes it must also edit this file.
+connector builds (database facade, Gremlin server) holds the connector's
+own options object.  The single exception is named here so the
+follow-up that removes it must also edit this file.
 """
 
 from collections import deque
 
 import pytest
 
-from repro.cluster import ClusterConnector
 from repro.core import SUT_KEYS, make_connector
 from repro.options import EngineOptions
-from repro.snb import GeneratorConfig, generate
 
 #: trajectory finding 5: sqlg's backing Database keeps private options
 #: (its per-step SQL stays compiled under ``interpreted``) until a
 #: benchmark PR unpins benchmarks/trajectory/test_smoke.py
 SQLG_EXCEPTION = ".provider.db"
-
-CLUSTER_BACKENDS = ["postgres-sql", "neo4j-gremlin", "sqlg"]
-
-
-@pytest.fixture(scope="module")
-def dataset():
-    return generate(
-        GeneratorConfig(scale_factor=3, scale_divisor=8000, seed=13)
-    )
 
 
 def _options_holders(root):
@@ -75,22 +64,6 @@ def test_every_engine_holds_the_connectors_options(key):
     assert _strays(connector) == expected
 
 
-@pytest.mark.parametrize("backend", CLUSTER_BACKENDS)
-def test_every_cluster_pod_holds_the_coordinators_options(backend, dataset):
-    cluster = ClusterConnector(backend=backend, shards=2, replicas=1)
-    cluster.load(dataset)
-    pods = [p.engine for p in cluster.primaries]
-    pods += [r.engine for replicas in cluster.replicas for r in replicas]
-    assert len(pods) == 4
-    assert all(pod.options is cluster.options for pod in pods)
-    strays = _strays(cluster)
-    if backend == "sqlg":
-        assert len(strays) == len(pods)
-        assert all(path.endswith(SQLG_EXCEPTION) for path in strays)
-    else:
-        assert strays == []
-
-
 def test_sqlg_private_options_follow_the_isolation_level():
     built = make_connector(
         "sqlg", options=EngineOptions(isolation_level="read-committed")
@@ -113,7 +86,7 @@ def test_options_reject_unknown_values():
         EngineOptions().caching = True  # the two knobs are the two fields
 
 
-@pytest.mark.parametrize("key", [*SUT_KEYS, "cluster"])
+@pytest.mark.parametrize("key", SUT_KEYS)
 def test_rejected_value_leaves_the_previous_one(key):
     connector = make_connector(key)
     connector.set_execution_mode("interpreted")

@@ -20,6 +20,7 @@ from repro.analysis.sarif import (
     to_sarif,
 )
 from repro.cli import main
+from repro.storage import wal
 
 QA806_BAD = '''
 class Store:
@@ -192,6 +193,23 @@ class TestDiffAndHygiene:
         captured = capsys.readouterr()
         assert "note:" in captured.err
         assert "new diagnostic(s) vs. baseline" in captured.out
+
+    def test_partial_run_leaves_entries_of_unanalysed_modules_alone(
+        self, tmp_path, capsys
+    ):
+        # the entry names a live function of a module the run skipped:
+        # only the whole-tree run can say whether it is stale
+        baseline = self.stale_baseline(
+            tmp_path, "repro.rdf.triples:TripleStore.lookup_term"
+        )
+        for mode in ([], ["--diff"]):
+            exit_code = main([
+                "lint", "--program", *mode,
+                "--paths", wal.__file__,
+                "--baseline", baseline,
+            ])
+            assert exit_code == 0
+            assert capsys.readouterr().err == ""
 
     def test_diff_mode_still_fails_on_new_findings(
         self, tmp_path, empty_baseline, capsys
