@@ -523,7 +523,7 @@ class CypherConnector(Connector):
 
     def apply_update_batch(self, events: list) -> None:
         """Group commit: one WAL fsync for the whole poll of events."""
-        with self.db.write_batch():
+        with self.db.wal.group():
             for event in events:
                 self.apply_update(event)
 

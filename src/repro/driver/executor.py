@@ -59,10 +59,15 @@ class InteractiveConfig:
     checkpoint_interval_ms: float = 500.0
     checkpoint_stall_us_per_record: float = 400.0
     max_update_events: int | None = None
-    #: events applied per group-committed write transaction; 1 keeps the
-    #: paper's per-event writer, >1 drains each poll through
-    #: :meth:`Connector.apply_update_batch` (one WAL flush per batch)
+    #: events the writer polls and applies per update transaction; 1 is
+    #: the paper's per-event writer (:meth:`Connector.apply_update`), >1
+    #: drains each poll through :meth:`Connector.apply_update_batch`
+    #: (group commit: one WAL flush per batch)
     write_batch_size: int = 1
+
+    def __post_init__(self) -> None:
+        if self.write_batch_size < 1:
+            raise ValueError("write_batch_size must be >= 1")
 
 
 @dataclass
@@ -124,13 +129,13 @@ class InteractiveWorkloadRunner:
 
         # Kafka: pre-produce the dependency-ordered update stream
         broker = Broker()
-        broker.create_topic(UPDATES_TOPIC, partitions=1)
-        producer = Producer(broker, batch_size=64)
+        broker.create_topic(UPDATES_TOPIC)
+        producer = Producer(broker)
         events = self.dataset.updates
         if config.max_update_events is not None:
             events = events[: config.max_update_events]
         for event in events:
-            producer.send(UPDATES_TOPIC, None, event, event.creation_ms)
+            producer.send(UPDATES_TOPIC, event, event.creation_ms)
         producer.flush()
         consumer = Consumer(broker, "sut-writer", UPDATES_TOPIC)
 
@@ -175,27 +180,47 @@ class InteractiveWorkloadRunner:
                 return None
             return self.model.cost_us(ledger.counters)
 
+        def enter(writing: bool):
+            """Take a worker's resources, in the one order all workers use."""
+            if is_gremlin:
+                if server_pool.queue_depth >= connector.server.queue_limit:
+                    connector.server.crash()
+                    result.server_crashed = True
+                yield Acquire(server_pool)
+            if store_latch is not None:
+                yield Acquire(store_latch)
+            if rw_latch is not None and writing:
+                # the writer takes every unit: no reader runs beside it
+                for _ in range(rw_latch.capacity):
+                    yield Acquire(rw_latch)
+            elif rw_latch is not None:
+                queued_us = sim.now_us
+                yield Acquire(rw_latch)
+                waited_us = sim.now_us - queued_us
+                if waited_us > 0.0:
+                    result.reader_lock_waits += 1
+                    result.reader_lock_wait_us += waited_us
+            if writing:
+                yield Acquire(checkpoint_lock)
+            yield Acquire(cpu)
+
+        def leave(writing: bool):
+            """Release what :func:`enter` took, in reverse order."""
+            yield Release(cpu)
+            if writing:
+                yield Release(checkpoint_lock)
+            if rw_latch is not None:
+                for _ in range(rw_latch.capacity if writing else 1):
+                    yield Release(rw_latch)
+            if store_latch is not None:
+                yield Release(store_latch)
+            if is_gremlin:
+                yield Release(server_pool)
+
         def reader(reader_id: int):
             while sim.now_us < deadline_us:
                 read_op = mix.draw()
-                if is_gremlin:
-                    if (
-                        server_pool.queue_depth
-                        >= connector.server.queue_limit
-                    ):
-                        connector.server.crash()
-                        result.server_crashed = True
-                    yield Acquire(server_pool)
-                if store_latch is not None:
-                    yield Acquire(store_latch)
-                if rw_latch is not None:
-                    queued_us = sim.now_us
-                    yield Acquire(rw_latch)
-                    waited_us = sim.now_us - queued_us
-                    if waited_us > 0.0:
-                        result.reader_lock_waits += 1
-                        result.reader_lock_wait_us += waited_us
-                yield Acquire(cpu)
+                yield from enter(writing=False)
                 cost_us = execute(
                     lambda: read_op.execute(connector),
                     who=f"reader-{reader_id}",
@@ -209,50 +234,24 @@ class InteractiveWorkloadRunner:
                         (sim.now_us + cost_us) / 1000.0
                     )
                 yield Timeout(cost_us)
-                yield Release(cpu)
-                if rw_latch is not None:
-                    yield Release(rw_latch)
-                if store_latch is not None:
-                    yield Release(store_latch)
-                if is_gremlin:
-                    yield Release(server_pool)
+                yield from leave(writing=False)
 
-        def exclude_readers():
-            """Writer side of the read-committed latch: every unit."""
-            assert rw_latch is not None
-            for _ in range(rw_latch.capacity):
-                yield Acquire(rw_latch)
+        batch_size = config.write_batch_size
+        if batch_size == 1:
+            def apply(events: list) -> None:
+                connector.apply_update(events[0])
+        else:
+            apply = connector.apply_update_batch
 
-        def readmit_readers():
-            assert rw_latch is not None
-            for _ in range(rw_latch.capacity):
-                yield Release(rw_latch)
-
-        def writer_batched():
-            """Batched pipeline: one group-committed txn per poll."""
-            size = config.write_batch_size
+        def writer():
+            """One update transaction per poll of ``batch_size`` events."""
             while sim.now_us < deadline_us:
-                batch = consumer.poll(size)
+                batch = consumer.poll(batch_size)
                 if not batch:
                     return
                 events = [record.value for record in batch]
-                if is_gremlin:
-                    if (
-                        server_pool.queue_depth
-                        >= connector.server.queue_limit
-                    ):
-                        connector.server.crash()
-                        result.server_crashed = True
-                    yield Acquire(server_pool)
-                if store_latch is not None:
-                    yield Acquire(store_latch)
-                if rw_latch is not None:
-                    yield from exclude_readers()
-                yield Acquire(checkpoint_lock)
-                yield Acquire(cpu)
-                cost_us = execute(
-                    lambda evs=events: connector.apply_update_batch(evs)
-                )
+                yield from enter(writing=True)
+                cost_us = execute(lambda: apply(events))
                 if cost_us is not None:
                     per_event_us = cost_us / len(events)
                     for _ in events:
@@ -264,59 +263,7 @@ class InteractiveWorkloadRunner:
                 else:
                     cost_us = 1000.0
                 yield Timeout(cost_us)
-                yield Release(cpu)
-                yield Release(checkpoint_lock)
-                if rw_latch is not None:
-                    yield from readmit_readers()
-                if store_latch is not None:
-                    yield Release(store_latch)
-                if is_gremlin:
-                    yield Release(server_pool)
-                consumer.commit()
-
-        def writer():
-            while sim.now_us < deadline_us:
-                batch = consumer.poll(16)
-                if not batch:
-                    return
-                for record in batch:
-                    if sim.now_us >= deadline_us:
-                        return
-                    event = record.value
-                    if is_gremlin:
-                        if (
-                            server_pool.queue_depth
-                            >= connector.server.queue_limit
-                        ):
-                            connector.server.crash()
-                            result.server_crashed = True
-                        yield Acquire(server_pool)
-                    if store_latch is not None:
-                        yield Acquire(store_latch)
-                    if rw_latch is not None:
-                        yield from exclude_readers()
-                    yield Acquire(checkpoint_lock)
-                    yield Acquire(cpu)
-                    cost_us = execute(
-                        lambda e=event: connector.apply_update(e)
-                    )
-                    if cost_us is not None:
-                        result.updates_applied += 1
-                        result.write_latency.record(cost_us / 1000.0)
-                        result.write_windows.record(
-                            (sim.now_us + cost_us) / 1000.0
-                        )
-                    else:
-                        cost_us = 1000.0
-                    yield Timeout(cost_us)
-                    yield Release(cpu)
-                    yield Release(checkpoint_lock)
-                    if rw_latch is not None:
-                        yield from readmit_readers()
-                    if store_latch is not None:
-                        yield Release(store_latch)
-                    if is_gremlin:
-                        yield Release(server_pool)
+                yield from leave(writing=True)
                 consumer.commit()
 
         def checkpointer():
@@ -333,10 +280,7 @@ class InteractiveWorkloadRunner:
 
         for i in range(config.readers):
             sim.spawn(reader(i), name=f"reader-{i}")
-        if config.write_batch_size > 1:
-            sim.spawn(writer_batched(), name="writer")
-        else:
-            sim.spawn(writer(), name="writer")
+        sim.spawn(writer(), name="writer")
         if connector.key == "neo4j-cypher":
             sim.spawn(checkpointer(), name="checkpointer")
         sim.run(until_us=deadline_us + 50_000.0)

@@ -7,7 +7,7 @@ Adds the operational envelope around the store + executor:
   which depends on indexes and statistics, so the cache is epoch-keyed:
   ``create_index`` / ``analyze`` bump the epoch and force a re-plan,
 * WAL appends per write + group-commit fsync per statement (or per
-  batch, under :meth:`write_batch`),
+  batch, under ``wal.group()``),
 * a dirty-record counter consumed by the periodic checkpointer — the
   Figure 3 harness turns each checkpoint into a write stall, reproducing
   the paper's "sudden drops due to checkpointing".
@@ -15,8 +15,6 @@ Adds the operational envelope around the store + executor:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
 from typing import Any
 
 from repro.cache import CacheStats, EpochKeyedCache
@@ -122,12 +120,6 @@ class GraphDatabase:
             self.wal.append(b"w")
         self.wal.commit()  # group commit: one fsync per statement
         self.dirty_records += writes
-
-    @contextmanager
-    def write_batch(self) -> Iterator[None]:
-        """Group several statements' WAL records under one fsync."""
-        with self.wal.group():
-            yield
 
     # -- operations -----------------------------------------------------------------
 

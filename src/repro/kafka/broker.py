@@ -1,4 +1,4 @@
-"""The broker: named topics of append-only partition logs."""
+"""The broker: one append-only offset log per named topic."""
 
 from __future__ import annotations
 
@@ -13,81 +13,54 @@ class Record:
     """One committed record."""
 
     topic: str
-    partition: int
     offset: int
-    key: Any
     value: Any
     timestamp_ms: int
 
 
-class _PartitionLog:
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: list[Record] = []
-
-    @property
-    def end_offset(self) -> int:
-        return len(self.records)
-
-
-class _Topic:
-    def __init__(self, name: str, partitions: int) -> None:
-        if partitions < 1:
-            raise ValueError("a topic needs at least one partition")
-        self.name = name
-        self.partitions = [_PartitionLog() for _ in range(partitions)]
-
-
 class Broker:
-    """A single-node broker; durability is charged per appended record."""
+    """A single-node broker; durability is charged per appended record.
+
+    It also keeps each consumer group's committed offset per topic, so a
+    consumer built later for the same group resumes where it left off.
+    """
 
     def __init__(self) -> None:
-        self._topics: dict[str, _Topic] = {}
+        self._logs: dict[str, list[Record]] = {}
+        self._committed: dict[tuple[str, str], int] = {}
 
-    def create_topic(self, name: str, partitions: int = 1) -> None:
-        if name in self._topics:
+    def create_topic(self, name: str) -> None:
+        if name in self._logs:
             raise ValueError(f"topic {name!r} already exists")
-        self._topics[name] = _Topic(name, partitions)
+        self._logs[name] = []
 
-    def partition_count(self, topic: str) -> int:
-        return len(self._topic(topic).partitions)
-
-    def _topic(self, name: str) -> _Topic:
+    def _log(self, topic: str) -> list[Record]:
         try:
-            return self._topics[name]
+            return self._logs[topic]
         except KeyError:
-            raise KeyError(f"no topic {name!r}") from None
+            raise KeyError(f"no topic {topic!r}") from None
 
     # -- broker-side operations (called by clients) ----------------------------
 
-    def append(
-        self,
-        topic: str,
-        partition: int,
-        key: Any,
-        value: Any,
-        timestamp_ms: int,
-    ) -> int:
+    def append(self, topic: str, value: Any, timestamp_ms: int) -> int:
         """Append one record; returns its offset."""
-        log = self._topic(topic).partitions[partition]
+        log = self._log(topic)
         charge("wal_append")
-        record = Record(
-            topic, partition, log.end_offset, key, value, timestamp_ms
-        )
-        log.records.append(record)
+        record = Record(topic, len(log), value, timestamp_ms)
+        log.append(record)
         return record.offset
 
-    def fetch(
-        self, topic: str, partition: int, offset: int, max_records: int
-    ) -> list[Record]:
-        log = self._topic(topic).partitions[partition]
-        batch = log.records[offset : offset + max_records]
+    def fetch(self, topic: str, offset: int, max_records: int) -> list[Record]:
+        batch = self._log(topic)[offset : offset + max_records]
         charge("value_cpu", len(batch))
         return batch
 
-    def end_offset(self, topic: str, partition: int) -> int:
-        return self._topic(topic).partitions[partition].end_offset
+    def end_offset(self, topic: str) -> int:
+        return len(self._log(topic))
 
-    def total_records(self, topic: str) -> int:
-        return sum(p.end_offset for p in self._topic(topic).partitions)
+    def commit(self, group: str, topic: str, offset: int) -> None:
+        self._committed[group, topic] = offset
+
+    def committed(self, group: str, topic: str) -> int:
+        """The group's committed offset; 0 before its first commit."""
+        return self._committed.get((group, topic), 0)

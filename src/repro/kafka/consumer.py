@@ -1,4 +1,4 @@
-"""Consumer: offset-tracked polling over all partitions of a topic."""
+"""Consumer: offset-tracked polling of one topic for one group."""
 
 from __future__ import annotations
 
@@ -9,65 +9,31 @@ from repro.simclock.ledger import charge
 class Consumer:
     """One consumer in a named group (one consumer per group here).
 
-    Polls partitions round-robin from the last *committed* offsets;
-    :meth:`commit` advances them.  Two consumers in different groups see
-    independent offset cursors over the same log.
+    It starts at the group's committed offset and polls forward from
+    there; :meth:`commit` stores its position as the group's offset.  A
+    new consumer for the group therefore re-delivers whatever was polled
+    but not committed, and consumers in different groups see independent
+    offsets over the same log.
     """
 
-    def __init__(
-        self,
-        broker: Broker,
-        group: str,
-        topic: str,
-        *,
-        max_poll_records: int = 64,
-    ) -> None:
+    def __init__(self, broker: Broker, group: str, topic: str) -> None:
         self.broker = broker
         self.group = group
         self.topic = topic
-        self.max_poll_records = max_poll_records
-        count = broker.partition_count(topic)
-        self._partitions = range(count)
-        self._committed = [0] * count
-        self._position = [0] * count
-        self.records_consumed = 0
+        self._position = broker.committed(group, topic)
 
-    def poll(self, max_records: int | None = None) -> list[Record]:
-        """Fetch up to ``max_records`` across partitions (one round trip).
-
-        ``max_records`` defaults to the consumer's configured
-        ``max_poll_records`` (the Kafka property of the same name).
-        """
-        if max_records is None:
-            max_records = self.max_poll_records
+    def poll(self, max_records: int) -> list[Record]:
+        """Fetch up to ``max_records`` in offset order (one round trip)."""
         charge("client_rtt")
-        out: list[Record] = []
-        for partition in self._partitions:
-            if len(out) >= max_records:
-                break
-            batch = self.broker.fetch(
-                self.topic,
-                partition,
-                self._position[partition],
-                max_records - len(out),
-            )
-            self._position[partition] += len(batch)
-            out.extend(batch)
-        self.records_consumed += len(out)
-        return out
+        batch = self.broker.fetch(self.topic, self._position, max_records)
+        self._position += len(batch)
+        return batch
 
     def commit(self) -> None:
         """Mark everything polled so far as processed."""
         charge("client_rtt")
-        self._committed = list(self._position)
-
-    def seek_to_committed(self) -> None:
-        """Rewind to the committed offsets (re-deliver uncommitted)."""
-        self._position = list(self._committed)
+        self.broker.commit(self.group, self.topic, self._position)
 
     def lag(self) -> int:
         """Records available but not yet polled."""
-        return sum(
-            self.broker.end_offset(self.topic, p) - self._position[p]
-            for p in self._partitions
-        )
+        return self.broker.end_offset(self.topic) - self._position

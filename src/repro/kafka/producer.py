@@ -1,52 +1,33 @@
-"""Producer: hash-partitioned, batched sends."""
+"""Producer: batched sends."""
 
 from __future__ import annotations
 
-import zlib
 from typing import Any
 
 from repro.kafka.broker import Broker
 from repro.simclock.ledger import charge
 
+#: records buffered before a send flushes them in one round trip
+BATCH_SIZE = 64
+
 
 class Producer:
     """Buffers records and pays one round trip per flushed batch."""
 
-    def __init__(self, broker: Broker, batch_size: int = 16) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+    def __init__(self, broker: Broker) -> None:
         self.broker = broker
-        self.batch_size = batch_size
-        self._buffer: list[tuple[str, int, Any, Any, int]] = []
-        self.records_sent = 0
+        self._buffer: list[tuple[str, Any, int]] = []
 
-    def send(
-        self,
-        topic: str,
-        key: Any,
-        value: Any,
-        timestamp_ms: int = 0,
-    ) -> None:
-        """Queue one record; flushes automatically at the batch size.
-
-        The partition is derived from ``key`` by hash.
-        """
-        partition = self._partition_for(topic, key)
-        self._buffer.append((topic, partition, key, value, timestamp_ms))
-        if len(self._buffer) >= self.batch_size:
+    def send(self, topic: str, value: Any, timestamp_ms: int = 0) -> None:
+        """Queue one record; flushes automatically at :data:`BATCH_SIZE`."""
+        self._buffer.append((topic, value, timestamp_ms))
+        if len(self._buffer) >= BATCH_SIZE:
             self.flush()
-
-    def _partition_for(self, topic: str, key: Any) -> int:
-        count = self.broker.partition_count(topic)
-        if key is None:
-            return self.records_sent % count
-        return zlib.crc32(str(key).encode()) % count
 
     def flush(self) -> None:
         if not self._buffer:
             return
         charge("client_rtt")
-        for topic, partition, key, value, ts in self._buffer:
-            self.broker.append(topic, partition, key, value, ts)
-            self.records_sent += 1
+        for topic, value, ts in self._buffer:
+            self.broker.append(topic, value, ts)
         self._buffer.clear()

@@ -29,6 +29,11 @@ class TestConfiguration:
         result = run("postgres-sql", dataset, max_update_events=5)
         assert result.updates_applied <= 5
 
+    def test_write_batch_size_must_be_positive(self):
+        # a zero-event poll would end the writer before its first update
+        with pytest.raises(ValueError):
+            InteractiveConfig(write_batch_size=0)
+
     def test_duration_respected(self, dataset):
         result = run("postgres-sql", dataset, duration_ms=150.0)
         series = result.read_windows.series()
@@ -70,7 +75,29 @@ class TestPerSystemTraits:
         assert result.read_latency.percentile(50) > 0
 
     def test_writer_consumes_kafka_in_order(self, dataset):
-        result = run("postgres-sql", dataset, duration_ms=400.0)
-        # the applied updates are a prefix of the dependency-sorted stream:
-        # dependencies were never violated
-        assert result.updates_applied <= len(dataset.updates)
+        # the applied updates are exactly a prefix of the dependency-sorted
+        # stream, each applied once and in order, on the per-event writer
+        # and on the batched one (which reaches apply_update through
+        # apply_update_batch)
+        for key in ("postgres-sql", "neo4j-cypher"):
+            for batch_size in (1, 4):
+                connector = make_connector(key)
+                connector.load(dataset)
+                seen = []
+                apply_update = connector.apply_update
+
+                def recorded(event, _apply=apply_update, _seen=seen):
+                    _seen.append(event)
+                    return _apply(event)
+
+                connector.apply_update = recorded
+                config = InteractiveConfig(
+                    readers=4, duration_ms=100.0, window_ms=50.0, seed=5,
+                    write_batch_size=batch_size,
+                )
+                result = InteractiveWorkloadRunner(
+                    connector, dataset, config
+                ).run()
+                n = result.updates_applied
+                assert n > 0, (key, batch_size)
+                assert seen == dataset.updates[:n], (key, batch_size)
