@@ -1,8 +1,8 @@
 """Schema-aware static analysis for the benchmark's query catalogs.
 
-The paper's comparison is only fair if every dialect's implementation of
-an operation touches the same schema elements.  This package checks that
-*statically*, before any benchmark run:
+A misspelled label, edge type or property in an *insert* changes what a
+system stores without changing any answer the cross-check compares, so
+the catalogs are also checked *statically*, before any benchmark run:
 
 * :mod:`repro.analysis.diagnostics` — the ``Diagnostic`` model and the
   ``QAxxx`` error-code taxonomy.
@@ -13,10 +13,10 @@ an operation touches the same schema elements.  This package checks that
   :mod:`~repro.analysis.sparql`, :mod:`~repro.analysis.gremlin` — the
   per-dialect walkers.
 * :mod:`repro.analysis.consistency` — the cross-dialect pass comparing
-  canonical schema footprints per connector operation.
+  canonical schema footprints per insert operation.
 * :mod:`repro.analysis.program`     — the whole-program passes over the
-  engine source (``repro lint --program``): lock order and sorted
-  acquisition, release discipline, trace coverage, MVCC effects.
+  engine source (``repro lint --program``): lock order and blocking
+  I/O under a lock.
 * :mod:`repro.analysis.linter`      — orchestration (``repro lint`` and
   the connectors' prepare-time validation).
 """
@@ -36,8 +36,6 @@ from repro.analysis.gremlin import analyze_gremlin
 from repro.analysis.consistency import (
     DECLARED_INSERT_DELTAS,
     INSERT_OPERATIONS,
-    READ_OPERATIONS,
-    check_consistency,
     check_insert_consistency,
 )
 from repro.analysis.linter import (
@@ -52,7 +50,6 @@ __all__ = [
     "Diagnostic",
     "INSERT_OPERATIONS",
     "QueryValidationError",
-    "READ_OPERATIONS",
     "SchemaCatalog",
     "Severity",
     "SourceLocation",
@@ -60,7 +57,6 @@ __all__ = [
     "analyze_gremlin",
     "analyze_sparql",
     "analyze_sql",
-    "check_consistency",
     "check_insert_consistency",
     "default_catalog",
     "ensure_catalog_valid",

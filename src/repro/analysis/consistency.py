@@ -1,21 +1,20 @@
-"""Cross-dialect consistency: one operation, one schema footprint.
+"""Cross-dialect consistency of the insert operations (QA403).
 
-The paper's core claim is a *fair* comparison: every system answers the
-same workload.  That only holds if, say, ``person_profile`` touches the
-person->place relationship in all four dialects, not just in three.
-This pass compares the canonical schema footprints the dialect walkers
-computed, after :meth:`SchemaCatalog.close_footprint` normalisation
-(dialects encode endpoints differently — a SQL FK column names no
-tables, a SPARQL predicate names no classes — so raw footprints are
-closed over relationship endpoints first).
+The paper's comparison is only fair if every system stores the same
+update.  This pass compares the canonical schema footprints the
+dialect walkers computed for each insert, after
+:meth:`SchemaCatalog.close_footprint` normalisation (dialects encode
+endpoints differently — a SQL FK column names no tables, a SPARQL
+predicate names no classes — so raw footprints are closed over
+relationship endpoints first).
 
-Read operations must agree exactly (QA401).  Insert operations are
-allowed to diverge, but only *declaredly*: each dialect's extra
+Inserts may diverge, but only *declaredly*: each dialect's extra
 footprint beyond the cross-dialect common core must equal its entry in
 :data:`DECLARED_INSERT_DELTAS` (the RDF connector intentionally
 persists ``studyAt`` / ``workAt`` organisation facts the others drop;
 SQL and SPARQL keep comment tags).  Any undeclared surplus — or a
-declared delta that stopped materialising — is QA403.
+declared delta that stopped materialising — is QA403.  Read operations
+need no such pass: ``repro validate`` compares their answers.
 """
 
 from __future__ import annotations
@@ -25,23 +24,6 @@ from collections.abc import Mapping
 from repro.analysis.cypher import AnalysisResult
 from repro.analysis.diagnostics import Diagnostic, SourceLocation, make
 from repro.analysis.schema import SchemaCatalog, default_catalog
-
-#: the 13 read operations every connector must implement identically
-READ_OPERATIONS: tuple[str, ...] = (
-    "point_lookup",
-    "one_hop",
-    "two_hop",
-    "shortest_path",
-    "person_profile",
-    "person_recent_posts",
-    "person_friends",
-    "message_content",
-    "message_creator",
-    "message_forum",
-    "message_replies",
-    "complex_two_hop",
-    "friends_recent_posts",
-)
 
 #: the 7 LDBC insert operations (INS1-INS8; both likes share one)
 INSERT_OPERATIONS: tuple[str, ...] = (
@@ -70,47 +52,6 @@ DECLARED_INSERT_DELTAS: dict[tuple[str, str], frozenset[str]] = {
 }
 
 
-def check_consistency(
-    per_dialect: Mapping[str, Mapping[str, AnalysisResult]],
-    catalog: SchemaCatalog | None = None,
-) -> list[Diagnostic]:
-    """Compare closed footprints across dialects, per read operation.
-
-    ``per_dialect`` maps dialect -> operation -> walker result.
-    """
-    catalog = catalog or default_catalog()
-    out: list[Diagnostic] = []
-    for operation in READ_OPERATIONS:
-        location = SourceLocation("cross", operation)
-        closed: dict[str, frozenset[str]] = {}
-        for dialect, operations in per_dialect.items():
-            result = operations.get(operation)
-            if result is None:
-                out.append(make(
-                    "QA402",
-                    f"{dialect} has no catalog entry for {operation}",
-                    location,
-                ))
-            else:
-                closed[dialect] = catalog.close_footprint(result.footprint)
-        if len(set(closed.values())) <= 1:
-            continue
-        common = frozenset.intersection(*closed.values())
-        details = "; ".join(
-            f"{dialect} adds {{{', '.join(sorted(extra))}}}"
-            if (extra := footprint - common)
-            else f"{dialect} lacks elements the others touch"
-            for dialect, footprint in sorted(closed.items())
-        )
-        out.append(make(
-            "QA401",
-            f"schema footprints diverge (common core "
-            f"{{{', '.join(sorted(common))}}}): {details}",
-            location,
-        ))
-    return out
-
-
 def check_insert_consistency(
     per_dialect: Mapping[str, Mapping[str, AnalysisResult]],
     catalog: SchemaCatalog | None = None,
@@ -124,13 +65,7 @@ def check_insert_consistency(
         closed: dict[str, frozenset[str]] = {}
         for dialect, operations in per_dialect.items():
             result = operations.get(operation)
-            if result is None:
-                out.append(make(
-                    "QA402",
-                    f"{dialect} has no catalog entry for {operation}",
-                    location,
-                ))
-            else:
+            if result is not None:
                 closed[dialect] = catalog.close_footprint(result.footprint)
         if not closed:
             continue

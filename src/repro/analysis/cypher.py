@@ -13,10 +13,6 @@ from repro.stats import expected_entity_rows, format_rows
 
 _COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
 
-#: sentinel environment entries for non-node variables
-_REL = "rel"
-_PATH = "path"
-
 
 @dataclass
 class AnalysisResult:
@@ -47,27 +43,20 @@ def _analyze_one(
 ) -> None:
     try:
         query = parse(text)
-    except CypherParseError as exc:
-        result.diagnostics.append(make("QA105", str(exc), location))
-        return
+    except CypherParseError:
+        return  # the engine's parser rejects it at the first execution
     out = result.diagnostics
-    env: dict[str, object] = {}
-    match_patterns: list[ast.PathPattern] = []
-    anchored_vars: set[str] = set()
+    #: node variable -> the entities its labels allow
+    env: dict[str, frozenset[str]] = {}
 
     for clause in query.clauses:
-        if isinstance(clause, ast.MatchClause):
+        if isinstance(clause, (ast.MatchClause, ast.CreateClause)):
             for pattern in clause.patterns:
-                _check_pattern(pattern, env, anchored_vars, location,
-                               catalog, result)
-                match_patterns.append(pattern)
-            if clause.where is not None:
+                _check_pattern(pattern, env, location, catalog, result)
+            if isinstance(clause, ast.MatchClause) and (
+                clause.where is not None
+            ):
                 _check_expr(clause.where, env, location, catalog, out)
-                _collect_where_anchors(clause.where, anchored_vars)
-        elif isinstance(clause, ast.CreateClause):
-            for pattern in clause.patterns:
-                _check_pattern(pattern, env, anchored_vars, location,
-                               catalog, result)
         elif isinstance(clause, ast.SetClause):
             for item in clause.items:
                 _check_expr(item.target, env, location, catalog, out)
@@ -75,15 +64,8 @@ def _analyze_one(
     if query.returns is not None:
         for item in query.returns.items:
             _check_expr(item.expr, env, location, catalog, out)
-            if item.alias is not None:
-                env.setdefault(item.alias, _PATH)
         for order in query.returns.order_by:
-            if isinstance(order.expr, ast.VarRef) and (
-                order.expr.name in env
-            ):
-                continue  # ORDER BY a RETURN alias
             _check_expr(order.expr, env, location, catalog, out)
-    _check_cartesian(match_patterns, anchored_vars, location, out)
 
 
 # --- patterns --------------------------------------------------------------------
@@ -91,36 +73,21 @@ def _analyze_one(
 
 def _check_pattern(
     pattern: ast.PathPattern,
-    env: dict[str, object],
-    anchored_vars: set[str],
+    env: dict[str, frozenset[str]],
     location: SourceLocation,
     catalog: SchemaCatalog,
     result: AnalysisResult,
 ) -> None:
     out = result.diagnostics
-    if pattern.assign_var is not None:
-        env[pattern.assign_var] = _PATH
-    # resolve nodes first so endpoint checks can look right
-    entity_sets: list[frozenset[str] | None] = []
     for node in pattern.nodes:
         entities = _node_entities(node, location, catalog, out)
-        entity_sets.append(entities)
         if entities:
             result.footprint |= entities
-        if node.var is not None:
-            if entities:
+            if node.var is not None:
                 env[node.var] = entities
-            else:
-                env.setdefault(node.var, frozenset())
         for key, expr in node.props:
-            if key == "id" and node.var is not None:
-                anchored_vars.add(node.var)
             _check_prop(entities or None, key, expr, location, catalog, out)
-    for position, rel in enumerate(pattern.rels):
-        if rel.var is not None:
-            env[rel.var] = _REL
-        left = entity_sets[position]
-        right = entity_sets[position + 1]
+    for rel in pattern.rels:
         for rel_type in rel.types:
             canonical = catalog.cypher_rel_types.get(rel_type)
             if canonical is None:
@@ -130,10 +97,6 @@ def _check_pattern(
                 ))
                 continue
             result.footprint.add(canonical)
-            _check_endpoints(
-                canonical, rel.direction, left, right, location, catalog,
-                out,
-            )
             relationship = catalog.relationships[canonical]
             for key, expr in rel.props:
                 declared = relationship.props.get(key)
@@ -163,48 +126,6 @@ def _node_entities(
             continue
         entities = mapped if entities is None else entities & mapped
     return entities if entities is not None else frozenset()
-
-
-def _check_endpoints(
-    canonical: str,
-    direction: str,
-    left: frozenset[str] | None,
-    right: frozenset[str] | None,
-    location: SourceLocation,
-    catalog: SchemaCatalog,
-    out: list[Diagnostic],
-) -> None:
-    rel = catalog.relationships[canonical]
-
-    def fits(
-        src_side: frozenset[str] | None,
-        dst_side: frozenset[str] | None,
-    ) -> bool:
-        src_ok = not src_side or bool(src_side & rel.src)
-        dst_ok = not dst_side or bool(dst_side & rel.dst)
-        return src_ok and dst_ok
-
-    if direction == "out":
-        ok = fits(left, right)
-    elif direction == "in":
-        ok = fits(right, left)
-    else:
-        ok = fits(left, right) or fits(right, left)
-    if not ok:
-        out.append(make(
-            "QA202",
-            f":{_original_type(canonical, catalog)} cannot connect "
-            f"{set(left or ()) or '?'} to {set(right or ()) or '?'} "
-            f"(expects {set(rel.src)} -> {set(rel.dst)})",
-            location,
-        ))
-
-
-def _original_type(canonical: str, catalog: SchemaCatalog) -> str:
-    for cypher_type, mapped in catalog.cypher_rel_types.items():
-        if mapped == canonical:
-            return cypher_type
-    return canonical
 
 
 def _check_prop(
@@ -256,25 +177,14 @@ def _check_literal_type(
 
 def _check_expr(
     expr: ast.Expr,
-    env: dict[str, object],
+    env: dict[str, frozenset[str]],
     location: SourceLocation,
     catalog: SchemaCatalog,
     out: list[Diagnostic],
 ) -> None:
     if isinstance(expr, ast.PropAccess):
-        bound = env.get(expr.var)
-        if bound is None:
-            out.append(make(
-                "QA107", f"variable {expr.var!r} is not bound", location,
-            ))
-        elif isinstance(bound, frozenset) and bound:
-            _check_prop(bound, expr.key, ast.Param("_"), location,
-                        catalog, out)
-    elif isinstance(expr, ast.VarRef):
-        if expr.name not in env:
-            out.append(make(
-                "QA107", f"variable {expr.name!r} is not bound", location,
-            ))
+        _check_prop(env.get(expr.var), expr.key, ast.Param("_"), location,
+                    catalog, out)
     elif isinstance(expr, ast.BinaryOp):
         _check_expr(expr.left, env, location, catalog, out)
         _check_expr(expr.right, env, location, catalog, out)
@@ -291,7 +201,7 @@ def _check_expr(
 
 def _check_comparison(
     expr: ast.BinaryOp,
-    env: dict[str, object],
+    env: dict[str, frozenset[str]],
     location: SourceLocation,
     catalog: SchemaCatalog,
     out: list[Diagnostic],
@@ -301,7 +211,7 @@ def _check_comparison(
         if not isinstance(prop_side, ast.PropAccess):
             continue
         bound = env.get(prop_side.var)
-        if not isinstance(bound, frozenset) or not bound:
+        if not bound:
             continue
         declared = catalog.entity_prop_type(bound, prop_side.key)
         if declared is not None and isinstance(other, ast.Literal):
@@ -317,13 +227,15 @@ def _check_comparison(
             ))
 
 
-def _scan_estimate(expr: ast.Expr, env: dict[str, object]) -> str:
+def _scan_estimate(
+    expr: ast.Expr, env: dict[str, frozenset[str]]
+) -> str:
     """Expected per-candidate scan size for the filtered variable."""
     access = _first_prop_access(expr)
     if access is None:
         return ""
     bound = env.get(access.var)
-    if not isinstance(bound, frozenset) or not bound:
+    if not bound:
         return ""
     rows = expected_entity_rows(bound)
     if rows is None:
@@ -376,77 +288,3 @@ def _contains_property(expr: ast.Expr) -> bool:
     if isinstance(expr, ast.FuncCall):
         return any(_contains_property(arg) for arg in expr.args)
     return False
-
-
-# --- cartesian products ----------------------------------------------------------
-
-
-def _collect_where_anchors(expr: ast.Expr, anchored: set[str]) -> None:
-    """Vars pinned by an equality on their ``id`` property in WHERE."""
-    if isinstance(expr, ast.BinaryOp):
-        if expr.op == "=":
-            for side, other in (
-                (expr.left, expr.right), (expr.right, expr.left)
-            ):
-                if (
-                    isinstance(side, ast.PropAccess)
-                    and side.key == "id"
-                    and isinstance(other, (ast.Literal, ast.Param))
-                ):
-                    anchored.add(side.var)
-        _collect_where_anchors(expr.left, anchored)
-        _collect_where_anchors(expr.right, anchored)
-
-
-def _check_cartesian(
-    patterns: list[ast.PathPattern],
-    anchored_vars: set[str],
-    location: SourceLocation,
-    out: list[Diagnostic],
-) -> None:
-    if len(patterns) < 2:
-        return
-    # union-find over patterns by shared variables
-    parent = list(range(len(patterns)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        parent[find(i)] = find(j)
-
-    vars_of: list[set[str]] = []
-    for pattern in patterns:
-        names = {n.var for n in pattern.nodes if n.var is not None}
-        names |= {r.var for r in pattern.rels if r.var is not None}
-        vars_of.append(names)
-    for i in range(len(patterns)):
-        for j in range(i + 1, len(patterns)):
-            if vars_of[i] & vars_of[j]:
-                union(i, j)
-    components: dict[int, list[int]] = {}
-    for i in range(len(patterns)):
-        components.setdefault(find(i), []).append(i)
-    if len(components) < 2:
-        return
-    for members in components.values():
-        anchored = False
-        for i in members:
-            if vars_of[i] & anchored_vars:
-                anchored = True
-            if any(
-                key == "id"
-                for node in patterns[i].nodes
-                for key, _ in node.props
-            ):
-                anchored = True
-        if not anchored:
-            out.append(make(
-                "QA301",
-                "disconnected pattern component with no id anchor "
-                "forms a cartesian product",
-                location,
-            ))

@@ -7,9 +7,9 @@ against a provider-less traversal (so the ``has()`` index fold-in stays
 inert and every step is visible) and the resulting ``steps`` list is
 walked with a typestate: the set of entity kinds the current traversers
 may be, or the relationship an edge traverser belongs to.  Adjacency
-steps check their edge label's endpoints against that state (QA202) and
-move it along the edge; ``values``/``has``/``order().by`` check property
-keys (QA103) and literal types (QA201).
+steps check their edge label (QA102) and move the state along the edge;
+``values``/``has``/``order().by`` check property keys (QA103) and
+literal types (QA201).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Any
 from repro.analysis.cypher import AnalysisResult
 from repro.analysis.diagnostics import SourceLocation, make
 from repro.analysis.schema import Relationship, SchemaCatalog, default_catalog
-from repro.stats import expected_entity_rows, expected_vertex_count, format_rows
 from repro.tinkerpop import traversal as tv
 
 #: a catalog entry: (builder, sample keyword arguments)
@@ -38,12 +37,11 @@ def analyze_gremlin(
         location = SourceLocation("gremlin", operation, index)
         try:
             chain = builder(tv.Traversal(provider=None), **sample)
-        except tv.TraversalError as exc:
-            result.diagnostics.append(make("QA105", str(exc), location))
-            continue
-        walker = _Walker(location, catalog, result)
-        walker.check_anchor(chain.steps)
-        walker.walk(chain.steps, ("start", None))
+        except tv.TraversalError:
+            continue  # the builder raises the same at first execution
+        _Walker(location, catalog, result).walk(
+            chain.steps, ("start", None)
+        )
     return result
 
 
@@ -67,47 +65,6 @@ class _Walker:
 
     def emit(self, code: str, message: str) -> None:
         self.out.append(make(code, message, self.location))
-
-    # -- anchoring ---------------------------------------------------------
-
-    def check_anchor(self, steps: list[tv.Step]) -> None:
-        """A top-level chain starting with a bare V() must pin an id in
-        its leading filter run, or it scans every vertex (QA303)."""
-        if not steps or not isinstance(steps[0], tv.VStep):
-            return
-        first = steps[0]
-        if first.vid is not None or first.index_key == "id":
-            return
-        for step in steps[1:]:
-            if isinstance(step, tv.HasStep):
-                if step.key == "id" and step.predicate.op in (
-                    "eq", "within"
-                ):
-                    return
-            elif not isinstance(step, tv.HasLabelStep):
-                break
-        self.emit(
-            "QA303",
-            "traversal starts with an unanchored V() scan"
-            + self.vertex_estimate(first.label),
-        )
-
-    def vertex_estimate(self, label: str | None) -> str:
-        """Expected vertices touched by a full V()/V().hasLabel scan."""
-        if label is not None:
-            entities = self.catalog.gremlin_vertex_labels.get(label)
-            if entities is not None:
-                rows = expected_entity_rows(entities)
-                if rows is not None:
-                    return (
-                        f" (touches {format_rows(rows)} {label} "
-                        f"vertices at SF10)"
-                    )
-            return ""
-        return (
-            f" (touches {format_rows(expected_vertex_count())} "
-            f"vertices at SF10)"
-        )
 
     # -- the typestate walk ------------------------------------------------
 
@@ -182,15 +139,7 @@ class _Walker:
             return state
         self.result.footprint.update(entities)
         if state[0] == "vertices":
-            narrowed = state[1] & entities
-            if not narrowed:
-                self.emit(
-                    "QA202",
-                    f"hasLabel({label!r}) contradicts the traversal "
-                    f"state {sorted(state[1])}",
-                )
-                return ("vertices", entities)
-            return ("vertices", narrowed)
+            return ("vertices", state[1] & entities or entities)
         return ("vertices", entities)
 
     # -- properties --------------------------------------------------------
@@ -272,20 +221,11 @@ class _Walker:
             state[1] if state[0] == "vertices" else self.all_entities
         )
         targets: set[str] = set()
-        ok = False
         if step.direction in ("out", "both") and current & rel.src:
-            ok = True
             targets |= rel.dst
         if step.direction in ("in", "both") and current & rel.dst:
-            ok = True
             targets |= rel.src
-        if not ok:
-            self.emit(
-                "QA202",
-                f"{step.direction}({step.label!r}) cannot apply to "
-                f"{sorted(current)} (edge runs "
-                f"{sorted(rel.src)} -> {sorted(rel.dst)})",
-            )
+        if not targets:
             targets = set(rel.src | rel.dst)
         if step.to_edge:
             return ("edge", rel)
@@ -327,16 +267,6 @@ class _Walker:
             return ("edge", None)
         rel = self.catalog.relationships[name]
         self.result.footprint.add(rel.name)
-        if (
-            state[0] == "vertices"
-            and step.from_vertex is None
-            and not state[1] & rel.src
-        ):
-            self.emit(
-                "QA202",
-                f"addE({step.label!r}) from {sorted(state[1])} (edge "
-                f"sources are {sorted(rel.src)})",
-            )
         for key, value in step.props.items():
             declared = rel.props.get(key)
             if declared is None:

@@ -13,10 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.analysis.consistency import (
-    check_consistency,
-    check_insert_consistency,
-)
+from repro.analysis.consistency import check_insert_consistency
 from repro.analysis.cypher import AnalysisResult, analyze_cypher
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -103,8 +100,8 @@ def connector_catalogs() -> dict[str, Mapping[str, object]]:
 
 
 def lint_all(catalog: SchemaCatalog | None = None) -> list[Diagnostic]:
-    """Every catalog pass: per-dialect walkers and cross-dialect
-    consistency.  Returns diagnostics of all severities.  The checks
+    """Every catalog pass: per-dialect walkers and the cross-dialect
+    insert-footprint check.  Returns diagnostics of all severities.  The checks
     over the engine source itself (lock order among them) are the
     whole-program passes of :mod:`repro.analysis.program`."""
     catalog = catalog or default_catalog()
@@ -115,6 +112,5 @@ def lint_all(catalog: SchemaCatalog | None = None) -> list[Diagnostic]:
         per_dialect[dialect] = results
         for result in results.values():
             diagnostics.extend(result.diagnostics)
-    diagnostics.extend(check_consistency(per_dialect, catalog))
     diagnostics.extend(check_insert_consistency(per_dialect, catalog))
     return diagnostics

@@ -1,22 +1,16 @@
-"""Whole-program concurrency & resource-safety analysis (QA8xx).
+"""Whole-program lock analysis of the engine source (QA801, QA803).
 
-The dynamic sanitizer (:mod:`repro.sanitizer`) proves properties of the
-histories it happens to trace; this package proves the same discipline
-*statically*, on every path, by composing per-function summaries over
-a module-level call graph:
+The passes prove a lock discipline on every path, by composing
+per-function summaries over a module-level call graph:
 
 * :mod:`~repro.analysis.program.callgraph` — sources, functions, and
   conservative name-based call resolution.
 * :mod:`~repro.analysis.program.summaries` — per-function facts: lock
-  acquisition sequences, release discipline, blocking-I/O sites, trace
-  emission, and cache writes/invalidations.
-* :mod:`~repro.analysis.program.passes` — the QA502 and QA801–QA805
-  passes, and :class:`Program` with the one fixpoint driver every
+  and transaction acquisitions, calls and blocking-I/O sites, in
+  source order.
+* :mod:`~repro.analysis.program.passes` — the QA801 and QA803 passes,
+  and :class:`Program` with the one fixpoint driver every
   interprocedural fact is computed by.
-* :mod:`~repro.analysis.program.effects` — the interprocedural
-  MVCC-effect passes QA806–QA810 (snapshot visibility, version
-  stamping, staleness-gated caches, watermark reclaim, read-only
-  compiled closures).
 * :mod:`~repro.analysis.program.baseline` — the committed suppression
   file that keeps `repro lint --program` green on the current tree.
 """

@@ -2,16 +2,16 @@
 
 `repro lint --program` must be green on today's tree so CI can fail on
 *new* diagnostics only.  Findings that are judged-and-justified design
-decisions (e.g. a page-granular write below the record layer's trace
-point) are recorded here rather than silenced in code: every entry
+decisions are recorded here rather than silenced in code: every entry
 carries a justification string, and entries that stop matching
 anything are reported so the baseline shrinks as the tree improves.
+Today's tree needs none, so the committed file is empty.
 
 Format (JSON)::
 
     {"version": 1,
-     "entries": [{"code": "QA804",
-                  "location": "repro.storage.buffer:DiskManager.write",
+     "entries": [{"code": "QA803",
+                  "location": "repro.relational.engine:Database.*",
                   "justification": "..."}]}
 
 ``location`` is matched with :func:`fnmatch.fnmatch` against the
@@ -73,35 +73,17 @@ def unresolvable_entries(
     entries: list[BaselineEntry],
     function_refs: set[str],
 ) -> list[BaselineEntry]:
-    """Entries whose location pattern no longer names anything real.
-
-    An entry *resolves* when its pattern matches some function ref in
-    the analyzed program, or — for the attribute-shaped QA805
-    locations (``module:Class.attr``) — when the ``module:Class`` part
-    matches a class that still has members.  Anything else is a
-    leftover from renamed or deleted code and must be pruned, not
-    silently kept: a pattern that matches nothing today could match a
-    *new* finding tomorrow and suppress it unreviewed.
+    """Entries whose location pattern matches no function ref in the
+    analyzed program.  Such an entry is a leftover from renamed or
+    deleted code and must be pruned, not silently kept: a pattern that
+    matches nothing today could match a *new* finding tomorrow and
+    suppress it unreviewed.
     """
-    class_prefixes = {
-        ref.rsplit(".", 1)[0]
-        for ref in function_refs
-        if "." in ref.partition(":")[2]
-    }
-    out: list[BaselineEntry] = []
-    for entry in entries:
-        if any(fnmatch(ref, entry.location) for ref in function_refs):
-            continue
-        # rpartition leaves the whole pattern when it has no colon
-        # (a leading wildcard may cover the module:Class part)
-        tail = entry.location.rpartition(":")[2]
-        prefix = entry.location.rsplit(".", 1)[0]
-        if "." in tail and any(
-            fnmatch(cls, prefix) for cls in class_prefixes
-        ):
-            continue
-        out.append(entry)
-    return out
+    return [
+        entry
+        for entry in entries
+        if not any(fnmatch(ref, entry.location) for ref in function_refs)
+    ]
 
 
 def apply_baseline(

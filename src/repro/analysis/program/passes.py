@@ -1,45 +1,22 @@
-"""The QA502 and QA801–QA805 interprocedural passes over summaries.
+"""The QA801 and QA803 interprocedural passes over summaries.
 
 ========  ============================================================
-QA502     a function's distinct lock tokens are not acquired in sorted
-          order (re-acquiring an earlier token is a re-entrant no-op,
-          not a second acquisition).  Sorted acquisition is the
-          convention that keeps the global order graph acyclic by
-          construction; ``LockManager.acquire_many`` implements it.
 QA801     lock-order inversion: per-function acquisition sequences are
           composed across the call graph; a strongly connected
           component in the global resource-order graph is a potential
           AB/BA deadlock, whether one function or a call chain
           exhibits it.
-QA802     a lock or transaction is acquired on a path with no
-          dominating release: no enclosing releasing context manager,
-          and no try handler/finally that aborts or releases.
-          Functions that *transfer ownership* (return the transaction,
-          or lock on behalf of an externally managed transaction)
-          shift the obligation to their callers.
 QA803     blocking I/O (WAL fsync, Gremlin submit, checkpoint) is
           reachable while a lock is held.  Release operations
           (commit/abort/release_all) end the held region and are not
           traversed: forcing the log *inside* commit is the 2PL
-          protocol, not a hazard.
-QA804     a storage-mutation function emits no sanitizer trace event.
-          Mutation means: a record/page-level ``charge``, or mutating
-          the same ``self`` attributes a traced sibling method of the
-          class mutates, its cache attributes excepted.  This keeps
-          the sanitizer's runtime hooks from rotting silently as the
-          engines grow.
-QA805     a cache attribute is written (``put``/``store``) but no code
-          path in its class ever registers an invalidation
-          (``bump_epoch``/``invalidate*``/``clear``).  A dict memo
-          named ``*_cache`` counts too: filled by ``memo[k] = v``,
-          invalidated by ``pop``/``clear``.
+          protocol, not a hazard.  Functions that *transfer ownership*
+          (return the transaction, or lock on behalf of an externally
+          managed transaction) start a held region in their callers.
 ========  ============================================================
 
-The MVCC-effect passes QA806–QA810 live in
-:mod:`repro.analysis.program.effects` and run through the same
-:func:`run_passes` entry point.  Every interprocedural fact — lock
-tokens, ownership transfer, reachable I/O, the effect lattices — comes
-from one fixpoint driver, :meth:`Program.propagate`.
+Every interprocedural fact — lock tokens, ownership transfer, reachable
+I/O — comes from one fixpoint driver, :meth:`Program.propagate`.
 
 Every pass emits on the shared :class:`~repro.analysis.diagnostics.
 Diagnostic` model with ``dialect="python"`` and
@@ -57,11 +34,9 @@ from typing import TypeVar
 from repro.analysis.diagnostics import Diagnostic, SourceLocation, make
 from repro.analysis.program.callgraph import CallGraph
 from repro.analysis.program.summaries import (
-    MUTATION_CHARGES,
     RELEASE_NAMES,
     Event,
     FunctionSummary,
-    class_cache_attrs,
 )
 
 #: modules implementing the locking mechanism itself: their internal
@@ -69,19 +44,7 @@ from repro.analysis.program.summaries import (
 #: and must not contribute resource tokens or discipline obligations
 FRAMEWORK_MODULES = {"repro.txn.locks", "repro.txn.manager"}
 
-PASS_NAMES = (
-    "QA502",
-    "QA801",
-    "QA802",
-    "QA803",
-    "QA804",
-    "QA805",
-    "QA806",
-    "QA807",
-    "QA808",
-    "QA809",
-    "QA810",
-)
+PASS_NAMES = ("QA801", "QA803")
 
 T = TypeVar("T")
 
@@ -97,18 +60,6 @@ class Program:
 
     def resolve(self, name: str) -> list[FunctionSummary]:
         return [self.summaries[i.ref] for i in self.graph.resolve(name)]
-
-    @cached_property
-    def classes(self) -> dict[tuple[str, str], list[FunctionSummary]]:
-        """(module, class) -> the summaries of its methods."""
-        out: dict[tuple[str, str], list[FunctionSummary]] = {}
-        for summary in self.summaries.values():
-            info = summary.info
-            if info.class_name is not None:
-                out.setdefault((info.module, info.class_name), []).append(
-                    summary
-                )
-        return out
 
     @cached_property
     def callers(self) -> dict[str, list[tuple[FunctionSummary, Event]]]:
@@ -207,24 +158,13 @@ def run_passes(
     """Run the chosen passes (all of ``PASS_NAMES`` by default), sorted
     stably."""
     wanted = set(PASS_NAMES) if selected is None else selected
-    passes = {
-        "QA502": pass_sorted_acquisition,
-        "QA801": pass_lock_order,
-        "QA802": pass_release_discipline,
-        "QA803": pass_blocking_io,
-        "QA804": pass_trace_coverage,
-        "QA805": pass_cache_invalidation,
-    }
+    passes = {"QA801": pass_lock_order, "QA803": pass_blocking_io}
     diagnostics = [
         diagnostic
         for code, run in passes.items()
         if code in wanted
         for diagnostic in run(program)
     ]
-    # imported here: effects.py uses Program, defined in this module
-    from repro.analysis.program.effects import run_effect_passes
-
-    diagnostics += run_effect_passes(program, wanted)
     diagnostics.sort(
         key=lambda d: (d.code, d.location.operation, d.message)
     )
@@ -237,35 +177,6 @@ def location(ref: str) -> SourceLocation:
 
 def _is_framework(summary: FunctionSummary) -> bool:
     return summary.info.module in FRAMEWORK_MODULES
-
-
-# -- QA502: sorted acquisition within one function -----------------------
-
-
-def pass_sorted_acquisition(program: Program) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    for ref, summary in program.summaries.items():
-        if _is_framework(summary):
-            continue
-        first_seen = list(
-            dict.fromkeys(
-                e.token
-                for e in summary.acquire_events()
-                if e.token is not None
-            )
-        )
-        if first_seen == sorted(first_seen):
-            continue
-        out.append(
-            make(
-                "QA502",
-                f"{ref} acquires lock resources {first_seen} out of "
-                f"sorted order; unsorted multi-lock paths can deadlock "
-                f"against sorted ones (use LockManager.acquire_many)",
-                location(ref),
-            )
-        )
-    return out
 
 
 # -- QA801: composed lock order ------------------------------------------
@@ -387,52 +298,6 @@ def _sccs(graph: Mapping[str, set[str]]) -> list[set[str]]:
     return components
 
 
-# -- QA802: release discipline -------------------------------------------
-
-
-def pass_release_discipline(program: Program) -> list[Diagnostic]:
-    transfer = program.transfer
-    out: list[Diagnostic] = []
-    for ref, summary in program.summaries.items():
-        if _is_framework(summary):
-            continue
-        unsafe: list[str] = []
-        for event in summary.events:
-            if event.with_safe:
-                continue
-            if event.kind == "acquire":
-                unsafe.append(
-                    f"{event.detail} acquisition at line {event.line}"
-                )
-            elif event.kind == "call":
-                if any(
-                    callee.ref in transfer and callee.ref != ref
-                    for callee in program.resolve(event.callee or "")
-                ):
-                    unsafe.append(
-                        f"call to {event.callee} (acquires on the "
-                        f"caller's behalf) at line {event.line}"
-                    )
-        if not unsafe:
-            continue
-        if ref in transfer:
-            continue  # the caller carries the obligation
-        if summary.has_release_handler:
-            continue
-        out.append(
-            make(
-                "QA802",
-                f"{ref} acquires a resource with no dominating "
-                f"release on the exception path ({unsafe[0]}); an "
-                f"exception leaks the lock/transaction — wrap in "
-                f"try/except with abort()/release_all(), or use a "
-                f"releasing context manager",
-                location(ref),
-            )
-        )
-    return out
-
-
 # -- QA803: blocking I/O under a lock ------------------------------------
 
 
@@ -550,78 +415,3 @@ def _io_path(
                 parents[nxt] = current
                 queue.append(nxt)
     return [start]
-
-
-# -- QA804: sanitizer trace coverage -------------------------------------
-
-
-def pass_trace_coverage(program: Program) -> list[Diagnostic]:
-    out = [
-        _qa804(summary, via="charge")
-        for summary in program.summaries.values()
-        if summary.info.class_name is None and _charges_mutation(summary)
-    ]
-    for members in program.classes.values():
-        traced_attrs: set[str] = set()
-        for member in members:
-            if member.trace_write:
-                traced_attrs |= member.self_mutations
-        # a traced writer that also evicts a cache does not make every
-        # fill of that cache a storage write
-        traced_attrs -= class_cache_attrs(members, traced_attrs)
-        for member in members:
-            if member.trace_write or member.info.name == "__init__":
-                continue
-            if _charges_mutation(member):
-                out.append(_qa804(member, via="charge"))
-            elif member.self_mutations & traced_attrs:
-                shared = sorted(member.self_mutations & traced_attrs)
-                out.append(_qa804(member, via=f"attrs {shared}"))
-    return out
-
-
-def _charges_mutation(summary: FunctionSummary) -> bool:
-    return bool(summary.charges & MUTATION_CHARGES)
-
-
-def _qa804(summary: FunctionSummary, via: str) -> Diagnostic:
-    return make(
-        "QA804",
-        f"{summary.ref} mutates storage ({via}) but never emits a "
-        f"runtime.TRACE.write event; the dynamic sanitizer cannot see "
-        f"these writes — add the trace hook or baseline it as a "
-        f"sub-record primitive",
-        location(summary.ref),
-    )
-
-
-# -- QA805: cache invalidation coverage ----------------------------------
-
-
-def pass_cache_invalidation(program: Program) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    for (module, cls), members in program.classes.items():
-        defs: dict[str, str] = {}
-        first_writer: dict[str, str] = {}
-        invalidated: set[str] = set()
-        for member in members:
-            defs.update(member.cache_defs)
-            defs.update(dict.fromkeys(member.memo_defs, "dict"))
-            for attr in member.cache_writes:
-                first_writer.setdefault(attr, member.ref)
-            invalidated |= member.cache_invalidations
-        for attr, cache_cls in defs.items():
-            if attr not in first_writer or attr in invalidated:
-                continue
-            out.append(
-                make(
-                    "QA805",
-                    f"{module}:{cls}.{attr} ({cache_cls}) is written by "
-                    f"{first_writer[attr]} but no code path in {cls} "
-                    f"ever registers an invalidation (bump_epoch/"
-                    f"invalidate*/clear/pop); stale entries will outlive "
-                    f"the truth they cache",
-                    location(f"{module}:{cls}.{attr}"),
-                )
-            )
-    return out

@@ -4,8 +4,8 @@ Entity typing works by *narrowing*: every variable starts as "any
 entity" and each pattern it appears in intersects the set — ``rdf:type``
 by the class, a relationship predicate by its endpoints, a property
 predicate by the entities that own the property.  An empty final set
-means the patterns contradict the schema (QA202 when a relationship
-participated, QA103 otherwise).  Narrowing is order-independent, so the
+means the patterns contradict the schema (QA103 when only property
+predicates and classes took part).  Narrowing is order-independent, so the
 checks run after all patterns have been seen.
 
 Reified-statement predicates (``snb:knowsFrom`` …) only appear in insert
@@ -35,9 +35,8 @@ def analyze_sparql(
         location = SourceLocation("sparql", operation, index)
         try:
             query = parse(text)
-        except SparqlParseError as exc:
-            result.diagnostics.append(make("QA105", str(exc), location))
-            continue
+        except SparqlParseError:
+            continue  # the engine's parser rejects it at first execution
         _check_query(query, location, catalog, result)
     return result
 
@@ -54,16 +53,12 @@ def _check_query(
     env: dict[str, frozenset[str]] = {}  # entity-typed vars
     rel_constrained: set[str] = set()  # vars narrowed by a relationship
     value_types: dict[str, str] = {}  # value vars from property objects
-    bound: set[str] = set()
 
     def narrow(term: sp.Term, allowed: frozenset[str]) -> None:
         if isinstance(term, sp.Var):
             env[term.name] = env.get(term.name, all_entities) & allowed
 
     for pattern in query.patterns:
-        for term in (pattern.s, pattern.o):
-            if isinstance(term, sp.Var):
-                bound.add(term.name)
         predicate = pattern.p
         if not isinstance(predicate, sp.Iri):
             continue  # variable predicates are untypable; allow them
@@ -112,30 +107,17 @@ def _check_query(
     # contradictions: a variable no entity can satisfy
     for var, entities in env.items():
         if not entities:
-            code = "QA202" if var in rel_constrained else "QA103"
-            out.append(make(
-                code,
-                f"no entity satisfies every constraint on ?{var}",
-                location,
-            ))
+            if var not in rel_constrained:
+                out.append(make(
+                    "QA103",
+                    f"no entity satisfies every constraint on ?{var}",
+                    location,
+                ))
         elif entities != all_entities:
             result.footprint.update(entities)
 
-    # unbound variables in SELECT / FILTER / ORDER BY
-    for item in query.items:
-        if item.var is not None and item.var.name not in bound:
-            out.append(make(
-                "QA107", f"?{item.var.name} is not bound", location,
-            ))
-    for order in query.order_by:
-        if order.var.name not in bound:
-            out.append(make(
-                "QA107", f"?{order.var.name} is not bound", location,
-            ))
     for filt in query.filters:
-        _check_filter(filt.expr, bound, value_types, location, out)
-
-    _check_cartesian(query, location, out)
+        _check_filter(filt.expr, value_types, location, out)
 
 
 def _literal_type(value: object) -> str:
@@ -148,42 +130,33 @@ def _literal_type(value: object) -> str:
 
 def _check_filter(
     expr: sp.FilterExpr,
-    bound: set[str],
     value_types: dict[str, str],
     location: SourceLocation,
     out: list,
 ) -> None:
     if isinstance(expr, sp.BoolOp):
-        _check_filter(expr.left, bound, value_types, location, out)
-        _check_filter(expr.right, bound, value_types, location, out)
+        _check_filter(expr.left, value_types, location, out)
+        _check_filter(expr.right, value_types, location, out)
     elif isinstance(expr, sp.NotOp):
-        _check_filter(expr.operand, bound, value_types, location, out)
+        _check_filter(expr.operand, value_types, location, out)
     elif isinstance(expr, sp.Comparison):
-        _check_terms(
-            (expr.left, expr.right), bound, value_types, location, out
-        )
+        _check_terms((expr.left, expr.right), value_types, location, out)
     elif isinstance(expr, sp.InFilter):
         _check_terms(
-            (expr.needle, *expr.items), bound, value_types, location, out
+            (expr.needle, *expr.items), value_types, location, out
         )
 
 
 def _check_terms(
     terms: tuple[sp.Term, ...],
-    bound: set[str],
     value_types: dict[str, str],
     location: SourceLocation,
     out: list,
 ) -> None:
     declared: str | None = None
     for term in terms:
-        if isinstance(term, sp.Var):
-            if term.name not in bound:
-                out.append(make(
-                    "QA107", f"?{term.name} is not bound", location,
-                ))
-            elif declared is None:
-                declared = value_types.get(term.name)
+        if isinstance(term, sp.Var) and declared is None:
+            declared = value_types.get(term.name)
     if declared is None:
         return
     for term in terms:
@@ -196,49 +169,3 @@ def _check_terms(
                     f"literal {term.value!r}",
                     location,
                 ))
-
-
-def _check_cartesian(
-    query: sp.SparqlQuery,
-    location: SourceLocation,
-    out: list,
-) -> None:
-    """Triple patterns sharing no variable with the rest of the query
-    multiply its solutions — unless their component is anchored by a
-    parameter or concrete IRI."""
-    if not query.patterns:
-        return
-    parent = list(range(len(query.patterns)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_var: dict[str, int] = {}
-    anchored: dict[int, bool] = {}
-    for i, pattern in enumerate(query.patterns):
-        for term in (pattern.s, pattern.p, pattern.o):
-            if isinstance(term, sp.Var):
-                if term.name in by_var:
-                    root_a, root_b = find(i), find(by_var[term.name])
-                    parent[root_a] = root_b
-                by_var[term.name] = i
-            elif isinstance(term, sp.ParamTerm):
-                anchored[i] = True
-            elif isinstance(term, sp.Iri) and term is pattern.s:
-                anchored[i] = True  # a concrete subject IRI
-    components: dict[int, bool] = {}
-    for i in range(len(query.patterns)):
-        root = find(i)
-        components[root] = components.get(root, False) or anchored.get(
-            i, False
-        )
-    if len(components) > 1 and not all(components.values()):
-        out.append(make(
-            "QA301",
-            f"{len(components)} disconnected pattern groups, not all "
-            "anchored (cartesian product)",
-            location,
-        ))

@@ -26,9 +26,8 @@ def analyze_sql(
         location = SourceLocation("sql", operation, index)
         try:
             statement = parse(text)
-        except SqlParseError as exc:
-            result.diagnostics.append(make("QA105", str(exc), location))
-            continue
+        except SqlParseError:
+            continue  # the engine's parser rejects it at first execution
         _Checker(location, catalog, result).statement(statement)
     return result
 
@@ -86,14 +85,6 @@ class _Checker:
         table = self.require_table(stmt.table)
         if table is None:
             return
-        width = len(table.columns)
-        if len(stmt.values) != width:
-            self.out.append(make(
-                "QA106",
-                f"INSERT INTO {stmt.table} supplies {len(stmt.values)} "
-                f"values for {width} columns",
-                self.location,
-            ))
         # a full-row insert touches every concept the table encodes
         for column in table.columns.values():
             if column.concept is not None:
@@ -107,19 +98,9 @@ class _Checker:
             if self.resolve_source(sel.from_table.name) is not None:
                 scope[sel.from_table.binding] = sel.from_table.name
         for join in sel.joins:
-            prior = dict(scope)
             if self.resolve_source(join.table.name) is not None:
                 scope[join.table.binding] = join.table.name
             self.expr(join.condition, scope)
-            if prior and not self.joins_new_table(
-                join.condition, join.table.binding, prior
-            ):
-                self.out.append(make(
-                    "QA301",
-                    f"JOIN {join.table.name} condition does not relate "
-                    "it to the preceding tables (cartesian product)",
-                    self.location,
-                ))
         for item in sel.items:
             self.expr(item.expr, scope)
         if sel.where is not None:
@@ -129,44 +110,14 @@ class _Checker:
         for order in sel.order_by:
             self.expr(order.expr, scope)
 
-    def joins_new_table(
-        self,
-        condition: ast.Expr,
-        new_binding: str,
-        prior: dict[str, str],
-    ) -> bool:
-        bindings: set[str] = set()
-        self.collect_bindings(condition, bindings)
-        return new_binding in bindings and bool(bindings & prior.keys())
-
-    def collect_bindings(self, expr: ast.Expr, out: set[str]) -> None:
-        if isinstance(expr, ast.ColumnRef):
-            if expr.table is not None:
-                out.add(expr.table)
-        elif isinstance(expr, ast.BinaryOp):
-            self.collect_bindings(expr.left, out)
-            self.collect_bindings(expr.right, out)
-        elif isinstance(expr, ast.UnaryOp):
-            self.collect_bindings(expr.operand, out)
-        elif isinstance(expr, ast.InList):
-            self.collect_bindings(expr.needle, out)
-        elif isinstance(expr, ast.IsNull):
-            self.collect_bindings(expr.operand, out)
-        elif isinstance(expr, ast.FuncCall):
-            for arg in expr.args:
-                self.collect_bindings(arg, out)
-
     # -- sources and columns --------------------------------------------------
 
     def require_table(self, name: str) -> SqlTable | None:
-        """The catalog's table, or a QA104 diagnostic."""
+        """The catalog's table (None when unknown: the engine rejects
+        the statement at its first execution)."""
         table = self.catalog.sql_tables.get(name)
-        if table is None:
-            self.out.append(make(
-                "QA104", f"unknown table {name!r}", self.location,
-            ))
-            return None
-        self.result.footprint.add(table.concept)
+        if table is not None:
+            self.result.footprint.add(table.concept)
         return table
 
     def resolve_source(self, name: str) -> tuple[str, ...] | SqlTable | None:
@@ -182,11 +133,6 @@ class _Checker:
         if ref.table is not None:
             source = scope.get(ref.table)
             if source is None:
-                self.out.append(make(
-                    "QA104",
-                    f"unknown table alias {ref.table!r}",
-                    self.location,
-                ))
                 return None
             candidates.append((source, ref.column))
         else:

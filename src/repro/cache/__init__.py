@@ -66,8 +66,9 @@ Audit of derived-state sites (staleness hazards)
   ``tuple_cpu`` / ``value_cpu`` charges of the fetch it stands for.  It
   derives from the record's bytes alone, so it is invalidated
   per-entry by the only two paths that rewrite them, ``update`` and
-  ``_remove_physical`` (QA805 fires if neither evicts); a deferred
-  delete keeps the bytes and the entry.  Snapshot reads apply ``mvcc.read`` on top, as for a fresh
+  ``_remove_physical`` (tier-1 fails when ``update`` stops evicting:
+  DESIGN.md §14); a deferred delete keeps the bytes and the entry.
+  Snapshot reads apply ``mvcc.read`` on top, as for a fresh
   fetch.  No ``cache_stats()`` row: no configuration's ledger depends
   on it.
 * Cypher ``_stmt_cache`` — the cached object bundles parse *and* plan;

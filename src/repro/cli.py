@@ -8,8 +8,8 @@ Commands
 ``load``         the Table 4 / Appendix A ingestion experiment
 ``validate``     cross-check that all systems answer queries identically
 ``lint``         statically analyse the query catalogs against the schema
-``sanitize``     run the interactive workload under the race detector
-                 and data-integrity auditors (optionally fault-injected)
+``sanitize``     run the interactive workload, then the data-integrity
+                 audits (optionally fault-injected)
 ``systems``      list the eight SUT keys
 """
 
@@ -338,7 +338,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     (machine-readable; the summary line is suppressed).
 
     ``--program`` switches from the query-catalog passes to the
-    whole-program QA8xx passes over the engine source itself; findings
+    whole-program QA801/QA803 passes over the engine source; findings
     matching the committed baseline file are suppressed, so the gate
     fails only on *new* diagnostics.  Baseline entries that match no
     finding (stale) or no longer name any function in the tree
@@ -424,12 +424,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_sanitize(args: argparse.Namespace) -> int:
-    """Run the Figure 3 workload under full instrumentation.
+    """Run the Figure 3 workload, then audit each system's state.
 
     Without ``--inject``: exit 1 if any diagnostic fires (the clean run
     must be silent).  With ``--inject MODE``: exit 0 only when the run
     reports *exactly* the planted fault's expected codes, so the matrix
-    doubles as an end-to-end self-test of the sanitizer.
+    doubles as an end-to-end self-test of the audits.
     """
     import json
 
@@ -481,7 +481,6 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
             print(
                 f"{report.system}: {verdict} — "
                 f"{len(report.diagnostics)} diagnostic(s), "
-                f"{report.event_count} events, "
                 f"{report.updates_applied} update(s) applied, "
                 f"batch={report.write_batch_size}"
                 f"{wanted}"
@@ -568,8 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--program", action="store_true",
-        help="run the whole-program QA8xx passes over the engine "
-             "source instead of the query-catalog passes",
+        help="run the whole-program QA801/QA803 passes over the "
+             "engine source instead of the query-catalog passes",
     )
     p.add_argument(
         "--baseline", nargs="?", default=None, const=None,
@@ -593,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sanitize",
-        help="race detection + integrity audits over a workload run",
+        help="integrity audits after a workload run",
     )
     _add_dataset_args(p)
     p.add_argument("--systems", default="all",

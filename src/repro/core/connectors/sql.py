@@ -328,7 +328,9 @@ class SqlConnector(Connector):
 
     @staticmethod
     def _event_lock(event: UpdateEvent) -> tuple[str, object]:
-        """The (table, key) the event's first INSERT will lock."""
+        """The (table, key) the batch locks for the event: the key its
+        first INSERT locks, or ``(table, None)`` for a keyless table,
+        whose INSERT locks the new row's handle once it has one."""
         kind, payload = event.kind, event.payload
         if kind is UpdateKind.ADD_PERSON:
             return ("person", payload.id)

@@ -30,7 +30,6 @@ from repro.core.connectors.gremlin import GremlinConnector
 from repro.core.metrics import LatencyRecorder, ThroughputWindow
 from repro.driver.workload import QueryMix
 from repro.kafka import Broker, Consumer, Producer
-from repro.sanitizer import runtime
 from repro.simclock import (
     Acquire,
     CostModel,
@@ -167,15 +166,11 @@ class InteractiveWorkloadRunner:
         mix = QueryMix(params, mix=config.mix, seed=config.seed)
         deadline_us = config.duration_ms * 1000.0
 
-        def execute(op, who: str = "writer") -> float | None:
+        def execute(op) -> float | None:
             """Run the op for real; returns its simulated cost in us."""
             try:
-                if runtime.TRACE is None:
-                    with meter() as ledger:
-                        op()
-                else:
-                    with runtime.worker(who), meter() as ledger:
-                        op()
+                with meter() as ledger:
+                    op()
             except OperationFailed:
                 return None
             return self.model.cost_us(ledger.counters)
@@ -217,14 +212,11 @@ class InteractiveWorkloadRunner:
             if is_gremlin:
                 yield Release(server_pool)
 
-        def reader(reader_id: int):
+        def reader():
             while sim.now_us < deadline_us:
                 read_op = mix.draw()
                 yield from enter(writing=False)
-                cost_us = execute(
-                    lambda: read_op.execute(connector),
-                    who=f"reader-{reader_id}",
-                )
+                cost_us = execute(lambda: read_op.execute(connector))
                 if cost_us is None:
                     result.read_failures += 1
                     cost_us = 1000.0  # failed request still burns time
@@ -279,7 +271,7 @@ class InteractiveWorkloadRunner:
                 yield Release(checkpoint_lock)
 
         for i in range(config.readers):
-            sim.spawn(reader(i), name=f"reader-{i}")
+            sim.spawn(reader(), name=f"reader-{i}")
         sim.spawn(writer(), name="writer")
         if connector.key == "neo4j-cypher":
             sim.spawn(checkpointer(), name="checkpointer")

@@ -20,7 +20,6 @@ from functools import partial
 from types import MappingProxyType
 from typing import Any
 
-from repro.sanitizer import runtime
 from repro.simclock.ledger import charge
 from repro.stats import GraphStatistics
 from repro.storage.hashindex import HashIndex
@@ -145,8 +144,6 @@ class GraphStore:
         for (label, prop), index in self._indexes.items():
             if label in labels and props.get(prop) is not None:
                 index.insert(props[prop], node_id)
-        if runtime.TRACE is not None:
-            runtime.TRACE.write(("node", node_id))
         return node_id
 
     def create_rel(
@@ -173,9 +170,6 @@ class GraphStore:
         start_record.first_rel = rel_id
         end_record.first_rel = rel_id
         self.rel_count += 1
-        if runtime.TRACE is not None:
-            runtime.TRACE.write(("node", start))
-            runtime.TRACE.write(("node", end))
         return rel_id
 
     def delete_node(self, node_id: int) -> None:
@@ -189,8 +183,6 @@ class GraphStore:
             # no snapshot could still need the record: remove it now;
             # otherwise it stays (tombstoned) until GC reclaims it
             self._remove_physical(node_id, record)
-        if runtime.TRACE is not None:
-            runtime.TRACE.write(("node", node_id))
 
     def _remove_physical(self, node_id: int, record: _NodeRecord) -> None:
         record.deleted = True
@@ -222,8 +214,6 @@ class GraphStore:
                     index.delete(old, node_id)
                 if value is not None:
                     index.insert(value, node_id)
-        if runtime.TRACE is not None:
-            runtime.TRACE.write(("node", node_id))
 
     # -- read path ----------------------------------------------------------------
 
@@ -240,8 +230,6 @@ class GraphStore:
     def node_props(self, node_id: int) -> dict[str, Any]:
         record = self._node(node_id)
         _charge_records()
-        if runtime.TRACE is not None:
-            runtime.TRACE.read(("node", node_id))
         props = self.mvcc.read(node_id, record.props)
         _charge_values(len(props))
         return dict(props)
@@ -250,8 +238,6 @@ class GraphStore:
         record = self._node(node_id)
         _charge_records()
         _charge_values()
-        if runtime.TRACE is not None:
-            runtime.TRACE.read(("node", node_id))
         return self.mvcc.read(node_id, record.props).get(key)
 
     def _rel(self, rel_id: int) -> _RelRecord:
@@ -279,8 +265,6 @@ class GraphStore:
     ) -> Iterator[tuple[int, int]]:
         """Yield ``(rel_id, other_node_id)`` by walking the record chain."""
         self._node(node_id)  # existence + visibility check
-        if runtime.TRACE is not None:
-            runtime.TRACE.read(("node", node_id))
         rel_id = self._nodes[node_id].first_rel
         while rel_id != NO_REL:
             record = self._rels[rel_id]
@@ -398,13 +382,12 @@ class GraphStore:
         ``match`` when ``match``.  Under a view ``mvcc.visible`` runs as
         often as those calls run it, so ``version_check`` and
         ``version_walk`` are unchanged; with no view it charges nothing
-        and runs once per id.  The sanitizer sees one read per property
-        map.  Only the ``record_read``/``value_cpu`` units are summed,
-        and charged once in a ``finally``: a ``match`` that raises
-        leaves what the per-node calls had charged by then.  Each
-        counter still enters the ledger where the per-node calls would
-        have put it first (a zero-unit charge), because a ledger prices
-        its counters in insertion order.
+        and runs once per id.  Only the ``record_read``/``value_cpu``
+        units are summed, and charged once in a ``finally``: a ``match``
+        that raises leaves what the per-node calls had charged by then.
+        Each counter still enters the ledger where the per-node calls
+        would have put it first (a zero-unit charge), because a ledger
+        prices its counters in insertion order.
         """
         records = self._nodes
         visible = self.mvcc.visible
@@ -441,8 +424,6 @@ class GraphStore:
                     if recheck:
                         visible(node_id)
                     reads += 1
-                    if runtime.TRACE is not None:
-                        runtime.TRACE.read(("node", node_id))
                     props = self.mvcc.read(node_id, record.props)
                     if not props_read:
                         # where node_props first charged value_cpu:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import Any
 
-from repro.sanitizer import runtime
 from repro.simclock.ledger import charge
 from repro.stats import TripleStatistics
 from repro.storage.btree import BPlusTree
@@ -108,8 +107,6 @@ class TripleStore:
             # re-create is pure metadata, old snapshots keep the gap
             charge("page_write")
             self.triple_count += 1
-            if runtime.TRACE is not None:
-                runtime.TRACE.write(("rdf-subject", s))
             return True
         self.mvcc.stamp((s_id, p_id, o_id))
         self._pos.insert(encode_key(p_id, o_id, s_id), True)
@@ -119,8 +116,6 @@ class TripleStore:
         # indexes over one big table must be maintained"
         charge("page_write")
         self.triple_count += 1
-        if runtime.TRACE is not None:
-            runtime.TRACE.write(("rdf-subject", s))
         return True
 
     def remove(self, s: Term, p: Term, o: Term) -> bool:
@@ -136,8 +131,6 @@ class TripleStore:
         # removal maintains the same three covering indexes as add
         charge("page_write")
         self.triple_count -= 1
-        if runtime.TRACE is not None:
-            runtime.TRACE.write(("rdf-subject", s))
         return True
 
     def _delete_physical(self, key: tuple[int, int, int]) -> None:
@@ -164,11 +157,8 @@ class TripleStore:
     ) -> Iterator[tuple[int, int, int]]:
         """All triples matching the bound positions (None = wildcard),
         filtered by the current view's visibility rule."""
-        trace = runtime.TRACE
         for triple in self._match_ids_raw(s_id, p_id, o_id):
             if self.mvcc.visible(triple):
-                if trace is not None:
-                    trace.read(("rdf-subject", self._id_to_term[triple[0]]))
                 yield triple
 
     def _match_ids_raw(

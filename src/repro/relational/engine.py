@@ -265,7 +265,16 @@ class Database:
 
     # -- DML --------------------------------------------------------------------------
 
-    def _dml_boundary(self, table: Table, key: Any) -> Transaction | None:
+    @staticmethod
+    def _row_lock(table: Table, handle: Any, row: Sequence[Any]) -> tuple:
+        """A row's one lock resource, the same under INSERT, UPDATE and
+        DELETE: its primary key where the table has one, else its
+        handle."""
+        if table.primary_key is None:
+            return (table.name, handle)
+        return (table.name, row[table.column_position(table.primary_key)])
+
+    def _dml_boundary(self, resource: tuple) -> Transaction | None:
         """Lock and return the enclosing txn (None => autocommit)."""
         txn = self._active_txn
         if txn is None:
@@ -273,9 +282,7 @@ class Database:
             autocommit = True
         else:
             autocommit = False
-        self.txns.locks.acquire(
-            txn.txn_id, (table.name, key), LockMode.EXCLUSIVE
-        )
+        self.txns.locks.acquire(txn.txn_id, resource, LockMode.EXCLUSIVE)
         return txn if autocommit else None
 
     def _dml_prepared(
@@ -296,7 +303,9 @@ class Database:
         self, stmt: ast.Insert
     ) -> Callable[[Sequence[Any]], int]:
         """An INSERT text as one closure over its table: evaluate the
-        values, then (autocommit) begin, lock the key, insert, commit."""
+        values, then (autocommit) begin, lock the row, insert, commit.
+        A keyed row is locked by its key before the insert; a keyless
+        one by its handle, as soon as the insert returns it."""
         table = self.catalog.table(stmt.table)
         empty = Schema([])
         value_fns = [compile_expr(e, empty) for e in stmt.values]
@@ -313,23 +322,25 @@ class Database:
         def run(params: Sequence[Any]) -> int:
             params_t = tuple(params)
             values = tuple([fn((), params_t) for fn in value_fns])
-            pk = values[pk_pos] if pk_pos is not None else None
             txn = self._active_txn
-            if txn is not None:
-                acquire(txn.txn_id, (name, pk), exclusive)
+            autocommit = txn is None
+            if autocommit:
+                txn = txns.begin()
+            try:
+                if pk_pos is not None:
+                    acquire(txn.txn_id, (name, values[pk_pos]), exclusive)
                 handle = table.insert(values)
                 txn.on_abort(lambda: table.delete(handle))
-                return 1
-            txn = txns.begin()
-            acquire(txn.txn_id, (name, pk), exclusive)
-            try:
-                table.insert(values)
+                if pk_pos is None:
+                    acquire(txn.txn_id, (name, handle), exclusive)
             except BaseException:
                 # no enclosing transaction() manager releases an
                 # autocommit txn's row lock: abort here or leak it
-                txn.abort()
+                if autocommit:
+                    txn.abort()
                 raise
-            txn.commit()
+            if autocommit:
+                txn.commit()
             return 1
 
         return run
@@ -354,7 +365,7 @@ class Database:
         affected = 0
         for handle, row in matches:
             changes = {col: fn(row, params_t) for col, fn in assign_fns}
-            auto = self._dml_boundary(table, handle)
+            auto = self._dml_boundary(self._row_lock(table, handle, row))
             try:
                 old = {c: row[table.column_position(c)] for c in changes}
                 new_handle = table.update(handle, changes)
@@ -385,7 +396,7 @@ class Database:
         self._lock_rows(table, matches)
         affected = 0
         for handle, row in matches:
-            auto = self._dml_boundary(table, handle)
+            auto = self._dml_boundary(self._row_lock(table, handle, row))
             try:
                 table.delete(handle)
                 txn = auto or self._active_txn
@@ -418,7 +429,7 @@ class Database:
             return
         self.txns.locks.acquire_many(
             self._active_txn.txn_id,
-            [(table.name, handle) for handle, _ in matches],
+            [self._row_lock(table, handle, row) for handle, row in matches],
             LockMode.EXCLUSIVE,
         )
 

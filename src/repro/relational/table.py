@@ -18,7 +18,6 @@ import marshal
 from collections.abc import Iterator, Mapping, Sequence
 from typing import Any
 
-from repro.sanitizer import runtime
 from repro.simclock.ledger import charge
 from repro.storage.btree import BPlusTree
 from repro.storage.buffer import BufferPool
@@ -171,8 +170,6 @@ class Table:
         self.mvcc.stamp(handle)
         if self.wal is not None:
             self.wal.append(wal_record("insert", self.name, row))
-        if runtime.TRACE is not None:
-            runtime.TRACE.write((self.name, handle))
         return handle
 
     def _unstore(
@@ -190,8 +187,6 @@ class Table:
             self._heap.delete(handle)
         else:
             self._cols.pop_last()
-        if runtime.TRACE is not None:
-            runtime.TRACE.write((self.name, handle))
 
     def update(self, handle: Any, changes: Mapping[str, Any]) -> Any:
         """Apply ``changes``; returns the (possibly moved) handle."""
@@ -223,8 +218,6 @@ class Table:
             self.wal.append(
                 wal_record("update", self.name, (old_row, new_row))
             )
-        if runtime.TRACE is not None:
-            runtime.TRACE.write((self.name, handle))
         return new_handle
 
     def delete(self, handle: Any) -> None:
@@ -238,8 +231,6 @@ class Table:
             self._remove_physical(handle, row)
         if self.wal is not None:
             self.wal.append(wal_record("delete", self.name, row))
-        if runtime.TRACE is not None:
-            runtime.TRACE.write((self.name, handle))
 
     def undo_delete(self, handle: Any, row: Sequence[Any]) -> Any:
         """Transaction-abort undo of :meth:`delete`; returns the handle.
@@ -292,8 +283,6 @@ class Table:
 
     def fetch(self, handle: Any) -> tuple:
         row = self._fetch_raw(handle)
-        if runtime.TRACE is not None:
-            runtime.TRACE.read((self.name, handle))
         if oracle.CURRENT is not None:
             return self.mvcc.read(handle, row)
         return row
@@ -359,8 +348,6 @@ class Table:
         if self.storage == "row" or self.mvcc.stale(handle):
             row = self.fetch(handle)
             return tuple(row[self.column_position(c)] for c in columns)
-        if runtime.TRACE is not None:
-            runtime.TRACE.read((self.name, handle))
         return self._cols.read_values(handle, list(columns))
 
     def _scan_raw(self) -> Iterator[tuple[Any, tuple]]:

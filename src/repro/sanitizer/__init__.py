@@ -1,22 +1,8 @@
-"""Dynamic analysis: race detection + data-integrity audits.
+"""Post-run data-integrity audits (``repro sanitize``).
 
-The dynamic-analysis sibling of :mod:`repro.analysis`.  The engines
-import only :mod:`repro.sanitizer.runtime` (a ``None``-guarded global
-hook — zero overhead when sanitizing is off); the heavier passes
-(:mod:`~repro.sanitizer.race`, :mod:`~repro.sanitizer.integrity`,
-:mod:`~repro.sanitizer.faults`, :mod:`~repro.sanitizer.harness`) are
-imported lazily by the CLI so instrumented engine modules never pull
-them in — that keeps the import graph acyclic (the integrity auditors
-import the engines).
+:mod:`~repro.sanitizer.integrity` walks each engine's primary and
+redundant structures and reports disagreements (QA701, QA702, QA704);
+:mod:`~repro.sanitizer.faults` plants one seeded corruption per code so
+the audits can be shown to fire; :mod:`~repro.sanitizer.harness` runs
+the Figure 3 workload and then the audits.
 """
-
-from repro.sanitizer.events import Event, VectorClock
-from repro.sanitizer.runtime import TraceCollector, tracing, worker
-
-__all__ = [
-    "Event",
-    "VectorClock",
-    "TraceCollector",
-    "tracing",
-    "worker",
-]

@@ -25,7 +25,6 @@ from repro.stats.selectivity import Selectivity
 from repro.stats.snbmodel import (
     expected_entity_rows,
     expected_table_rows,
-    expected_vertex_count,
     format_rows,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "collect_sql_statistics",
     "expected_entity_rows",
     "expected_table_rows",
-    "expected_vertex_count",
     "format_rows",
 ]

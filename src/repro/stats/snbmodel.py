@@ -91,20 +91,6 @@ def expected_entity_rows(
     return total if known else None
 
 
-def expected_vertex_count(
-    label: str | None = None, scale_factor: float = LINT_SCALE_FACTOR
-) -> int:
-    """Predicted vertices under one label (or all labels for None)."""
-    if label is not None:
-        rows = expected_entity_rows({label}, scale_factor)
-        if rows is not None:
-            return rows
-    return sum(
-        expected_table_rows(t, scale_factor) or 0
-        for t in _ENTITY_TABLE.values()
-    )
-
-
 def format_rows(rows: int) -> str:
     """Human-scale row count for diagnostics (``~2.1M``, ``~833k``)."""
     if rows >= 1_000_000:

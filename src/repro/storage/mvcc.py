@@ -1,7 +1,7 @@
 """Version chains + watermark-driven garbage collection for MVCC reads.
 
-Each store owns one :class:`VersionStore` and keys it by whatever its
-write-trace anchors use (row handles, node ids, id-triples, vertex ids).
+Each store owns one :class:`VersionStore` and keys it by its record
+identity (row handles, node ids, id-triples, vertex ids).
 The representation is deliberately sparse — version metadata exists only
 for records written *while a snapshot was open*:
 

@@ -20,7 +20,6 @@ import json
 from collections.abc import Iterator
 from typing import Any
 
-from repro.sanitizer import runtime
 from repro.simclock.ledger import charge
 from repro.storage.bdb import BDBStore
 from repro.storage.lsm import LSMTree
@@ -117,8 +116,6 @@ class TitanProvider(GraphProvider):
                     f"i:{label}:{ikey}:{_encode_value(props[ikey])}:{padded}",
                     b"",
                 )
-        if runtime.TRACE is not None:
-            runtime.TRACE.write(("titan-vertex", vid))
         return vid
 
     def create_edge(
@@ -132,9 +129,6 @@ class TitanProvider(GraphProvider):
         self._put(f"e:{out_p}:{label}:o:{in_p}:{eid_p}", payload)
         self._put(f"e:{in_p}:{label}:i:{out_p}:{eid_p}", payload)
         self.mvcc.stamp(("e", eid))
-        if runtime.TRACE is not None:
-            runtime.TRACE.write(("titan-adj", out_vid))
-            runtime.TRACE.write(("titan-adj", in_vid))
         return (eid, label, out_vid, in_vid)
 
     def set_vertex_prop(self, vid: Any, key: str, value: Any) -> None:
@@ -159,8 +153,6 @@ class TitanProvider(GraphProvider):
                     f"i:{label}:{key}:{_encode_value(value)}:{_pad(vid)}",
                     b"",
                 )
-        if runtime.TRACE is not None:
-            runtime.TRACE.write(("titan-vertex", vid))
 
     # -- SPI: reads ---------------------------------------------------------------------
 
@@ -175,8 +167,6 @@ class TitanProvider(GraphProvider):
                 yield vid
 
     def _vertex_record(self, vid: Any) -> dict:
-        if runtime.TRACE is not None:
-            runtime.TRACE.read(("titan-vertex", vid))
         if self.mvcc.stale(("v", vid)):
             # snapshot older than the latest write: serve the covering
             # chain version, bypassing the transaction-level cache
@@ -226,8 +216,6 @@ class TitanProvider(GraphProvider):
                 prefixes = [f"e:{_pad(vid)}:{label}:{_DIR[direction]}:"]
         else:
             prefixes = [f"e:{_pad(vid)}:"]
-        if runtime.TRACE is not None:
-            runtime.TRACE.read(("titan-adj", vid))
         wanted = _DIR.get(direction)
         for prefix in prefixes:
             for key, _value in self._scan(prefix):

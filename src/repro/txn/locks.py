@@ -7,7 +7,6 @@ from collections import defaultdict
 from collections.abc import Iterable
 from typing import Hashable
 
-from repro.sanitizer import runtime
 from repro.simclock.ledger import charge
 
 
@@ -88,8 +87,6 @@ class LockManager:
                 raise LockConflict(resource, others)
         state.holders[txn_id] = mode
         self._held_by_txn[txn_id][resource] = None
-        if runtime.TRACE is not None:
-            runtime.TRACE.lock_acquired(txn_id, resource, mode.value)
 
     def acquire_many(
         self, txn_id: int, resources: Iterable[Hashable], mode: LockMode
@@ -126,8 +123,6 @@ class LockManager:
                 state.holders.pop(txn_id, None)
                 if not state.holders:
                     del self._locks[resource]
-            if runtime.TRACE is not None:
-                runtime.TRACE.lock_released(txn_id, resource)
         if self._waits_for:
             self._waits_for.pop(txn_id, None)
             for waiters in self._waits_for.values():

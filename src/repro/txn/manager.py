@@ -5,7 +5,6 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 
-from repro.sanitizer import runtime
 from repro.simclock.ledger import charge
 from repro.storage.wal import WriteAheadLog
 from repro.txn.locks import LockManager
@@ -71,8 +70,6 @@ class TransactionManager:
         charge("txn_begin")
         txn = Transaction(self._next_txn_id, self)
         self._next_txn_id += 1
-        if runtime.TRACE is not None:
-            runtime.TRACE.txn_begin(txn.txn_id)
         return txn
 
     def commit(self, txn: Transaction) -> None:
@@ -83,8 +80,6 @@ class TransactionManager:
                 self.wal.commit()
             txn.state = TxnState.COMMITTED
             txn._undo.clear()
-            if runtime.TRACE is not None:
-                runtime.TRACE.txn_commit(txn.txn_id)
         finally:
             # a fault inside commit propagates, but must not leave the
             # statement's locks held: nothing else would release them
@@ -97,7 +92,5 @@ class TransactionManager:
             undo()
         txn.state = TxnState.ABORTED
         txn._undo.clear()
-        if runtime.TRACE is not None:
-            runtime.TRACE.txn_abort(txn.txn_id)
         self.locks.release_all(txn.txn_id)
         self.aborted += 1

@@ -21,10 +21,9 @@ Two usage shapes:
   active-snapshot set lower-bounds the garbage-collection watermark so
   their versions are never reclaimed from under them.
 
-The module-level :data:`CURRENT` mirrors the sanitizer's
-``runtime.TRACE`` global-hook pattern: stores consult it on their read
-paths with a cheap ``is None`` check, so the machinery costs nothing
-when no snapshot is active.
+The module-level :data:`CURRENT` is a global hook: stores consult it
+on their read paths with a cheap ``is None`` check, so the machinery
+costs nothing when no snapshot is active.
 """
 
 from __future__ import annotations
@@ -123,16 +122,6 @@ CURRENT: Snapshot | None = None
 def snapshots_active() -> bool:
     """Whether any snapshot is open (write paths stamp only if so)."""
     return bool(ORACLE._active)
-
-
-def read_mode() -> str:
-    """The protection mode recorded on traced read events.
-
-    ``"snapshot"`` reads are immune to read/write races by construction
-    (they never observe in-flight writes); bare ``""`` reads are race
-    candidates for the QA601 lockset/happens-before analysis.
-    """
-    return "snapshot" if CURRENT is not None else ""
 
 
 @contextmanager

@@ -52,34 +52,8 @@ class TestMutations:
             lambda g: g.V().has("person", "id", 0).values("nickname")
         ) == ["QA103"]
 
-    def test_builder_error_is_a_parse_error(self):
-        assert codes(lambda g: g.to(None)) == ["QA105"]
-
     def test_wrong_typed_predicate(self):
         assert codes(
             lambda g: g.V().has("person", "id", 0)
             .has("firstName", P.eq(42))
         ) == ["QA201"]
-
-    def test_swapped_edge_direction(self):
-        # containerOf runs forum -> post: a person has no such out-edge
-        assert codes(
-            lambda g: g.V().has("person", "id", 0).out("containerOf")
-        ) == ["QA202"]
-
-    def test_unanchored_scan(self):
-        assert codes(
-            lambda g: g.V().hasLabel("person").values("id")
-        ) == ["QA303"]
-
-    def test_id_anchored_scan_is_fine(self):
-        assert codes(
-            lambda g: g.V().has("person", "id", 0).values("id")
-        ) == []
-
-    def test_add_edge_from_wrong_source(self):
-        # hasModerator's source is forum, not person
-        assert codes(
-            lambda g: g.V().has("person", "id", 0)
-            .addE("hasModerator").to(None)
-        ) == ["QA202"]

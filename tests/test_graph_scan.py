@@ -5,9 +5,9 @@ with one ``GraphStore.match_nodes`` loop.  The reference below is the
 old shape: ``nodes_with_label`` (or ``all_nodes``) one id at a time,
 each through ``_node_matches`` and so through ``node_labels``,
 ``node_props`` and the per-property closures.  Every case requires the
-same ids (or the same exception), the same ledger — counter for
+same ids (or the same exception) and the same ledger — counter for
 counter and in the order the counters first appear, since a ledger
-prices them in that order — and the same sanitizer trace.
+prices them in that order.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.graphdb.cypher import parse
 from repro.graphdb.cypher.evaluator import NodeRef
 from repro.graphdb.cypher.executor import CypherExecutor
 from repro.graphdb.store import GraphStore
-from repro.sanitizer import runtime
 from repro.simclock import meter
 from repro.txn import oracle
 
@@ -40,14 +39,13 @@ def reference_candidates(executor, row, node, params):
 
 
 def observe(fn, *args):
-    """(result or exception, ordered ledger items, trace events)."""
-    with runtime.tracing() as trace, meter() as ledger:
+    """(result or exception, ordered ledger items)."""
+    with meter() as ledger:
         try:
             result = fn(*args)
         except Exception as exc:  # the exception is part of the answer
             result = (type(exc), str(exc))
-    events = [(e.kind, e.resource, e.mode) for e in trace.events]
-    return result, list(ledger.snapshot().items()), events
+    return result, list(ledger.snapshot().items())
 
 
 def node_pattern(text):
@@ -78,7 +76,7 @@ def messages(count=8):
 class TestFusedScanMatchesPerNodeLoop:
     def test_no_view(self):
         store = messages()
-        ids, ledger, _ = assert_same_scan(
+        ids, ledger = assert_same_scan(
             store, "(m:Comment {id: $id})", {"id": 3}
         )
         assert ids == [3]
@@ -95,13 +93,12 @@ class TestFusedScanMatchesPerNodeLoop:
                 for i in range(8, 12)
             ]
             with oracle.reading(snap):
-                ids, ledger, events = assert_same_scan(
+                ids, ledger = assert_same_scan(
                     store, "(m:Comment {id: $id})", {"id": 9}
                 )
                 assert ids == []
                 assert dict(ledger)["version_check"] > 0
-                assert all(mode == "snapshot" for _, _, mode in events)
-            ids, _, _ = assert_same_scan(
+            ids, _ = assert_same_scan(
                 store, "(m:Comment {id: $id})", {"id": 9}
             )
             assert ids == [late[1]]
@@ -115,13 +112,13 @@ class TestFusedScanMatchesPerNodeLoop:
             store.set_node_prop(3, "length", 42)  # len(props) 2 -> 3
             store.set_node_prop(5, "id", 55)
             with oracle.reading(snap):
-                ids, ledger, _ = assert_same_scan(
+                ids, ledger = assert_same_scan(
                     store, "(m:Comment {id: $id})", {"id": 5}
                 )
                 assert ids == [5]
                 assert dict(ledger)["version_walk"] > 0
                 assert dict(ledger)["value_cpu"] == 8
-            ids, ledger, _ = assert_same_scan(
+            ids, ledger = assert_same_scan(
                 store, "(m:Comment {id: $id})", {"id": 55}
             )
             assert ids == [5]
@@ -135,55 +132,54 @@ class TestFusedScanMatchesPerNodeLoop:
         try:
             store.delete_node(3)  # deferred: a snapshot may still see it
             with oracle.reading(snap):
-                ids, _, _ = assert_same_scan(
+                ids, _ = assert_same_scan(
                     store, "(m:Comment {id: $id})", {"id": 3}
                 )
                 assert ids == [3]
-            ids, _, _ = assert_same_scan(store, "(m:Comment)")
+            ids, _ = assert_same_scan(store, "(m:Comment)")
             assert ids == [1, 5, 7]
         finally:
             oracle.ORACLE.release(snap)
 
     def test_multi_label_pattern_whose_second_label_fails(self):
         store = messages()
-        ids, ledger, _ = assert_same_scan(
+        ids, ledger = assert_same_scan(
             store, "(m:Message:Comment {id: $id})", {"id": 4}
         )
         assert ids == []  # id 4 is a Post
-        ids, _, _ = assert_same_scan(store, "(m:Message:Forum)")
+        ids, _ = assert_same_scan(store, "(m:Message:Forum)")
         assert ids == []
 
     def test_unlabelled_pattern_over_physically_deleted_records(self):
         store = messages()
         store.delete_node(2)
         store.delete_node(3)
-        ids, ledger, _ = assert_same_scan(store, "(n {id: $id})", {"id": 3})
+        ids, ledger = assert_same_scan(store, "(n {id: $id})", {"id": 3})
         assert ids == []
         assert dict(ledger)["record_read"] == 9 + 7  # scan + live props
-        ids, _, _ = assert_same_scan(store, "(n)")
+        ids, _ = assert_same_scan(store, "(n)")
         assert ids == [0, 1, 4, 5, 6, 7, 8]
 
     def test_property_of_a_bound_node(self):
         store = messages()
         row = {"a": NodeRef(5)}
-        ids, ledger, events = assert_same_scan(
+        ids, ledger = assert_same_scan(
             store, "(m:Comment {id: a.id})", row=row
         )
         assert ids == [5]
         # one node_prop per candidate on top of the scan's reads
         assert dict(ledger)["record_read"] == 4 * 3 + 4
-        assert sum(kind == "read" for kind, _, _ in events) == 8
 
     def test_missing_param_raises_only_with_a_candidate(self):
         store = messages()
-        result, ledger, _ = assert_same_scan(
+        result, ledger = assert_same_scan(
             store, "(m:Comment {id: $missing})"
         )
         assert result[1] == "missing parameter $missing"
         assert dict(ledger)["record_read"] == 3  # scan, labels, props
-        ids, _, _ = assert_same_scan(store, "(m:Forum {id: $missing})")
+        ids, _ = assert_same_scan(store, "(m:Forum {id: $missing})")
         assert ids == []
-        ids, _, _ = assert_same_scan(
+        ids, _ = assert_same_scan(
             store, "(m:Message:Forum {id: $missing})"
         )
         assert ids == []

@@ -90,7 +90,7 @@ class TestOracle:
         with oracle.read_view("read-committed") as snap:
             assert snap is None
             assert oracle.ORACLE.active_count() == 0
-            assert oracle.read_mode() == ""
+            assert oracle.CURRENT is None
 
 
 class TestVersionStore:

@@ -1,13 +1,12 @@
 """The whole-program analyzer's one fixpoint driver against a naive one.
 
 Every interprocedural fact (lock tokens, ownership transfer, lock
-reach, reachable blocking I/O, the QA806–QA809 effect lattices) comes
-from :meth:`Program.propagate`, a worklist over the reverse call graph.
-Here it is checked against the textbook formulation kept below — sweep
-every function until nothing changes — on generated modules with
-self-recursion, mutual recursion and leaves that lock, fsync, stamp or
-re-check stale index keys.  Every pass must report the same findings
-under both drivers.
+reach, reachable blocking I/O) comes from :meth:`Program.propagate`, a
+worklist over the reverse call graph.  Here it is checked against the
+textbook formulation kept below — sweep every function until nothing
+changes — on generated modules with self-recursion, mutual recursion
+and leaves that lock or fsync.  Every pass must report the same
+findings under both drivers.
 """
 
 from hypothesis import given, settings
@@ -54,25 +53,15 @@ class NaiveProgram(Program):
 LEAVES = [
     "m.acquire(t, '{r}', 'X')",
     "self.wal.commit()",
-    "self._versions.stale_keys(t)",
-    "self._versions.stamp(t)",
-    "self._versions.visible(t)",
-    "self._versions.record_delete(t)",
-    "self._rows[t] = 1",
-    "self._index.search(t)",
-    "self._row_cache.put(t, 1)",
-    "self.stale_reads()",
-    "runtime.TRACE.write(t)",
 ]
 CALLS = [
     "self.{f}(m, t)",
     "x = self.{f}(m, t)",
 ]
 
-#: generated names include the release verb (QA803 stops there) and a
-#: lookup name (QA806's index rule), so the skip rule and the name
-#: rules meet recursion too
-SPECIAL_NAMES = ["commit", "lookup_rows"]
+#: generated names include the release verb (QA803 stops there), so
+#: the skip rule meets recursion too
+SPECIAL_NAMES = ["commit"]
 
 
 @st.composite
@@ -82,14 +71,7 @@ def modules(draw):
     for index, special in enumerate(SPECIAL_NAMES):
         if index < count and draw(st.booleans()):
             names[index] = special
-    lines = [
-        "class Store:",
-        "    def __init__(self):",
-        f"        self._versions = VersionStore(on_reclaim=self.{names[-1]})",
-        "        self._rows = {}",
-        "        self._index = {}",
-        "        self._row_cache = {}",
-    ]
+    lines = ["class Store:"]
     for name in names:
         body = draw(
             st.lists(
@@ -110,7 +92,7 @@ def modules(draw):
                 )
             )
         # returning a bound call result makes the callee's ownership
-        # transfer (QA802's edge rule) flow into this method
+        # transfer (QA803's held-region rule) flow into this method
         returns = any(t.startswith("x =") for _, t in body)
         lines.append(
             "        return x"

