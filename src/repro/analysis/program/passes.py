@@ -235,16 +235,35 @@ def pass_lock_order(program: Program) -> list[Diagnostic]:
                 for witness in refs
             }
         )
+        # point at a witness that takes two of the cycle's locks itself or
+        # through a direct callee: there the conflicting order is composed
+        takers = [
+            witness
+            for witness in witnesses
+            if len(component & _direct_tokens(program, witness)) >= 2
+        ]
         out.append(
             make(
                 "QA801",
                 f"lock resources {members} are acquired in "
                 f"conflicting orders across call chains; witnesses: "
                 f"{witnesses}",
-                location(witnesses[0] if witnesses else "?"),
+                location((takers or witnesses or ["?"])[0]),
             )
         )
     return out
+
+
+def _direct_tokens(program: Program, ref: str) -> set[str | None]:
+    """The lock tokens ``ref`` and the functions it calls acquire."""
+    summary = program.summaries[ref]
+    summaries = [summary] + [
+        callee
+        for event in summary.events
+        if event.kind == "call"
+        for callee in program.resolve(event.callee or "")
+    ]
+    return {e.token for s in summaries for e in s.acquire_events()}
 
 
 def _sccs(graph: Mapping[str, set[str]]) -> list[set[str]]:

@@ -1,6 +1,8 @@
 """SNB entity and update-event records.
 
-Entities are plain dataclasses; ids are globally unique 64-bit ints with a
+Entities are plain slotted dataclasses (no per-instance ``__dict__``:
+a dataset holds tens of thousands of them, and each benchmark run keeps
+several datasets alive); ids are globally unique 64-bit ints with a
 per-type range (high decimal digit encodes the type) so mixed containers
 stay unambiguous.  Posts and comments share the *message* id space, as in
 LDBC SNB.
@@ -21,7 +23,7 @@ PLACE_ID_BASE = 6_000_000_000
 ORGANISATION_ID_BASE = 7_000_000_000
 
 
-@dataclass
+@dataclass(slots=True)
 class Place:
     id: int
     name: str
@@ -29,21 +31,21 @@ class Place:
     part_of: int | None  # parent place id
 
 
-@dataclass
+@dataclass(slots=True)
 class TagClass:
     id: int
     name: str
     subclass_of: int | None
 
 
-@dataclass
+@dataclass(slots=True)
 class Tag:
     id: int
     name: str
     tag_class: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Organisation:
     id: int
     name: str
@@ -51,7 +53,7 @@ class Organisation:
     place: int  # city id for universities, country id for companies
 
 
-@dataclass
+@dataclass(slots=True)
 class Person:
     id: int
     first_name: str
@@ -71,14 +73,14 @@ class Person:
     work_from: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Knows:
     person1: int
     person2: int
     creation_date: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Forum:
     id: int
     title: str
@@ -87,14 +89,14 @@ class Forum:
     tags: list[int] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class ForumMembership:
     forum: int
     person: int
     join_date: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Post:
     id: int
     creation_date: int
@@ -109,7 +111,7 @@ class Post:
     tags: list[int] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Comment:
     id: int
     creation_date: int
@@ -124,7 +126,7 @@ class Comment:
     tags: list[int] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Like:
     person: int
     message: int  # post or comment id
@@ -144,7 +146,7 @@ class UpdateKind(enum.Enum):
     ADD_FRIENDSHIP = "INS8"
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateEvent:
     """One update-stream entry.
 

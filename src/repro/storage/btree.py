@@ -7,12 +7,18 @@ simulated cost.  Deletes remove entries from leaves without rebalancing —
 the standard "lazy delete" used by many production trees.
 
 A leaf slot holds a key's lone value bare; only a key with two or more
-values holds a :class:`_Dups` list.  The layout is host memory only:
-every ledger charge is per probe, node or yielded value.
+values holds a :class:`_Dups` list.  A tree built with a
+``key_typecode`` keeps its leaf keys in an :class:`array.array` of that
+type (8 bytes a key for ``"q"`` instead of a 32-byte int object plus its
+pointer); ``bisect``, ``insert``, ``pop`` and slicing treat an array as
+they treat a list, so both layouts share every code path.  The layout is
+host memory only: every ledger charge is per probe, node or yielded
+value.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from typing import Any
@@ -67,15 +73,28 @@ class _Node:
 
 
 class BPlusTree:
-    """B+tree mapping comparable keys to one or more values."""
+    """B+tree mapping comparable keys to one or more values.
 
-    def __init__(self, order: int = 64, unique: bool = False, name: str = "") -> None:
+    ``key_typecode`` (an :mod:`array` typecode) packs the leaf keys into
+    an array; every key must then fit that type.  Splits slice a leaf's
+    keys, so each new leaf inherits the array from the first one.
+    """
+
+    def __init__(
+        self,
+        order: int = 64,
+        unique: bool = False,
+        name: str = "",
+        key_typecode: str | None = None,
+    ) -> None:
         if order < 4:
             raise ValueError("order must be >= 4")
         self.order = order
         self.unique = unique
         self.name = name
         self._root: _Node = _Node(is_leaf=True)
+        if key_typecode is not None:
+            self._root.keys = array(key_typecode)  # type: ignore[assignment]
         self._count = 0
         # nodes on every root-to-leaf path (all leaves are equally deep):
         # one more with each new root, and lazy deletes never shrink it

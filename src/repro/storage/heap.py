@@ -2,25 +2,26 @@
 
 A heap file owns a list of slotted pages in a buffer pool and keeps a
 simple in-memory free-space map (page id -> bytes free), mirroring
-PostgreSQL's FSM.  Records are addressed by :class:`RID` (page id, slot no),
-which stays stable across in-place updates.
+PostgreSQL's FSM.  Records are addressed by a :data:`RID`, which stays
+stable across in-place updates.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import NamedTuple
 
 from repro.simclock.ledger import charge
 from repro.storage.buffer import BufferPool
 from repro.storage.pages import PAGE_SIZE, SlottedPage
 
-
-class RID(NamedTuple):
-    """Record identifier: physical position of a record."""
-
-    page_id: int
-    slot: int
+#: a record identifier, the record's physical position: its page id and
+#: slot number packed into one int, ``page_id << SLOT_BITS | slot``.  It
+#: sorts as the ``(page_id, slot)`` pair does, and takes one int object
+#: where a named tuple took three.
+RID = int
+#: a slot number's width (an 8 KiB page holds under 2,048 slots)
+SLOT_BITS = 16
+_SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
 class HeapFile:
@@ -50,41 +51,42 @@ class HeapFile:
         self._free_space[page_id] = page.free_space()
         self.record_count += 1
         charge("tuple_cpu")
-        return RID(page_id, slot)
+        return page_id << SLOT_BITS | slot
 
     def update(self, rid: RID, record: bytes) -> RID:
         """Update a record; returns its (possibly new) RID."""
-        page = self.pool.get_page(rid.page_id)
-        if page.update_in_place(rid.slot, record):
-            self.pool.mark_dirty(rid.page_id)
+        page_id = rid >> SLOT_BITS
+        page = self.pool.get_page(page_id)
+        if page.update_in_place(rid & _SLOT_MASK, record):
+            self.pool.mark_dirty(page_id)
             charge("tuple_cpu")
             return rid
         # record grew: delete + reinsert elsewhere
-        page.delete(rid.slot)
-        self.pool.mark_dirty(rid.page_id)
-        self._free_space[rid.page_id] = page.free_space()
-        self.record_count -= 1
+        self._delete(page_id, page, rid & _SLOT_MASK)
         return self.insert(record)
 
     def delete(self, rid: RID) -> None:
-        page = self.pool.get_page(rid.page_id)
-        page.delete(rid.slot)
-        self.pool.mark_dirty(rid.page_id)
-        self._free_space[rid.page_id] = page.free_space()
-        self.record_count -= 1
+        page_id = rid >> SLOT_BITS
+        self._delete(page_id, self.pool.get_page(page_id), rid & _SLOT_MASK)
         charge("tuple_cpu")
+
+    def _delete(self, page_id: int, page: SlottedPage, slot: int) -> None:
+        page.delete(slot)
+        self.pool.mark_dirty(page_id)
+        self._free_space[page_id] = page.free_space()
+        self.record_count -= 1
 
     # -- read path ---------------------------------------------------------------
 
     def touch(self, rid: RID) -> bytearray:
         """The storage calls of one fetch: the page access and its
         ``tuple_cpu``; returns the page frame."""
-        frame = self.pool.get(rid.page_id)
+        frame = self.pool.get(rid >> SLOT_BITS)
         charge("tuple_cpu")
         return frame
 
     def fetch(self, rid: RID) -> bytes:
-        return SlottedPage(self.touch(rid)).read(rid.slot)
+        return SlottedPage(self.touch(rid)).read(rid & _SLOT_MASK)
 
     def scan(self) -> Iterator[tuple[RID, bytes]]:
         """Full scan in physical order."""
@@ -92,7 +94,7 @@ class HeapFile:
             page = self.pool.get_page(page_id)
             for slot, record in page.records():
                 charge("tuple_cpu")
-                yield RID(page_id, slot), record
+                yield page_id << SLOT_BITS | slot, record
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -8,6 +8,12 @@ for records written *while a snapshot was open*:
 * ``_stamps``: key -> begin timestamp of the record's current value.  An
   absent stamp means "visible always" (written with no reader active),
   so bulk loading and snapshot-free operation carry zero metadata.
+* ``_log``: ``(ts, key)`` for every stamp set, in timestamp order.  An
+  entry counts only while ``ts`` is still the key's stamp, so a
+  re-stamp or a removal needs no search; :meth:`VersionStore.gc` trims
+  the prefix at or below its watermark.  It lets
+  :meth:`VersionStore.stale_keys` bisect to the stamps after a
+  snapshot instead of scanning every stamp ever issued.
 * ``_chains``: key -> older committed values, each valid over the
   half-open stamp interval ``[begin_ts, end_ts)``.  Chains only grow
   when an update overwrites a value some active snapshot may still need.
@@ -32,8 +38,11 @@ the regression surface for it.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
+from itertools import count
+from operator import itemgetter
 from typing import Any
 
 from repro.simclock.ledger import charge
@@ -46,6 +55,8 @@ Key = Hashable
 #: automatic :meth:`VersionStore.gc` (heavy write traffic collects as it
 #: goes instead of accreting chains without bound)
 GC_THRESHOLD = 256
+
+_TS = itemgetter(0)  # a stamp-log entry's timestamp
 
 
 @dataclass
@@ -73,6 +84,11 @@ class VersionStore:
         #: removal the collector decides is safe
         self.on_reclaim = on_reclaim
         self._stamps: dict[Key, int] = {}
+        self._log: list[tuple[int, Key]] = []
+        #: key -> the order in which it entered ``_stamps`` (a re-stamp
+        #: keeps it), the order :meth:`stale_keys` reports keys in
+        self._born: dict[Key, int] = {}
+        self._births = count()
         self._chains: dict[Key, list[_Version]] = {}
         self._tombstones: dict[Key, int] = {}
         self._dirty_since_gc = 0
@@ -89,7 +105,17 @@ class VersionStore:
         at later timestamps.
         """
         if oracle.snapshots_active():
-            self._stamps[key] = oracle.ORACLE.advance()
+            self._set_stamp(key, oracle.ORACLE.advance())
+
+    def _set_stamp(self, key: Key, ts: int) -> None:
+        if key not in self._stamps:
+            self._born[key] = next(self._births)
+        self._stamps[key] = ts
+        insort(self._log, (ts, key), key=_TS)
+
+    def _drop_stamp(self, key: Key) -> None:
+        if self._stamps.pop(key, None) is not None:
+            del self._born[key]
 
     def record_update(self, key: Key, old_value: Any) -> None:
         """Preserve ``old_value`` before the caller overwrites ``key``.
@@ -103,7 +129,7 @@ class VersionStore:
         self._chains.setdefault(key, []).append(
             _Version(old_value, self._stamps.get(key, 0), ts)
         )
-        self._stamps[key] = ts
+        self._set_stamp(key, ts)
         self._dirty_since_gc += 1
         self.maybe_gc()
 
@@ -121,7 +147,7 @@ class VersionStore:
             self._dirty_since_gc += 1
             self.maybe_gc()
             return True
-        self._stamps.pop(key, None)
+        self._drop_stamp(key)
         self._chains.pop(key, None)
         return False
 
@@ -145,14 +171,16 @@ class VersionStore:
         self._chains.setdefault(key, []).append(
             _Version(old_value, self._stamps.get(key, 0), deleted_at)
         )
-        self._stamps[key] = oracle.ORACLE.advance()
+        self._set_stamp(key, oracle.ORACLE.advance())
         self._dirty_since_gc += 1
         return True
 
     def move(self, old_key: Key, new_key: Key) -> None:
         """Re-key metadata when the store relocates a record."""
         if old_key in self._stamps:
-            self._stamps[new_key] = self._stamps.pop(old_key)
+            ts = self._stamps[old_key]
+            self._drop_stamp(old_key)
+            self._set_stamp(new_key, ts)
         if old_key in self._chains:
             self._chains[new_key] = self._chains.pop(old_key)
         if old_key in self._tombstones:
@@ -210,13 +238,20 @@ class VersionStore:
         under the new indexed value): index lookups re-check them against
         the snapshot-visible value to drop false positives and recover
         rows whose old-value entries are gone.  Empty when no snapshot is
-        active, so snapshot-free operation pays nothing.
+        active, so snapshot-free operation pays nothing; under one, a
+        bisect of the stamp log plus the stamps set since the view began.
         """
         snapshot = oracle.CURRENT
         if snapshot is None or not self._stamps:
             return []
-        read_ts = snapshot.read_ts
-        return [k for k, ts in self._stamps.items() if ts > read_ts]
+        stamps, log = self._stamps, self._log
+        fresh = dict.fromkeys(
+            key
+            for ts, key in log[bisect_right(log, snapshot.read_ts, key=_TS) :]
+            if stamps.get(key) == ts
+        )
+        # the order of ``_stamps`` itself, which a re-stamp keeps
+        return sorted(fresh, key=self._born.__getitem__)
 
     def recheck_stale(
         self,
@@ -319,19 +354,24 @@ class VersionStore:
                 self._chains[key] = kept
             else:
                 del self._chains[key]
-        for key in [
-            k for k, ts in self._stamps.items() if ts <= watermark
-        ]:
-            # visible to every remaining view: the stamp is redundant
-            if key not in self._tombstones:
-                del self._stamps[key]
+        cut = bisect_right(self._log, watermark, key=_TS)
+        kept_log = []
+        for ts, key in self._log[:cut]:
+            if self._stamps.get(key) != ts:
+                continue
+            if key in self._tombstones:
+                kept_log.append((ts, key))
+            else:
+                # visible to every remaining view: the stamp is redundant
+                self._drop_stamp(key)
                 reclaimed += 1
+        self._log[:cut] = kept_log
         for key in [
             k for k, ts in self._tombstones.items() if ts <= watermark
         ]:
             # invisible to every remaining view: physically removable
             del self._tombstones[key]
-            self._stamps.pop(key, None)
+            self._drop_stamp(key)
             self._chains.pop(key, None)
             if self.on_reclaim is not None:
                 self.on_reclaim(key)

@@ -165,6 +165,17 @@ class TestUpdatesApplyEverywhere:
             content = connector.message_content(comment.id)
             assert content and content[0] == comment.content, key
 
+    def test_cypher_likes_point_from_person_to_message(self, updated):
+        connectors, events = updated
+        likes = (UpdateKind.ADD_POST_LIKE, UpdateKind.ADD_COMMENT_LIKE)
+        like = next(e.payload for e in events if e.kind in likes)
+        rows = connectors["neo4j-cypher"].db.execute(
+            "MATCH (p:Person {id: $p})-[:LIKES]->(m:Message {id: $m}) "
+            "RETURN p.id",
+            {"p": like.person, "m": like.message},
+        )
+        assert rows == [(like.person,)]
+
     def test_memberships_visible_via_forum(self, updated):
         connectors, events = updated
         membership = next(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.graphdb import Direction, GraphStore
 from repro.simclock import meter
+from repro.txn import oracle
 
 
 @pytest.fixture()
@@ -27,6 +28,17 @@ class TestNodes:
         nid = store.create_node(["Person"], {"id": 42})
         assert store.lookup("Person", "id", 42) == [nid]
         assert store.lookup("Person", "id", 99) == []
+
+    def test_index_lookup_hides_nodes_created_after_the_snapshot(
+        self, store
+    ):
+        old = store.create_node(["Person"], {"id": 1})
+        with oracle.held_snapshot():
+            store.create_node(["Person"], {"id": 2})
+            store.create_node(["Person"], {"id": 1})
+            assert store.lookup("Person", "id", 2) == []
+            assert store.lookup("Person", "id", 1) == [old]
+        assert len(store.lookup("Person", "id", 1)) == 2
 
     def test_lookup_requires_index(self, store):
         with pytest.raises(KeyError):

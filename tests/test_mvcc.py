@@ -13,6 +13,8 @@ Three layers of the tentpole:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import make_connector
 from repro.relational.engine import Database
@@ -176,6 +178,99 @@ class TestVersionStore:
         finally:
             oracle.ORACLE.release(snap)
 
+    def test_stale_keys_keep_first_stamp_order_across_restamps(self):
+        """A re-stamp under a held snapshot leaves the key where it
+        first entered the store; a moved key goes last.  Index probes
+        append recovered keys in this order, so answers depend on it."""
+        store = VersionStore("t")
+        with oracle.held_snapshot():
+            store.stamp("early")
+        holder = oracle.ORACLE.begin()
+        try:
+            for key in ("a", "b", "c"):
+                store.record_update(key, "old")
+            store.record_update("a", "older")  # the newest stamp
+            store.move("b", "d")  # keeps b's (second) stamp
+            with oracle.reading(holder):
+                assert store.stale_keys() == ["a", "c", "d"]
+        finally:
+            oracle.ORACLE.release(holder)
+
+    def test_gc_trims_the_stamp_log_below_the_watermark(self):
+        store = VersionStore("t")
+        with oracle.held_snapshot():
+            for i in range(10):
+                store.stamp(i)
+        holder = oracle.ORACLE.begin()
+        try:
+            store.stamp("late")
+            store.gc()  # the watermark is the holder's read_ts
+            assert store.metadata_counts()["stamps"] == 1
+            assert len(store._log) == 1
+            with oracle.reading(holder):
+                assert store.stale_keys() == ["late"]
+        finally:
+            oracle.ORACLE.release(holder)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["begin", "release", "stamp", "update", "delete",
+                     "recreate", "move", "gc"]
+                ),
+                st.integers(0, 4),
+                st.integers(0, 4),
+            ),
+            max_size=40,
+        )
+    )
+    def test_stale_keys_match_a_scan_of_every_stamp(self, ops):
+        """The stamp log answers what scanning ``_stamps`` answered, in
+        the same order, through re-stamps, moves, deletes and GC."""
+        store = VersionStore("t", gc_threshold=6)
+        held = []
+        try:
+            for op, a, b in ops:
+                if op == "begin":
+                    held.append(oracle.ORACLE.begin())
+                elif op == "release" and held:
+                    oracle.ORACLE.release(held.pop(a % len(held)))
+                elif op == "stamp":
+                    store.stamp(a)
+                elif op == "update":
+                    store.record_update(a, "old")
+                elif op == "delete":
+                    store.record_delete(a)
+                elif op == "recreate":
+                    store.record_recreate(a)
+                elif op == "move" and a != b:
+                    store.move(a, b)
+                elif op == "gc":
+                    mark = oracle.ORACLE.watermark()
+                    stamps = dict(store._stamps)
+                    tombs = dict(store._tombstones)
+                    store.gc()
+                    # stamps at or below the watermark go, unless a
+                    # pending tombstone still holds its key
+                    assert store._stamps == {
+                        key: ts
+                        for key, ts in stamps.items()
+                        if (ts > mark or key in tombs)
+                        and tombs.get(key, mark + 1) > mark
+                    }
+                for snapshot in held:
+                    with oracle.reading(snapshot):
+                        assert store.stale_keys() == [
+                            key
+                            for key, ts in store._stamps.items()
+                            if ts > snapshot.read_ts
+                        ]
+        finally:
+            for snapshot in held:
+                oracle.ORACLE.release(snapshot)
+
     def test_gc_refuses_to_pass_a_live_reader(self):
         """Satellite regression: collecting past the oldest active
         snapshot would corrupt a live reader, so gc() raises instead."""
@@ -243,6 +338,17 @@ class TestRelationalSnapshots:
             assert [row for _, row in table.scan()] == [(1, "one")]
             assert table.fetch(handle)[1] == "one"
         assert list(table.scan()) == []  # current view: deleted
+
+    def test_column_projection_reads_the_snapshot_value(self):
+        db = Database("column", name="mvcc-test")
+        db.execute("CREATE TABLE kv (id INT PRIMARY KEY, v INT)")
+        db.execute("INSERT INTO kv VALUES (1, 10)")
+        table = db.catalog.table("kv")
+        handle = table.lookup("id", 1)[0]
+        with oracle.held_snapshot():
+            table.update(handle, {"v": 20})
+            assert table.fetch_values(handle, ["v"]) == (10,)
+        assert table.fetch_values(handle, ["v"]) == (20,)
 
     def test_undo_delete_restores_a_tombstoned_row(self):
         table = self._table()

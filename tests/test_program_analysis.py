@@ -76,6 +76,36 @@ class TestLockOrderPass:
         )
 
 
+    def test_cycle_is_reported_where_its_order_is_composed(self):
+        """Shaped like a multi-row DML that locks its rows in scan order
+        and then takes its boundary lock: ``_update`` composes the
+        inversion from its two direct callees, while ``_begin``, first
+        in sort order, reaches the row locks only through ``_update``."""
+        source = """
+class Engine:
+    def _boundary(self, locks, txn, resource):
+        locks.acquire(txn, resource, "X")
+
+    def _lock_rows(self, locks, txn, rows):
+        for row in rows:
+            locks.acquire(txn, self._row_lock(row), "X")
+
+    def _update(self, locks, txn, resource, rows):
+        self._lock_rows(locks, txn, rows)
+        self._boundary(locks, txn, resource)
+
+    def _begin(self, locks, txn, resource, rows):
+        self._boundary(locks, txn, resource)
+        self._update(locks, txn, resource, rows)
+"""
+        diags = analyze_program_sources(
+            {"engine.py": source}, passes={"QA801"}
+        )
+        assert codes(diags) == ["QA801"]
+        assert "engine:Engine._begin" in diags[0].message
+        assert diags[0].location.operation == "engine:Engine._update"
+
+
 X = "LockMode.EXCLUSIVE"
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.relational import Database
 from repro.simclock.ledger import meter
+from repro.storage.heap import SLOT_BITS
 from repro.txn import oracle
 from tests.test_prepared_replay import _metered, row_memos
 
@@ -87,7 +88,7 @@ def test_two_frame_pool_hits_through_misses_and_dirty_evictions():
         db = _database(rows, note_bytes=400, buffer_capacity=2)
         by_page = {}
         for i in range(rows):
-            by_page.setdefault(_handle(db, i).page_id, []).append(i)
+            by_page.setdefault(_handle(db, i) >> SLOT_BITS, []).append(i)
         assert len(by_page) == 3
         # visit the pages in turn, so every read misses the pool; read
         # one row and dirty a page-mate that is never read, so the read
